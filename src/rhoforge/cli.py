@@ -24,7 +24,13 @@ from fractions import Fraction
 
 from . import __version__
 from .bar import BarChain
-from .delta import DeltaComplex, boundary_simplex, ngon, simplex
+from .delta import (
+    DeltaComplex,
+    DeltaComplexError,
+    boundary_simplex,
+    ngon,
+    simplex,
+)
 from .groups import FiniteAbelianGroup
 from .hyperbolize import (
     hyperbolized_simplex,
@@ -124,6 +130,14 @@ def _assemble(command, args, inputs, checks, extra, t0) -> dict:
 # -- shared input loading ---------------------------------------------
 
 
+def _read_json(path: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{path}: not valid JSON: {exc}") from None
+
+
 def _parse_group(text: str) -> FiniteAbelianGroup:
     try:
         moduli = [int(p) for p in text.split(",") if p.strip()]
@@ -160,8 +174,7 @@ def _load_cycle(args):
         }
     if not args.cycle:
         raise UsageError("need --cycle FILE or --octagon")
-    with open(args.cycle) as fh:
-        data = json.load(fh)
+    data = _read_json(args.cycle)
     if "group" in data:
         group = _group_from_field(data["group"])
         if flag_group is not None and group.moduli != flag_group.moduli:
@@ -170,19 +183,21 @@ def _load_cycle(args):
         group = flag_group
     else:
         raise UsageError("cycle file has no group; pass --group")
-    if "cells" in data:
-        cells = [
-            ColoredCell(
-                tuple(group.element(r) for r in entry["gen"]),
-                int(entry["sign"]),
-            )
-            for entry in data["cells"]
-        ]
-        payload = cells
-    elif "terms" in data:
-        payload = BarChain.from_json(group, data)
-    else:
-        raise UsageError("cycle file needs 'cells' or 'terms'")
+    try:
+        if "cells" in data:
+            payload = [
+                ColoredCell(
+                    tuple(group.element(r) for r in entry["gen"]),
+                    int(entry["sign"]),
+                )
+                for entry in data["cells"]
+            ]
+        elif "terms" in data:
+            payload = BarChain.from_json(group, data)
+        else:
+            raise UsageError("cycle file needs 'cells' or 'terms'")
+    except KeyError as exc:
+        raise UsageError(f"cycle file entry without key {exc}") from None
     inputs = {"cycle": data, "group": group.to_json()}
     return group, payload, inputs
 
@@ -213,9 +228,13 @@ def _load_complex(args):
     if args.builtin:
         return _builtin_complex(args.builtin), {"builtin": args.builtin}
     if args.complex:
-        with open(args.complex) as fh:
-            data = json.load(fh)
-        return DeltaComplex.from_json(data), {"complex": data}
+        data = _read_json(args.complex)
+        try:
+            return DeltaComplex.from_json(data), {"complex": data}
+        except KeyError as exc:
+            raise UsageError(f"complex file without key {exc}") from None
+        except DeltaComplexError as exc:
+            raise UsageError(f"invalid complex: {exc}") from None
     raise UsageError("need --complex FILE or --builtin NAME")
 
 
@@ -287,8 +306,7 @@ def _cmd_verify_polytope(args):
         P = octagon_polytope(g, g, g, g)
         inputs = {"octagon": True, "group": group.to_json()}
     elif args.polytope:
-        with open(args.polytope) as fh:
-            data = json.load(fh)
+        data = _read_json(args.polytope)
         P = ColoredPolytope.from_json(data)
         inputs = {"polytope": data}
     else:
@@ -452,6 +470,10 @@ def _cmd_lens(args):
 def _cmd_rho_sweep(args):
     if args.stop < args.start:
         raise UsageError("--to must be at least --from")
+    try:
+        LensSpec(args.start, args.d)
+    except LensError as exc:
+        raise UsageError(str(exc)) from None
     rows = []
     gated_failures = []
     for n in range(args.start, args.stop + 1):

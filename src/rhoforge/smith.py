@@ -2,9 +2,12 @@
 
 Everything here is over the integers with arbitrary precision, so ranks
 and torsion coefficients are exact.  Matrices are sparse: the input is a
-mapping ``(row, col) -> value`` plus a shape.  The pivoting strategy
-(smallest absolute value, then least fill) keeps intermediate entries
-small on the incidence-style matrices this package produces.
+mapping ``(row, col) -> value`` plus a shape.  Pivots are unit entries
+(±1) taken from a shortest row, found through an index of rows by
+length, so picking one costs no pass over the matrix; on the
+incidence-style matrices this package produces nearly every pivot is a
+unit.  Only the residue with no unit entry left is searched with the
+Markowitz scan (smallest absolute value, then least fill).
 """
 
 from __future__ import annotations
@@ -41,7 +44,49 @@ def _build_sparse(entries: Mapping[tuple[int, int], int]):
     return rows, cols
 
 
-def _pick_pivot(rows, cols):
+class _LengthIndex:
+    """Rows that may hold a ±1 entry, bucketed by their current length.
+
+    Every row is filed again whenever it changes.  A row searched and
+    found to hold no unit entry leaves the buckets until it changes, so
+    each row is searched at most once per change.
+    """
+
+    def __init__(self, rows, cols):
+        self.rows = rows
+        self.cols = cols
+        self.buckets: dict[int, set[int]] = {}
+        self.length: dict[int, int] = {}
+        for r in rows:
+            self.file(r)
+
+    def file(self, r: int) -> None:
+        self.drop(r)
+        n = len(self.rows[r])
+        self.buckets.setdefault(n, set()).add(r)
+        self.length[r] = n
+
+    def drop(self, r: int) -> None:
+        n = self.length.pop(r, None)
+        if n is not None:
+            bucket = self.buckets[n]
+            bucket.discard(r)
+            if not bucket:
+                del self.buckets[n]
+
+    def unit_pivot(self):
+        """A ±1 entry of a shortest row, in its shortest column, or None."""
+        while self.buckets:
+            r = next(iter(self.buckets[min(self.buckets)]))
+            units = [c for c, v in self.rows[r].items() if v == 1 or v == -1]
+            if units:
+                return r, min(units, key=lambda c: len(self.cols[c]))
+            self.drop(r)
+        return None
+
+
+def _markowitz_pivot(rows, cols):
+    """Entry of least (|v|, row length * column length) over the matrix."""
     best = None
     best_key = None
     for r, rowd in rows.items():
@@ -51,8 +96,6 @@ def _pick_pivot(rows, cols):
             if best_key is None or key < best_key:
                 best_key = key
                 best = (r, c)
-                if key == (1, 1):
-                    return best
     return best
 
 
@@ -70,10 +113,12 @@ def smith_normal_form(entries: Mapping[tuple[int, int], int]) -> SmithResult:
     SmithResult(rank=0, invariant_factors=())
     """
     rows, cols = _build_sparse(entries)
+    index = _LengthIndex(rows, cols)
     diag: list[int] = []
 
     while rows:
-        r, c = _pick_pivot(rows, cols)
+        pivot = index.unit_pivot()
+        r, c = pivot if pivot else _markowitz_pivot(rows, cols)
         while True:
             v = rows[r][c]
             # row operations: kill the rest of column c
@@ -93,8 +138,11 @@ def smith_normal_form(entries: Mapping[tuple[int, int], int]) -> SmithResult:
                         elif cc in row2:
                             del row2[cc]
                             cols[cc].discard(r2)
-                    if not row2:
+                    if row2:
+                        index.file(r2)
+                    else:
                         del rows[r2]
+                        index.drop(r2)
             if len(cols[c]) > 1:
                 # a remainder smaller than |v| is sitting in column c
                 r = min(
@@ -117,10 +165,12 @@ def smith_normal_form(entries: Mapping[tuple[int, int], int]) -> SmithResult:
                     cols[c2].discard(r)
             if len(rowd) == 1:
                 break
+            index.file(r)
             # gcd not reached yet: restart from the smallest entry
             c = min((cc for cc in rowd if cc != c), key=lambda cc: abs(rowd[cc]))
         diag.append(abs(rows[r][c]))
         del rows[r]
+        index.drop(r)
         cols[c].discard(r)
         if not cols[c]:
             del cols[c]

@@ -165,6 +165,14 @@ class TestComplexCommands:
         assert report["f_vector"] == [4, 6, 4, 1]
         assert report["euler"] == 1
 
+    def test_homology_lens_5_4(self, capsys):
+        assert run("homology", "--builtin", "lens:5,4") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["f_vector"] == [4, 34, 160, 455, 800, 850, 500, 125]
+        H = report["homology"]
+        assert H["betti"] == [1, 0, 0, 0, 0, 0, 0, 1]
+        assert H["torsion"] == [[], [5], [], [5], [], [5], [], []]
+
     def test_bad_builtin(self, capsys):
         assert run("homology", "--builtin", "torus:3") == 2
         assert run("homology", "--builtin", "lens:2,2") == 2
@@ -247,6 +255,47 @@ class TestRhoSweep:
 
     def test_bad_range(self, capsys):
         assert run("rho-sweep", "--d", "2", "--from", "9", "--to", "3") == 2
+
+
+class TestMalformedInput:
+    """Bad input files and arguments exit 2 with one line on stderr."""
+
+    def usage_error(self, capsys, *argv):
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rhoforge: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("flag", [
+        ("bound-chain", "--cycle"),
+        ("homology", "--complex"),
+    ])
+    def test_malformed_json(self, tmp_path, capsys, flag):
+        src = tmp_path / "bad.json"
+        src.write_text('{"group": [2], "cells": [')
+        assert "not valid JSON" in self.usage_error(capsys, *flag, str(src))
+
+    def test_cycle_cell_without_sign(self, tmp_path, capsys):
+        src = tmp_path / "cycle.json"
+        src.write_text(json.dumps({"group": [2], "cells": [{"gen": [[1], [1]]}]}))
+        err = self.usage_error(capsys, "bound-chain", "--cycle", str(src))
+        assert "'sign'" in err
+
+    def test_complex_without_vertices(self, tmp_path, capsys):
+        src = tmp_path / "k.json"
+        src.write_text(json.dumps({"faces": [[[0, 1]]]}))
+        err = self.usage_error(capsys, "homology", "--complex", str(src))
+        assert "'vertices'" in err
+
+    def test_invalid_complex(self, tmp_path, capsys):
+        src = tmp_path / "k.json"
+        src.write_text(json.dumps({"vertices": 2, "faces": [[[0, 5]]]}))
+        err = self.usage_error(capsys, "fvector", "--complex", str(src))
+        assert "invalid complex" in err
+
+    def test_rho_sweep_d0(self, capsys):
+        err = self.usage_error(capsys, "rho-sweep", "--d", "0")
+        assert "d must be at least 1" in err
 
 
 class TestConstantsAndUsage:

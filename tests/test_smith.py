@@ -4,6 +4,9 @@ from itertools import combinations
 
 import pytest
 
+from rhoforge import smith
+from rhoforge.hyperbolize import hyperbolized_simplex
+from rhoforge.lens import LensSpec, lens_complex
 from rhoforge.smith import (
     bareiss_determinant,
     integer_rank,
@@ -46,6 +49,101 @@ def snf_oracle(m):
         d.append(minor_gcd(m, k))
     rank = max((k for k in range(bound + 1) if d[k] != 0), default=0)
     return tuple(d[k] // d[k - 1] for k in range(1, rank + 1))
+
+
+def _full_scan_pivot(rows, cols):
+    best = None
+    best_key = None
+    for r, rowd in rows.items():
+        rl = len(rowd)
+        for c, v in rowd.items():
+            key = (abs(v), rl * len(cols[c]))
+            if best_key is None or key < best_key:
+                best_key = key
+                best = (r, c)
+                if key == (1, 1):
+                    return best
+    return best
+
+
+def naive_smith(entries):
+    """(rank, invariant factors) by elimination that scans every nonzero
+    for each pivot, taking the least (|v|, row length * column length).
+
+    The reference the indexed pivot search in ``smith_normal_form`` is
+    checked against: same elimination, no index.
+    """
+    rows, cols = {}, {}
+    for (r, c), v in entries.items():
+        if v:
+            rows.setdefault(r, {})[c] = v
+            cols.setdefault(c, set()).add(r)
+    diag = []
+    while rows:
+        r, c = _full_scan_pivot(rows, cols)
+        while True:
+            v = rows[r][c]
+            for r2 in list(cols[c]):
+                if r2 == r:
+                    continue
+                q = rows[r2][c] // v
+                if q:
+                    row2 = rows[r2]
+                    for cc, vv in rows[r].items():
+                        nv = row2.get(cc, 0) - q * vv
+                        if nv:
+                            row2[cc] = nv
+                            cols[cc].add(r2)
+                        elif cc in row2:
+                            del row2[cc]
+                            cols[cc].discard(r2)
+                    if not row2:
+                        del rows[r2]
+            if len(cols[c]) > 1:
+                r = min(
+                    (r2 for r2 in cols[c] if r2 != r),
+                    key=lambda r2: abs(rows[r2][c]),
+                )
+                continue
+            v = rows[r][c]
+            rowd = rows[r]
+            for c2 in list(rowd):
+                if c2 == c:
+                    continue
+                rem = rowd[c2] % v
+                if rem:
+                    rowd[c2] = rem
+                else:
+                    del rowd[c2]
+                    cols[c2].discard(r)
+            if len(rowd) == 1:
+                break
+            c = min((cc for cc in rowd if cc != c), key=lambda cc: abs(rowd[cc]))
+        diag.append(abs(rows[r][c]))
+        del rows[r]
+        cols[c].discard(r)
+        if not cols[c]:
+            del cols[c]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(diag) - 1):
+            a, b = diag[i], diag[i + 1]
+            if b % a:
+                g = math.gcd(a, b)
+                diag[i], diag[i + 1] = g, a * b // g
+                changed = True
+    return len(diag), tuple(sorted(diag))
+
+
+def relabeled(K, rng):
+    return K.relabeled(
+        [rng.sample(range(K.n_cells(q)), K.n_cells(q)) for q in range(K.dim + 1)]
+    )
+
+
+def boundary_matrices(K):
+    return [K.boundary_matrix(q) for q in range(1, K.dim + 1)]
 
 
 class TestSmithNormalForm:
@@ -97,6 +195,83 @@ class TestSmithNormalForm:
         assert integer_rank(matrix_entries([[1, 2], [2, 4]])) == 1
         assert integer_rank(matrix_entries([[1, 0], [0, 5]])) == 2
         assert integer_rank({}) == 0
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: relabeled(hyperbolized_simplex(3).complex, random.Random(5)),
+            lambda: lens_complex(LensSpec(4, 4)),
+            lambda: lens_complex(LensSpec(8, 3)),
+        ],
+        ids=["X3-relabeled", "lens4,4", "lens8,3"],
+    )
+    def test_matches_full_scan_on_boundary_matrices(self, build):
+        for entries in boundary_matrices(build()):
+            res = smith_normal_form(entries)
+            assert (res.rank, res.invariant_factors) == naive_smith(entries)
+
+    def test_markowitz_scan_only_without_unit_entries(self, monkeypatch):
+        markowitz = smith._markowitz_pivot
+        scans = []
+
+        def guarded(rows, cols):
+            assert all(
+                abs(v) != 1 for rowd in rows.values() for v in rowd.values()
+            )
+            scans.append(len(rows))
+            return markowitz(rows, cols)
+
+        monkeypatch.setattr(smith, "_markowitz_pivot", guarded)
+        for entries in boundary_matrices(lens_complex(LensSpec(4, 4))):
+            smith_normal_form(entries)
+        # the Z/4 torsion is the residue that reaches the scan
+        assert scans
+        # rows without a unit that gain one by elimination must be found
+        rng = random.Random(19)
+        for _ in range(300):
+            r, c = rng.randint(2, 6), rng.randint(2, 6)
+            m = [[rng.choice([0, 0, 1, -1, 2, -2, 3]) for _ in range(c)]
+                 for _ in range(r)]
+            smith_normal_form(matrix_entries(m))
+
+    def test_no_unit_entries(self):
+        # every pivot comes from the Markowitz scan, and gcd steps create
+        # units midway
+        m = [[6, 10, 0], [4, 0, 15], [0, 9, 12]]
+        res = smith_normal_form(matrix_entries(m))
+        assert res.invariant_factors == snf_oracle(m)
+        assert (res.rank, res.invariant_factors) == naive_smith(matrix_entries(m))
+
+    def test_matches_sympy_on_random_matrices(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+        any_entry = st.integers(-9, 9)
+        no_unit = any_entry.filter(lambda v: abs(v) != 1)
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            entry = data.draw(st.sampled_from([any_entry, no_unit]))
+            r = data.draw(st.integers(1, 5))
+            c = data.draw(st.integers(1, 5))
+            m = data.draw(
+                st.lists(
+                    st.lists(entry, min_size=c, max_size=c),
+                    min_size=r,
+                    max_size=r,
+                )
+            )
+            d = sympy_snf(sympy.Matrix(m), domain=sympy.ZZ)
+            expected = sorted(
+                abs(int(d[i, i])) for i in range(min(r, c)) if d[i, i]
+            )
+            res = smith_normal_form(matrix_entries(m))
+            assert list(res.invariant_factors) == expected
+
+        check()
 
 
 class TestBareissDeterminant:
