@@ -56,7 +56,7 @@ class BarChain:
     >>> g = G.element([1])
     >>> c = BarChain(G, 2, {(g, g): 1})
     >>> c.boundary()
-    BarChain(degree=1, terms={((1,),): 2, ((0,),): -1})
+    BarChain(degree=1, terms={((0,),): -1, ((1,),): 2})
     >>> c.boundary().normalize()
     BarChain(degree=1, terms={((1,),): 2})
     >>> c.boundary().boundary().is_zero()
@@ -109,6 +109,30 @@ class BarChain:
         cls, group: FiniteAbelianGroup, gen: Sequence[GroupElement], coef: int = 1
     ) -> "BarChain":
         return cls(group, len(gen), {tuple(gen): coef})
+
+    @classmethod
+    def from_terms(
+        cls,
+        group: FiniteAbelianGroup,
+        degree: int,
+        pairs: Iterable[tuple[Sequence[GroupElement], int]],
+    ) -> "BarChain":
+        """Sum ``(generator, coefficient)`` pairs into one chain.
+
+        The pairs are added into a single dict, so summing m pairs costs
+        O(m) rather than the O(m * support) of repeated ``+``.
+
+        >>> from rhoforge.groups import cyclic
+        >>> G = cyclic(3)
+        >>> g = G.element([1])
+        >>> BarChain.from_terms(G, 1, [((g,), 2), ((g * g,), 1), ((g,), -2)])
+        BarChain(degree=1, terms={((2,),): 1})
+        """
+        out: dict[Gen, int] = {}
+        for gen, coef in pairs:
+            gen = tuple(gen)
+            out[gen] = out.get(gen, 0) + coef
+        return cls(group, degree, out)
 
     # -- arithmetic ---------------------------------------------------
 

@@ -3,7 +3,7 @@
 Every subcommand assembles a JSON report: command echo, input digest,
 named checks with pass/fail/info status, library version, and wall
 clock.  Reports are written atomically and are byte-identical across
-runs with the same inputs and seed, apart from the timing field.
+runs with the same inputs, apart from the timing field.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error,
 3 resource cap exceeded.
@@ -26,7 +26,6 @@ from . import __version__
 from .bar import BarChain
 from .delta import (
     DeltaComplex,
-    DeltaComplexError,
     boundary_simplex,
     ngon,
     simplex,
@@ -56,7 +55,7 @@ from .polytopes import (
     octagon_cells,
     octagon_polytope,
 )
-from .towers import ResourceCapError, bounding_chain, catalan_number
+from .towers import ResourceCapError, bounding_chain, catalan_number, cell_cap
 
 
 class UsageError(Exception):
@@ -106,7 +105,7 @@ def _check(name: str, ok=None, **values) -> dict:
     return {"name": name, "status": status, "values": values}
 
 
-def _assemble(command, args, inputs, checks, extra, t0) -> dict:
+def _assemble(command, inputs, checks, extra, t0) -> dict:
     digest = hashlib.sha256(
         json.dumps(inputs, sort_keys=True, default=_jsonable).encode()
     ).hexdigest()
@@ -116,7 +115,6 @@ def _assemble(command, args, inputs, checks, extra, t0) -> dict:
         "inputs": inputs,
         "inputs_digest": digest,
         "version": __version__,
-        "seed": args.seed,
         "status": "fail" if failed else "pass",
         "failed_checks": failed,
         "checks": checks,
@@ -130,12 +128,15 @@ def _assemble(command, args, inputs, checks, extra, t0) -> dict:
 # -- shared input loading ---------------------------------------------
 
 
-def _read_json(path: str):
+def _read_json(path: str) -> dict:
     with open(path) as fh:
         try:
-            return json.load(fh)
+            data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise UsageError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise UsageError(f"{path}: top level must be a JSON object")
+    return data
 
 
 def _parse_group(text: str) -> FiniteAbelianGroup:
@@ -198,6 +199,8 @@ def _load_cycle(args):
             raise UsageError("cycle file needs 'cells' or 'terms'")
     except KeyError as exc:
         raise UsageError(f"cycle file entry without key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad cycle file entry: {exc}") from None
     inputs = {"cycle": data, "group": group.to_json()}
     return group, payload, inputs
 
@@ -233,7 +236,7 @@ def _load_complex(args):
             return DeltaComplex.from_json(data), {"complex": data}
         except KeyError as exc:
             raise UsageError(f"complex file without key {exc}") from None
-        except DeltaComplexError as exc:
+        except (TypeError, ValueError) as exc:
             raise UsageError(f"invalid complex: {exc}") from None
     raise UsageError("need --complex FILE or --builtin NAME")
 
@@ -252,6 +255,10 @@ def _homology_payload(K: DeltaComplex) -> dict:
 
 def _cmd_bound_chain(args):
     group, payload, inputs = _load_cycle(args)
+    try:
+        cell_cap()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     checks = []
     extra = {}
     try:
@@ -289,7 +296,6 @@ def _cmd_bound_chain(args):
                 "pair_count": p.pair_count,
                 "copies": p.copies,
                 "heights": list(p.heights),
-                "extensions": list(p.extensions),
             }
             for p in result.polytopes
         ],
@@ -307,7 +313,12 @@ def _cmd_verify_polytope(args):
         inputs = {"octagon": True, "group": group.to_json()}
     elif args.polytope:
         data = _read_json(args.polytope)
-        P = ColoredPolytope.from_json(data)
+        try:
+            P = ColoredPolytope.from_json(data)
+        except KeyError as exc:
+            raise UsageError(f"polytope file without key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"invalid polytope: {exc}") from None
         inputs = {"polytope": data}
     else:
         raise UsageError("need --polytope FILE or --octagon")
@@ -556,9 +567,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--seed", type=int, default=0, help="seed for any randomized checks"
-    )
-    common.add_argument(
         "--report", help="write the JSON report here (atomic)"
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -642,7 +650,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"rhoforge: {exc}", file=sys.stderr)
         return 2
-    report = _assemble(args.subcommand, args, inputs, checks, extra, t0)
+    report = _assemble(args.subcommand, inputs, checks, extra, t0)
     text = _dumps(report)
     path = getattr(args, out_attr, None) or args.report
     if path:

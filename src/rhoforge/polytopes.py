@@ -203,10 +203,9 @@ class ColoredPolytope:
     # -- chain view --------------------------------------------------
 
     def chain(self) -> BarChain:
-        terms: dict[Gen, int] = {}
-        for cell in self.cells:
-            terms[cell.gen] = terms.get(cell.gen, 0) + cell.sign
-        return BarChain(self.group, self.degree, terms, _validate=False)
+        return BarChain.from_terms(
+            self.group, self.degree, ((c.gen, c.sign) for c in self.cells)
+        )
 
     # -- labeling ----------------------------------------------------
 
@@ -360,10 +359,6 @@ class VertexLabeling:
         )
 
 
-def chain_of(P: ColoredPolytope) -> BarChain:
-    return P.chain()
-
-
 # -- assembly ---------------------------------------------------------
 
 CellsInput = Union[BarChain, Sequence[ColoredCell], Sequence[tuple[Gen, int]]]
@@ -411,10 +406,8 @@ def as_cells(C: CellsInput) -> tuple[FiniteAbelianGroup, int, list[ColoredCell]]
 def decomposition_boundary(
     group: FiniteAbelianGroup, degree: int, cells: Sequence[ColoredCell]
 ) -> BarChain:
-    out = BarChain.zero(group, degree)
-    for cell in cells:
-        out = out + cell.sign * BarChain.single(group, cell.gen)
-    return out.boundary()
+    chain = BarChain.from_terms(group, degree, ((c.gen, c.sign) for c in cells))
+    return chain.boundary()
 
 
 def assemble_polytopes(C: CellsInput) -> list[ColoredPolytope]:
@@ -514,11 +507,11 @@ def octagon_cells(
 def octagon_chain(
     a: GroupElement, b: GroupElement, c: GroupElement, d: GroupElement
 ) -> BarChain:
-    group = a.group
-    out = BarChain.zero(group, 2)
-    for cell in octagon_cells(a, b, c, d):
-        out = out + cell.sign * BarChain.single(group, cell.gen)
-    return out
+    return BarChain.from_terms(
+        a.group,
+        2,
+        ((cell.gen, cell.sign) for cell in octagon_cells(a, b, c, d)),
+    )
 
 
 def octagon_polytope(

@@ -16,11 +16,10 @@ chain u with boundary N * (C - E).
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .bar import BarChain, Gen, hom_to_bar
 from .groups import FiniteAbelianGroup, GroupElement
@@ -35,8 +34,6 @@ from .polytopes import (
     assemble_polytopes,
 )
 
-log = logging.getLogger(__name__)
-
 DEFAULT_CELL_CAP = 10_000_000
 
 
@@ -49,7 +46,12 @@ def cell_cap() -> int:
     raw = os.environ.get("RHOFORGE_CELL_CAP")
     if raw is None:
         return DEFAULT_CELL_CAP
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(
+            f"RHOFORGE_CELL_CAP must be an integer, got {raw!r}"
+        ) from None
 
 
 PairClass = tuple[tuple[FaceRef, FaceRef], ...]  # (plus, minus) members
@@ -136,10 +138,9 @@ def _pair_sort_key(P: ColoredPolytope, pair: tuple[FaceRef, FaceRef]):
 class Tower:
     """A finished tower of coverings.
 
-    ``copies`` is the product of the per-class heights; without holonomy
-    extensions every height is the group order, so copies = |G|^s with
-    s the number of pair classes.  ``dangling`` lists the surviving
-    boundary pairs of the result, per original class.
+    Every height is the group order, so ``copies`` = |G|^s with s the
+    number of pair classes.  ``dangling`` lists the surviving boundary
+    pairs of the result, per original class.
     """
 
     base: ColoredPolytope
@@ -148,7 +149,6 @@ class Tower:
     copies: int
     heights: tuple[int, ...]
     dangling: tuple[PairClass, ...]
-    extensions: tuple[str, ...] = ()
 
 
 def _pair_labels_agree(
@@ -165,18 +165,6 @@ def _pair_labels_agree(
     return True
 
 
-def _crossing_holonomy(
-    P: ColoredPolytope, plus: FaceRef, minus: FaceRef
-) -> GroupElement:
-    """Label offset between the two faces of a pair: minus = holonomy * plus."""
-    labeling = P.endow(P.group.identity)
-    vp = 0 if plus[1] > 0 else 1
-    vm = 0 if minus[1] > 0 else 1
-    lp = labeling.labels[P.vertex_class(plus[0], vp)]
-    lm = labeling.labels[P.vertex_class(minus[0], vm)]
-    return lm * ~lp
-
-
 def tower(
     P: ColoredPolytope,
     pairs: Sequence[tuple[FaceRef, FaceRef]] | None = None,
@@ -184,11 +172,11 @@ def tower(
     """Tower of coverings of P over the given boundary pairs, in order.
 
     Pairs default to all of P's boundary pairs in canonical generator
-    order.  After building, every dangling pair is verified to carry
-    equal vertex labels under an identity endowment; on a mismatch the
-    offending class's height is extended to absorb the crossing holonomy
-    and the tower is rebuilt once (logged), after which a persistent
-    mismatch is a hard error.
+    order, and every pair gets height |G|.  The crossing holonomy of a
+    pair raised to |G| is the identity in an abelian group, so every
+    dangling pair of the result carries equal vertex labels under an
+    identity endowment; that is verified, and a mismatch raises
+    ColoringError.
     """
     if pairs is None:
         pairs = sorted(P.boundary_pairs(), key=lambda pr: _pair_sort_key(P, pr))
@@ -197,63 +185,25 @@ def tower(
         return Tower(P, (), P, 1, (), ())
     order = P.group.order
     cap = cell_cap()
-
-    def build(heights: Sequence[int]) -> Tower:
-        Q = P
-        classes: list[PairClass] = [(pair,) for pair in pairs]
-        for r, h in enumerate(heights):
-            Q, classes = _covering_step(Q, classes, r, h, cap)
-        copies = math.prod(heights)
-        return Tower(
-            base=P,
-            pair_sequence=pairs,
-            result=Q,
-            copies=copies,
-            heights=tuple(heights),
-            dangling=tuple(classes),
-        )
-
-    def verify(t: Tower) -> list[int]:
-        labeling = t.result.endow(P.group.identity)
-        bad = []
-        for r, cls in enumerate(t.dangling):
-            if any(
-                not _pair_labels_agree(t.result, labeling, plus, minus)
-                for plus, minus in cls
-            ):
-                bad.append(r)
-        return bad
-
-    t = build([order] * len(pairs))
-    bad = verify(t)
-    if not bad:
-        return t
-    # Unreachable for abelian G with default heights (holonomy^|G| = e),
-    # kept as the constructive fallback: extend each failing class to a
-    # height the crossing holonomy provably divides.
-    heights = list(t.heights)
-    notes = []
-    for r in bad:
-        hol = _crossing_holonomy(P, *pairs[r])
-        heights[r] = math.lcm(order, hol.order())
-        notes.append(
-            f"holonomy extension on pair {r}: height {order} -> {heights[r]}"
-        )
-        log.warning(notes[-1])
-    t2 = build(heights)
-    if verify(t2):
-        raise ColoringError(
-            "dangling pair labels still disagree after holonomy extension; "
-            "coloring bug"
-        )
+    Q = P
+    classes: list[PairClass] = [(pair,) for pair in pairs]
+    for r in range(len(pairs)):
+        Q, classes = _covering_step(Q, classes, r, order, cap)
+    labeling = Q.endow(P.group.identity)
+    for r, cls in enumerate(classes):
+        if not all(
+            _pair_labels_agree(Q, labeling, plus, minus) for plus, minus in cls
+        ):
+            raise ColoringError(
+                f"dangling labels of pair {r} disagree; coloring bug"
+            )
     return Tower(
-        t2.base,
-        t2.pair_sequence,
-        t2.result,
-        t2.copies,
-        t2.heights,
-        t2.dangling,
-        tuple(notes),
+        base=P,
+        pair_sequence=pairs,
+        result=Q,
+        copies=order ** len(pairs),
+        heights=(order,) * len(pairs),
+        dangling=tuple(classes),
     )
 
 
@@ -269,6 +219,22 @@ class CylinderResult:
     bottom: BarChain  # identity-labeled shadow, degree n
 
 
+LabeledCells = Sequence[tuple[Sequence[GroupElement], int]]
+
+
+def _cylinder_terms(cells: LabeledCells) -> Iterator[tuple[Gen, int]]:
+    """Signed prism generators of every (vertex labels, sign) cell."""
+    for labels, sign in cells:
+        if not labels:
+            raise ValueError("labels must cover at least one vertex")
+        e = labels[0].group.identity
+        for i in range(len(labels)):
+            yield (
+                hom_to_bar((e,) * (i + 1) + labels[i:]),
+                sign if i % 2 == 0 else -sign,
+            )
+
+
 def cylinder_cell(labels: Sequence[GroupElement], sign: int = 1) -> BarChain:
     """Prism chain of one signed cell with ordered vertex labels.
 
@@ -278,24 +244,8 @@ def cylinder_cell(labels: Sequence[GroupElement], sign: int = 1) -> BarChain:
     generator [e, ..., e, h_i, g_{i+1}, ..., g_n] of degree n+1.
     """
     labels = tuple(labels)
-    if not labels:
-        raise ValueError("labels must cover at least one vertex")
-    group = labels[0].group
-    e = group.identity
-    n = len(labels) - 1
-    out: dict[Gen, int] = {}
-    for i in range(n + 1):
-        gen = hom_to_bar((e,) * (i + 1) + labels[i:])
-        coef = sign * (1 if i % 2 == 0 else -1)
-        c = out.get(gen, 0) + coef
-        if c:
-            out[gen] = c
-        elif gen in out:
-            del out[gen]
-    return BarChain(group, n + 1, out, _validate=False)
-
-
-LabeledCells = Sequence[tuple[Sequence[GroupElement], int]]
+    terms = list(_cylinder_terms([(labels, sign)]))
+    return BarChain.from_terms(labels[0].group, len(labels), terms)
 
 
 def cylinder(cells: LabeledCells) -> CylinderResult:
@@ -305,18 +255,12 @@ def cylinder(cells: LabeledCells) -> CylinderResult:
         raise ValueError("empty labeled chain")
     group = cells[0][0][0].group
     n = len(cells[0][0]) - 1
-    chain = BarChain.zero(group, n + 1)
-    top = BarChain.zero(group, n)
-    e = group.identity
-    degen: Gen = (e,) * n
-    bottom_coef = 0
-    for labels, sign in cells:
-        chain = chain + cylinder_cell(labels, sign)
-        top = top + sign * BarChain.single(group, hom_to_bar(labels))
-        bottom_coef += sign
-    bottom = BarChain(
-        group, n, {degen: bottom_coef} if bottom_coef else {}, _validate=False
+    chain = BarChain.from_terms(group, n + 1, _cylinder_terms(cells))
+    top = BarChain.from_terms(
+        group, n, ((hom_to_bar(labels), sign) for labels, sign in cells)
     )
+    bottom_coef = sum(sign for _, sign in cells)
+    bottom = BarChain(group, n, {(group.identity,) * n: bottom_coef})
     return CylinderResult(chain=chain, top=top, bottom=bottom)
 
 
@@ -331,15 +275,15 @@ def cylinder_boundary_defect(cells: LabeledCells) -> BarChain:
     """d(Cyl(P)) - (P - E - Cyl(dP with inherited labels)); zero when the
     prism identity holds.  Exposed so tests can assert exactness."""
     res = cylinder(cells)
-    lhs = res.chain.boundary()
-    rhs = res.top - res.bottom
-    for labels, sign in cells:
-        labels = tuple(labels)
-        n = len(labels) - 1
-        for i in range(n + 1):
-            face_sign = sign * (1 if i % 2 == 0 else -1)
-            rhs = rhs - cylinder_cell(cell_face_labels(labels, i), face_sign)
-    return lhs - rhs
+    faces = (
+        (cell_face_labels(labels, i), sign if i % 2 == 0 else -sign)
+        for labels, sign in cells
+        for i in range(len(labels))
+    )
+    face_cylinders = BarChain.from_terms(
+        res.top.group, res.top.degree, _cylinder_terms(faces)
+    )
+    return res.chain.boundary() - (res.top - res.bottom - face_cylinders)
 
 
 def polytope_labeled_cells(
@@ -350,9 +294,7 @@ def polytope_labeled_cells(
     ]
 
 
-def boundary_cylinder_sum(
-    P: ColoredPolytope, labeling: VertexLabeling, unglued_only: bool = True
-) -> BarChain:
+def boundary_cylinder_sum(P: ColoredPolytope, labeling: VertexLabeling) -> BarChain:
     """Sum of face cylinders, the correction term of the prism identity.
 
     Each face of a labeled n-cell inherits n vertex labels, so its
@@ -360,21 +302,11 @@ def boundary_cylinder_sum(
     identically: glued faces cancel in pairs because they share vertex
     classes, and dangling pairs cancel because their labels agree.
     """
-    group = P.group
-    total = BarChain.zero(group, P.degree)
     faces = (
-        P.unglued_faces()
-        if unglued_only
-        else [
-            (c, i)
-            for c in range(len(P.cells))
-            for i in range(P.degree + 1)
-        ]
+        (cell_face_labels(labeling.cell_labels(c), i), P.induced_sign(c, i))
+        for c, i in P.unglued_faces()
     )
-    for c, i in faces:
-        labels = cell_face_labels(labeling.cell_labels(c), i)
-        total = total + cylinder_cell(labels, P.induced_sign(c, i))
-    return total
+    return BarChain.from_terms(P.group, P.degree, _cylinder_terms(faces))
 
 
 # -- the bounding chain -----------------------------------------------
@@ -386,7 +318,6 @@ class PolytopeReport:
     pair_count: int
     copies: int
     heights: tuple[int, ...]
-    extensions: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -435,9 +366,9 @@ def bounding_chain(C: CellsInput) -> BoundingResult:
     group, degree, cells = as_cells(C)
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    cycle_chain = BarChain.zero(group, degree)
-    for cell in cells:
-        cycle_chain = cycle_chain + cell.sign * BarChain.single(group, cell.gen)
+    cycle_chain = BarChain.from_terms(
+        group, degree, ((cell.gen, cell.sign) for cell in cells)
+    )
     if not cycle_chain.boundary().is_zero():
         raise NotACycleError("input chain has nonzero boundary")
     e = group.identity
@@ -461,27 +392,23 @@ def bounding_chain(C: CellsInput) -> BoundingResult:
 
     polys = assemble_polytopes(cells)
     towers = [tower(P) for P in polys]
-    multiplicity = max(
-        (t.copies for t in towers), default=1
-    )
-    for t in towers:
-        if multiplicity % t.copies:
-            multiplicity = math.lcm(multiplicity, t.copies)
-    u = BarChain.zero(group, degree + 1)
-    reports = []
+    multiplicity = math.lcm(*(t.copies for t in towers))
+    terms: list[tuple[Gen, int]] = []
     for t in towers:
         labeling = t.result.endow(e)
         cyl = cylinder(polytope_labeled_cells(t.result, labeling))
-        u = u + (multiplicity // t.copies) * cyl.chain
-        reports.append(
-            PolytopeReport(
-                cells=len(t.base.cells),
-                pair_count=len(t.pair_sequence),
-                copies=t.copies,
-                heights=t.heights,
-                extensions=t.extensions,
-            )
+        scale = multiplicity // t.copies
+        terms.extend((gen, scale * coef) for gen, coef in cyl.chain.terms.items())
+    u = BarChain.from_terms(group, degree + 1, terms)
+    reports = [
+        PolytopeReport(
+            cells=len(t.base.cells),
+            pair_count=len(t.pair_sequence),
+            copies=t.copies,
+            heights=t.heights,
         )
+        for t in towers
+    ]
     result = BoundingResult(
         u=u,
         multiplicity=multiplicity,

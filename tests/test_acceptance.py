@@ -163,14 +163,14 @@ def test_criterion_05_covering_and_tower_counts():
         assert s == 4
         assert len(T.result.cells) == G.order**s * len(P.cells)
         assert T.result.check_coloring()
-        assert not T.extensions
+        assert T.heights == (G.order,) * s
         labeling = T.result.endow(G.identity)
         total = boundary_cylinder_sum(T.result, labeling)
         assert total.is_zero()
     print(
         "CRITERION 5: PASS - covering |G|x, tower |G|^4 x cell counts, "
         "colorings consistent, boundary-cylinder sums exactly 0 "
-        "(no holonomy extensions triggered)"
+        "(every height |G|)"
     )
 
 

@@ -145,6 +145,37 @@ def test_validation():
         x + y
 
 
+def test_from_terms_matches_repeated_addition_seeded():
+    rng = random.Random(7)
+    for G in [cyclic(2), cyclic(5), FiniteAbelianGroup([2, 3])]:
+        els = list(G)
+        for degree in range(0, 4):
+            for _ in range(10):
+                # few distinct generators, so terms merge and cancel
+                pool = [
+                    tuple(rng.choice(els) for _ in range(degree))
+                    for _ in range(3)
+                ]
+                pairs = [
+                    (rng.choice(pool), rng.randint(-2, 2))
+                    for _ in range(rng.randint(0, 12))
+                ]
+                total = BarChain.zero(G, degree)
+                for gen, coef in pairs:
+                    total = total + coef * BarChain.single(G, gen)
+                assert BarChain.from_terms(G, degree, pairs) == total
+                assert BarChain.from_terms(G, degree, iter(pairs)) == total
+
+
+def test_from_terms_validates():
+    G, H = cyclic(3), cyclic(3)
+    g = G.element([1])
+    with pytest.raises(ValueError):
+        BarChain.from_terms(G, 2, [((g,), 1)])
+    with pytest.raises(GroupMismatchError):
+        BarChain.from_terms(G, 1, [((H.element([1]),), 1)])
+
+
 def test_hom_bar_round_trip():
     G = FiniteAbelianGroup([4, 5])
     rng = random.Random(1)

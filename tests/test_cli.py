@@ -266,20 +266,58 @@ class TestMalformedInput:
         assert err.startswith("rhoforge: ") and err.count("\n") == 1
         return err
 
-    @pytest.mark.parametrize("flag", [
+    FILE_FLAGS = [
         ("bound-chain", "--cycle"),
         ("homology", "--complex"),
-    ])
+        ("verify-polytope", "--polytope"),
+    ]
+
+    @pytest.mark.parametrize("flag", FILE_FLAGS)
     def test_malformed_json(self, tmp_path, capsys, flag):
         src = tmp_path / "bad.json"
         src.write_text('{"group": [2], "cells": [')
         assert "not valid JSON" in self.usage_error(capsys, *flag, str(src))
+
+    @pytest.mark.parametrize("flag", FILE_FLAGS)
+    def test_top_level_not_an_object(self, tmp_path, capsys, flag):
+        src = tmp_path / "list.json"
+        src.write_text("[1, 2]")
+        err = self.usage_error(capsys, *flag, str(src))
+        assert "must be a JSON object" in err
 
     def test_cycle_cell_without_sign(self, tmp_path, capsys):
         src = tmp_path / "cycle.json"
         src.write_text(json.dumps({"group": [2], "cells": [{"gen": [[1], [1]]}]}))
         err = self.usage_error(capsys, "bound-chain", "--cycle", str(src))
         assert "'sign'" in err
+
+    @pytest.mark.parametrize("cell, message", [
+        ({"gen": [[1, 0], [1]], "sign": 1}, "expected 1 residues, got 2"),
+        ({"gen": [[1], [1]], "sign": 2}, "sign must be +1 or -1"),
+    ], ids=["residue-count", "sign"])
+    def test_bad_cycle_cell(self, tmp_path, capsys, cell, message):
+        src = tmp_path / "cycle.json"
+        src.write_text(json.dumps({"group": [2], "cells": [cell]}))
+        err = self.usage_error(capsys, "bound-chain", "--cycle", str(src))
+        assert message in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.pop("degree"), "without key 'degree'"),
+        (lambda d: d["gluings"].append(d["gluings"][0]), "invalid polytope"),
+    ], ids=["missing-key", "face-glued-twice"])
+    def test_bad_polytope(self, tmp_path, capsys, edit, message):
+        g = FiniteAbelianGroup([3]).element([1])
+        data = octagon_polytope(g, g, g, g).to_json()
+        edit(data)
+        src = tmp_path / "p.json"
+        src.write_text(json.dumps(data))
+        err = self.usage_error(capsys, "verify-polytope", "--polytope", str(src))
+        assert message in err
+
+    def test_bad_cell_cap(self, monkeypatch, capsys):
+        monkeypatch.setenv("RHOFORGE_CELL_CAP", "abc")
+        err = self.usage_error(capsys, "bound-chain", "--group", "2", "--octagon")
+        assert "RHOFORGE_CELL_CAP" in err
 
     def test_complex_without_vertices(self, tmp_path, capsys):
         src = tmp_path / "k.json"
@@ -291,6 +329,12 @@ class TestMalformedInput:
         src = tmp_path / "k.json"
         src.write_text(json.dumps({"vertices": 2, "faces": [[[0, 5]]]}))
         err = self.usage_error(capsys, "fvector", "--complex", str(src))
+        assert "invalid complex" in err
+
+    def test_non_integer_vertices(self, tmp_path, capsys):
+        src = tmp_path / "k.json"
+        src.write_text(json.dumps({"vertices": "two", "faces": []}))
+        err = self.usage_error(capsys, "homology", "--complex", str(src))
         assert "invalid complex" in err
 
     def test_rho_sweep_d0(self, capsys):

@@ -20,8 +20,48 @@ from rhoforge.delta import (
     quotient,
     simplex,
 )
-from rhoforge.groups import cyclic
+from rhoforge.groups import FiniteAbelianGroup, cyclic
+from rhoforge.lens import _joined_polygons
 from rhoforge.smith import bareiss_determinant
+
+
+def quadratic_validate(action, K):
+    """The former FreeAction.validate, kept as an oracle: every check is
+    made on every element, and the group law on all |G|^2 pairs."""
+    e = action.group.identity
+    dims = len(K.faces)
+    for g in action.group:
+        if g not in action.perms:
+            raise DeltaComplexError(f"action missing element {g!r}")
+        pg = action.perms[g]
+        if len(pg) != dims:
+            raise DeltaComplexError("action has wrong number of dimensions")
+        for q in range(dims):
+            if sorted(pg[q]) != list(range(K.n_cells(q))):
+                raise DeltaComplexError("not a permutation")
+            if g != e and any(pg[q][c] == c for c in range(K.n_cells(q))):
+                raise DeltaComplexError("action not free")
+            for c, cell in enumerate(K.faces[q]):
+                if q == 0:
+                    continue
+                image = K.faces[q][pg[q][c]]
+                if tuple(pg[q - 1][f] for f in cell) != image:
+                    raise DeltaComplexError("does not commute with faces")
+    for g in action.group:
+        for h in action.group:
+            gh = action.perms[g * h]
+            for q in range(dims):
+                pg, ph = action.perms[g][q], action.perms[h][q]
+                if any(pg[ph[c]] != gh[q][c] for c in range(K.n_cells(q))):
+                    raise DeltaComplexError("does not compose as the group")
+
+
+def rotations(n, steps):
+    """Perms of the n-gon rotated by each of ``steps``, vertices and edges."""
+    return {
+        g: ((tuple((c + k) % n for c in range(n)),) * 2)
+        for g, k in steps.items()
+    }
 
 
 def edge_complex():
@@ -227,6 +267,59 @@ class TestQuotient:
             cur_v = [shift[c] for c in cur_v]
         with pytest.raises(DeltaComplexError):
             quotient(ngon(n), FreeAction(G, perms))
+
+
+class TestValidateThroughGenerators:
+    def verdicts(self, action, K):
+        out = []
+        for check in (action.validate, lambda K: quadratic_validate(action, K)):
+            try:
+                check(K)
+                out.append(True)
+            except DeltaComplexError:
+                out.append(False)
+        return out
+
+    @pytest.mark.parametrize("n, d", [(3, 2), (8, 3), (4, 4)])
+    def test_agrees_on_lens_actions(self, n, d):
+        K, perms = _joined_polygons(n, d)
+        assert self.verdicts(orbit_action(cyclic(n), perms), K) == [True, True]
+
+    def test_agrees_on_a_two_generator_action(self):
+        # Z/2 x Z/3 acts on the hexagon: (a, b) rotates by 3a + 2b
+        G = FiniteAbelianGroup([2, 3])
+        steps = {g: 3 * g.residues[0] + 2 * g.residues[1] for g in G}
+        action = FreeAction(G, rotations(6, steps))
+        assert self.verdicts(action, ngon(6)) == [True, True]
+        steps[G.element([0, 1])], steps[G.element([0, 2])] = 4, 2
+        action = FreeAction(G, rotations(6, steps))
+        assert self.verdicts(action, ngon(6)) == [False, False]
+
+    def test_swapped_perms_break_the_law(self):
+        # free, face-commuting permutations that do not compose as Z/6
+        G = cyclic(6)
+        steps = {G.element([k]): k for k in range(6)}
+        steps[G.element([1])], steps[G.element([2])] = 2, 1
+        action = FreeAction(G, rotations(6, steps))
+        assert self.verdicts(action, ngon(6)) == [False, False]
+        with pytest.raises(DeltaComplexError, match="compose"):
+            action.validate(ngon(6))
+
+    def test_free_generator_with_a_fixed_power(self):
+        # Z/4 acting on the 2-gon through its rotation: the generator is
+        # free, its square is the identity permutation
+        G = cyclic(4)
+        action = FreeAction(G, rotations(2, {G.element([k]): k for k in range(4)}))
+        assert self.verdicts(action, ngon(2)) == [False, False]
+        with pytest.raises(DeltaComplexError, match="not free"):
+            action.validate(ngon(2))
+
+    def test_identity_must_act_trivially(self):
+        # the identity rotating by 3 on the hexagon; every other element
+        # is free and the law fails only through perms[e]
+        G = cyclic(2)
+        action = FreeAction(G, rotations(6, {G.identity: 3, G.element([1]): 3}))
+        assert self.verdicts(action, ngon(6)) == [False, False]
 
 
 class TestLaplacianTorsion:

@@ -9,7 +9,6 @@ from rhoforge.polytopes import (
     NotACycleError,
     assemble_polytopes,
     as_cells,
-    chain_of,
     octagon_cells,
     octagon_chain,
     octagon_polytope,
@@ -39,7 +38,7 @@ def test_octagon_polytope_structure():
     assert len(P.gluings) == 5
     assert P.vertex_count == 8
     assert len(P.components) == 1
-    assert chain_of(P) == octagon_chain(a, b, c, d)
+    assert P.chain() == octagon_chain(a, b, c, d)
 
 
 def test_octagon_coloring_and_labels():
@@ -153,7 +152,7 @@ def test_assemble_reassembly_oracle():
         polys = assemble_polytopes(cells)
         total = BarChain.zero(G, 2)
         for P in polys:
-            total = total + chain_of(P)
+            total = total + P.chain()
         assert total == C
         for P in polys:
             assert P.check_coloring()
@@ -186,7 +185,7 @@ def test_assemble_from_barchain_expands_coefficients():
     polys = assemble_polytopes(C)
     total = BarChain.zero(G, 2)
     for P in polys:
-        total = total + chain_of(P)
+        total = total + P.chain()
     assert total == C
 
 
@@ -218,4 +217,4 @@ def test_polytope_json_round_trip():
     assert Q.to_json() == data
     assert Q.vertex_count == P.vertex_count
     # Q lives over a fresh group instance; compare through serialization
-    assert chain_of(Q).to_json() == chain_of(P).to_json()
+    assert Q.chain().to_json() == P.chain().to_json()

@@ -79,7 +79,6 @@ class TestTower:
         assert t.heights == (2, 2, 2, 2)
         assert t.copies == 16
         assert len(t.result.cells) == 96
-        assert t.extensions == ()
         assert sum(len(cls) for cls in t.dangling) == 4 * 2**3
         assert t.result.check_coloring()
         assert len(t.result.boundary_pairs()) == 32
@@ -92,6 +91,7 @@ class TestTower:
         g = G.element([1])
         (P,) = assemble_polytopes(octagon_cells(g, g, g, g))
         t = tower(P)
+        assert t.heights == (G.order,) * len(t.pair_sequence)
         assert t.copies == 81
         assert len(t.result.cells) == 486
         assert sum(len(cls) for cls in t.dangling) == 4 * 3**3
