@@ -15,6 +15,7 @@ labeling when it holds.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
@@ -78,7 +79,12 @@ class ColoredPolytope:
         self.group = group
         self.degree = degree
         self.cells = tuple(cells)
+        # per cell: list of (face generator, face formula sign); cells with
+        # equal generators share one list, and a tower repeats its base cells
+        faces_of: dict[Gen, list[tuple[Gen, int]]] = {}
         for cell in self.cells:
+            if cell.gen in faces_of:
+                continue
             if len(cell.gen) != degree:
                 raise ValueError(
                     f"cell {cell!r} has degree {len(cell.gen)}, expected {degree}"
@@ -86,32 +92,32 @@ class ColoredPolytope:
             for el in cell.gen:
                 if el.group is not group:
                     raise ValueError("cell generator not over the polytope group")
-        # per cell: list of (face generator, face formula sign)
-        self._faces = [gen_boundary(cell.gen) for cell in self.cells]
+            faces_of[cell.gen] = gen_boundary(cell.gen)
+        self._faces = [faces_of[cell.gen] for cell in self.cells]
         self.gluings = tuple(
             (a, b) if a <= b else (b, a) for a, b in gluings
         )
+        ncells = len(self.cells)
         seen: set[FaceRef] = set()
         for a, b in self.gluings:
             for ref in (a, b):
-                self._check_ref(ref)
+                c, i = ref
+                if not (0 <= c < ncells and 0 <= i <= degree):
+                    raise PolytopeError(f"face reference {ref} out of range")
                 if ref in seen:
                     raise PolytopeError(f"face {ref} appears in two gluings")
                 seen.add(ref)
-            if self.face_gen(*a) != self.face_gen(*b):
+            face_a, sign_a = self._faces[a[0]][a[1]]
+            face_b, sign_b = self._faces[b[0]][b[1]]
+            if face_a != face_b:
                 raise PolytopeError(f"gluing {a}-{b} joins unequal generators")
-            if self.induced_sign(*a) != -self.induced_sign(*b):
+            if self.cells[a[0]].sign * sign_a == self.cells[b[0]].sign * sign_b:
                 raise PolytopeError(
                     f"gluing {a}-{b} joins faces of equal induced sign"
                 )
         self._glued: set[FaceRef] = seen
         self._build_vertices()
         self._build_components()
-
-    def _check_ref(self, ref: FaceRef) -> None:
-        c, i = ref
-        if not (0 <= c < len(self.cells)) or not (0 <= i <= self.degree):
-            raise PolytopeError(f"face reference {ref} out of range")
 
     # -- face data ---------------------------------------------------
 
@@ -132,54 +138,55 @@ class ColoredPolytope:
     # -- vertices ----------------------------------------------------
 
     def _build_vertices(self) -> None:
-        n = self.degree
-        parent: dict[tuple[int, int], tuple[int, int]] = {}
+        # (cell, vertex) has the integer id cell * (n+1) + vertex, so ids
+        # order like the pairs and a class's root is its smallest member
+        n1 = self.degree + 1
+        parent = list(range(len(self.cells) * n1))
 
         def find(x):
             root = x
-            while parent.get(root, root) != root:
+            while parent[root] != root:
                 root = parent[root]
-            while parent.get(x, x) != x:
+            while parent[x] != root:
                 parent[x], x = root, parent[x]
             return root
 
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-
         # face j of face i corresponds to cell vertex j, skipping i
         for (c1, i1), (c2, i2) in self.gluings:
-            for j in range(n):
-                v1 = j if j < i1 else j + 1
-                v2 = j if j < i2 else j + 1
-                union((c1, v1), (c2, v2))
+            for j in range(n1 - 1):
+                r1 = find(c1 * n1 + (j if j < i1 else j + 1))
+                r2 = find(c2 * n1 + (j if j < i2 else j + 1))
+                if r1 != r2:
+                    parent[max(r1, r2)] = min(r1, r2)
 
-        classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for c in range(len(self.cells)):
-            for v in range(n + 1):
-                classes.setdefault(find((c, v)), []).append((c, v))
-        roots = sorted(classes)
-        self._vertex_of: dict[tuple[int, int], int] = {}
+        # classes are numbered in the order of their smallest member; a
+        # parent is always smaller than its child and in the same class
+        vertex_of = [0] * len(parent)
+        classes: list[list[tuple[int, int]]] = []
+        for x, up in enumerate(parent):
+            if up == x:
+                vertex_of[x] = len(classes)
+                classes.append([])
+            else:
+                vertex_of[x] = vertex_of[up]
+            classes[vertex_of[x]].append(divmod(x, n1))
+        self._vertex_of = vertex_of
         self.vertex_members: tuple[tuple[tuple[int, int], ...], ...] = tuple(
-            tuple(classes[r]) for r in roots
+            tuple(members) for members in classes
         )
-        for idx, members in enumerate(self.vertex_members):
-            for m in members:
-                self._vertex_of[m] = idx
 
     @property
     def vertex_count(self) -> int:
         return len(self.vertex_members)
 
     def vertex_class(self, cell: int, v: int) -> int:
-        return self._vertex_of[(cell, v)]
+        return self._vertex_of[cell * (self.degree + 1) + v]
 
     def _build_components(self) -> None:
-        adj: dict[int, set[int]] = {c: set() for c in range(len(self.cells))}
+        adj: list[list[int]] = [[] for _ in self.cells]
         for (c1, _), (c2, _) in self.gluings:
-            adj[c1].add(c2)
-            adj[c2].add(c1)
+            adj[c1].append(c2)
+            adj[c2].append(c1)
         comp = [-1] * len(self.cells)
         comps: list[list[int]] = []
         for start in range(len(self.cells)):
@@ -217,29 +224,61 @@ class ColoredPolytope:
         Constraint: in cell [g1..gn], label(v_k) * g_{k+1} == label(v_{k+1}).
         Returns (labels by vertex class, first contradicting (cell, k)) with
         the second entry None when the labeling is consistent.
+
+        Edge (c, k) sits at position c*n + k of a sweep over all cells.  A
+        label set at time t reaches an incident edge at the next time that
+        edge's position comes round, and the BFS queue is a heap on that
+        time.  So every edge is taken once, yet the labels and the first
+        contradiction are those of sweeping all edges until nothing changes.
         """
+        n, n1 = self.degree, self.degree + 1
+        vertex_of = self._vertex_of
+        sweep = len(self.cells) * n
+        incident: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        for c in range(len(self.cells)):
+            for k in range(n):
+                incident[vertex_of[c * n1 + k]].append(c * n + k)
+                incident[vertex_of[c * n1 + k + 1]].append(c * n + k)
         labels: list[GroupElement | None] = [None] * self.vertex_count
+        queue: list[int] = []
+        done = bytearray(sweep)
+        # label * entry products; a tower repeats a few of them many times
+        products: dict[tuple[GroupElement, GroupElement], GroupElement] = {}
+
+        def settle(x: int, label: GroupElement, t: int) -> None:
+            labels[x] = label
+            start = t - t % sweep
+            for edge in incident[x]:
+                if not done[edge]:
+                    heapq.heappush(
+                        queue,
+                        start + edge if edge > t - start else start + sweep + edge,
+                    )
+
         for comp_idx, members in enumerate(self.components):
-            base_vertex = self.vertex_class(members[0], 0)
+            base_vertex = vertex_of[members[0] * n1]
             if labels[base_vertex] is None:
-                labels[base_vertex] = base[comp_idx]
-        changed = True
-        while changed:
-            changed = False
-            for c, cell in enumerate(self.cells):
-                for k, g in enumerate(cell.gen):
-                    u = self._vertex_of[(c, k)]
-                    v = self._vertex_of[(c, k + 1)]
-                    lu, lv = labels[u], labels[v]
-                    if lu is not None and lv is None:
-                        labels[v] = lu * g
-                        changed = True
-                    elif lu is None and lv is not None:
-                        labels[u] = lv * ~g
-                        changed = True
-                    elif lu is not None and lv is not None:
-                        if lu * g is not lv and lu * g != lv:
-                            return labels, (c, k)
+                settle(base_vertex, base[comp_idx], -1)
+        while queue:
+            t = heapq.heappop(queue)
+            edge = t % sweep
+            if done[edge]:
+                continue
+            done[edge] = 1
+            c, k = divmod(edge, n)
+            g = self.cells[c].gen[k]
+            u, v = vertex_of[c * n1 + k], vertex_of[c * n1 + k + 1]
+            lu, lv = labels[u], labels[v]
+            if lu is None:
+                settle(u, lv * ~g, t)
+                continue
+            step = products.get((lu, g))
+            if step is None:
+                step = products[(lu, g)] = lu * g
+            if lv is None:
+                settle(v, step, t)
+            elif step != lv:
+                return labels, (c, k)
         return labels, None
 
     def check_coloring(self) -> bool:
@@ -343,9 +382,10 @@ class VertexLabeling:
     labels: tuple[GroupElement, ...]
 
     def cell_labels(self, cell: int) -> tuple[GroupElement, ...]:
-        p = self.polytope
+        n1 = self.polytope.degree + 1
+        labels = self.labels
         return tuple(
-            self.labels[p.vertex_class(cell, v)] for v in range(p.degree + 1)
+            labels[x] for x in self.polytope._vertex_of[cell * n1 : cell * n1 + n1]
         )
 
     def translate(self, k: GroupElement) -> "VertexLabeling":

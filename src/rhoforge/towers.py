@@ -6,12 +6,15 @@ folds that over every boundary pair class in order; the result has
 h_1 * h_2 * ... copies, and the key combinatorial fact (verified, not
 assumed) is that each remaining dangling pair carries equal vertex labels
 under any endowment, because the crossing holonomy of a pair raised to
-the group order is the identity.
+the group order is the identity.  The covering steps pass plain cell and
+gluing lists along, so a tower builds and validates one polytope, at the
+end, and endows it once; that labeling travels with the tower.
 
 The cylinder turns a labeled signed cell into a degree n+1 prism chain
-joining it to its fully degenerate shadow; summing scaled cylinders over
-towers of all the assembled polytopes of a cycle produces an explicit
-chain u with boundary N * (C - E).
+joining it to its fully degenerate shadow.  It is linear, so the signs of
+equal labeled cells are summed first and each distinct one is taken once.
+Summing scaled cylinders over towers of all the assembled polytopes of a
+cycle produces an explicit chain u with boundary N * (C - E).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .bar import BarChain, Gen, hom_to_bar
 from .groups import FiniteAbelianGroup, GroupElement
 from .polytopes import (
     CellsInput,
+    ColoredCell,
     ColoredPolytope,
     ColoringError,
     FaceRef,
@@ -61,35 +65,41 @@ def _shift_ref(ref: FaceRef, copy: int, ncells: int) -> FaceRef:
     return (ref[0] + copy * ncells, ref[1])
 
 
+Gluing = tuple[FaceRef, FaceRef]
+
+
 def _covering_step(
-    P: ColoredPolytope,
+    cells: list[ColoredCell],
+    gluings: list[Gluing],
     classes: Sequence[PairClass],
     which: int,
     height: int,
     cap: int,
-) -> tuple[ColoredPolytope, list[PairClass]]:
-    """One covering: chain ``height`` copies of P along class ``which``.
+) -> tuple[list[ColoredCell], list[Gluing], list[PairClass]]:
+    """One covering: chain ``height`` copies of the cells along class ``which``.
 
     Every member pair of the class is glued in parallel: minus on copy j
     meets plus on copy j+1.  Other classes multiply into all copies; the
     glued class keeps one dangling (plus@first, minus@last) per member.
+    The step works on plain lists and validates nothing: gluings are only
+    ever added, so the one polytope built from the last step checks the
+    gluings of every step.
     """
-    ncells = len(P.cells)
+    ncells = len(cells)
     if height * ncells > cap:
         raise ResourceCapError(
             f"covering needs {height * ncells} cells, cap is {cap}"
         )
-    cells = [cell for _ in range(height) for cell in P.cells]
-    gluings: list[tuple[FaceRef, FaceRef]] = []
-    for j in range(height):
-        for a, b in P.gluings:
-            gluings.append((_shift_ref(a, j, ncells), _shift_ref(b, j, ncells)))
+    new_gluings = [
+        (_shift_ref(a, j, ncells), _shift_ref(b, j, ncells))
+        for j in range(height)
+        for a, b in gluings
+    ]
     for plus, minus in classes[which]:
         for j in range(height - 1):
-            gluings.append(
+            new_gluings.append(
                 (_shift_ref(minus, j, ncells), _shift_ref(plus, j + 1, ncells))
             )
-    Q = ColoredPolytope(P.group, P.degree, cells, gluings)
     new_classes: list[PairClass] = []
     for r, cls in enumerate(classes):
         if r == which:
@@ -107,7 +117,7 @@ def _covering_step(
                     for plus, minus in cls
                 )
             )
-    return Q, new_classes
+    return cells * height, new_gluings, new_classes
 
 
 def covering(
@@ -125,8 +135,10 @@ def covering(
         height = P.group.order
     if pair not in P.boundary_pairs():
         raise ValueError(f"{pair} is not a boundary pair of the polytope")
-    Q, _ = _covering_step(P, [(pair,)], 0, height, cell_cap())
-    return Q
+    cells, gluings, _ = _covering_step(
+        list(P.cells), list(P.gluings), [(pair,)], 0, height, cell_cap()
+    )
+    return ColoredPolytope(P.group, P.degree, cells, gluings)
 
 
 def _pair_sort_key(P: ColoredPolytope, pair: tuple[FaceRef, FaceRef]):
@@ -139,8 +151,10 @@ class Tower:
     """A finished tower of coverings.
 
     Every height is the group order, so ``copies`` = |G|^s with s the
-    number of pair classes.  ``dangling`` lists the surviving boundary
-    pairs of the result, per original class.
+    number of pair classes.  ``result`` is the one polytope built from
+    the last covering step, and ``labeling`` its identity endowment,
+    made once for the dangling-label check.  ``dangling`` lists the
+    surviving boundary pairs of the result, per original class.
     """
 
     base: ColoredPolytope
@@ -149,6 +163,7 @@ class Tower:
     copies: int
     heights: tuple[int, ...]
     dangling: tuple[PairClass, ...]
+    labeling: VertexLabeling
 
 
 def _pair_labels_agree(
@@ -172,24 +187,30 @@ def tower(
     """Tower of coverings of P over the given boundary pairs, in order.
 
     Pairs default to all of P's boundary pairs in canonical generator
-    order, and every pair gets height |G|.  The crossing holonomy of a
-    pair raised to |G| is the identity in an abelian group, so every
-    dangling pair of the result carries equal vertex labels under an
-    identity endowment; that is verified, and a mismatch raises
-    ColoringError.
+    order, and every pair gets height |G|.  The covering steps chain
+    plain cell and gluing lists; one polytope is built and validated at
+    the end, and endowed once with identity base labels.  The crossing
+    holonomy of a pair raised to |G| is the identity in an abelian
+    group, so every dangling pair of the result carries equal vertex
+    labels under that endowment; that is verified, and a mismatch raises
+    ColoringError.  With no pairs the result is P itself, endowed.
     """
     if pairs is None:
         pairs = sorted(P.boundary_pairs(), key=lambda pr: _pair_sort_key(P, pr))
     pairs = tuple(pairs)
+    e = P.group.identity
     if not pairs:
-        return Tower(P, (), P, 1, (), ())
+        return Tower(P, (), P, 1, (), (), P.endow(e))
     order = P.group.order
     cap = cell_cap()
-    Q = P
+    cells, gluings = list(P.cells), list(P.gluings)
     classes: list[PairClass] = [(pair,) for pair in pairs]
     for r in range(len(pairs)):
-        Q, classes = _covering_step(Q, classes, r, order, cap)
-    labeling = Q.endow(P.group.identity)
+        cells, gluings, classes = _covering_step(
+            cells, gluings, classes, r, order, cap
+        )
+    Q = ColoredPolytope(P.group, P.degree, cells, gluings)
+    labeling = Q.endow(e)
     for r, cls in enumerate(classes):
         if not all(
             _pair_labels_agree(Q, labeling, plus, minus) for plus, minus in cls
@@ -204,6 +225,7 @@ def tower(
         copies=order ** len(pairs),
         heights=(order,) * len(pairs),
         dangling=tuple(classes),
+        labeling=labeling,
     )
 
 
@@ -223,16 +245,18 @@ LabeledCells = Sequence[tuple[Sequence[GroupElement], int]]
 
 
 def _cylinder_terms(cells: LabeledCells) -> Iterator[tuple[Gen, int]]:
-    """Signed prism generators of every (vertex labels, sign) cell."""
+    """Signed prism generators of every (vertex labels, sign) cell.
+
+    Term i of labels (h_0, ..., h_n) is (e,)*i + (h_i,) + q[i:] with
+    q = hom_to_bar(labels), so a cell costs n multiplications.
+    """
     for labels, sign in cells:
         if not labels:
             raise ValueError("labels must cover at least one vertex")
         e = labels[0].group.identity
+        q = hom_to_bar(labels)
         for i in range(len(labels)):
-            yield (
-                hom_to_bar((e,) * (i + 1) + labels[i:]),
-                sign if i % 2 == 0 else -sign,
-            )
+            yield (e,) * i + (labels[i],) + q[i:], sign if i % 2 == 0 else -sign
 
 
 def cylinder_cell(labels: Sequence[GroupElement], sign: int = 1) -> BarChain:
@@ -249,17 +273,27 @@ def cylinder_cell(labels: Sequence[GroupElement], sign: int = 1) -> BarChain:
 
 
 def cylinder(cells: LabeledCells) -> CylinderResult:
-    """Cylinder of a labeled chain: a list of (vertex labels, sign) cells."""
-    cells = [(tuple(labels), sign) for labels, sign in cells]
-    if not cells:
+    """Cylinder of a labeled chain: a list of (vertex labels, sign) cells.
+
+    The cylinder is linear in the labeled chain, so the signs of equal
+    label tuples are summed first and each distinct labeled cell is
+    taken once; the cells of a tower repeat a few label tuples many
+    times over.
+    """
+    summed: dict[tuple[GroupElement, ...], int] = {}
+    for labels, sign in cells:
+        labels = tuple(labels)
+        summed[labels] = summed.get(labels, 0) + sign
+    if not summed:
         raise ValueError("empty labeled chain")
-    group = cells[0][0][0].group
-    n = len(cells[0][0]) - 1
-    chain = BarChain.from_terms(group, n + 1, _cylinder_terms(cells))
+    first = next(iter(summed))
+    group, n = first[0].group, len(first) - 1
+    distinct = [(labels, sign) for labels, sign in summed.items() if sign]
+    chain = BarChain.from_terms(group, n + 1, _cylinder_terms(distinct))
     top = BarChain.from_terms(
-        group, n, ((hom_to_bar(labels), sign) for labels, sign in cells)
+        group, n, ((hom_to_bar(labels), sign) for labels, sign in distinct)
     )
-    bottom_coef = sum(sign for _, sign in cells)
+    bottom_coef = sum(summed.values())
     bottom = BarChain(group, n, {(group.identity,) * n: bottom_coef})
     return CylinderResult(chain=chain, top=top, bottom=bottom)
 
@@ -357,8 +391,9 @@ def bounding_chain(C: CellsInput) -> BoundingResult:
     """Build u with d(u) = N * (C - E) by towers and cylinders.
 
     Pipeline: assemble the cycle's cells into polytopes; tower each over
-    all its boundary pairs; endow each tower with identity base labels;
-    take the cylinder of every tower; rescale per-polytope cylinders to
+    all its boundary pairs, which builds one polytope per tower and its
+    identity endowment; take the cylinder of every tower's labeled cells,
+    equal labeled cells summed first; rescale per-polytope cylinders to
     the common multiplicity N = |G|^(max pair count) and sum.  The
     boundary identity is verified by exact chain arithmetic before
     returning (the ``verified`` property re-runs it).
@@ -395,8 +430,7 @@ def bounding_chain(C: CellsInput) -> BoundingResult:
     multiplicity = math.lcm(*(t.copies for t in towers))
     terms: list[tuple[Gen, int]] = []
     for t in towers:
-        labeling = t.result.endow(e)
-        cyl = cylinder(polytope_labeled_cells(t.result, labeling))
+        cyl = cylinder(polytope_labeled_cells(t.result, t.labeling))
         scale = multiplicity // t.copies
         terms.extend((gen, scale * coef) for gen, coef in cyl.chain.terms.items())
     u = BarChain.from_terms(group, degree + 1, terms)

@@ -34,6 +34,24 @@ class TestBoundChain:
         assert names["boundary-identity"] == "pass"
         assert names["complexity-bound"] == "pass"
 
+    def test_octagon_mod6_within_default_cap(self, tmp_path):
+        out = tmp_path / "report.json"
+        rc = run(
+            "bound-chain", "--group", "6", "--octagon",
+            "--report", str(out),
+        )
+        assert rc == 0
+        report = load(out)
+        assert report["status"] == "pass"
+        assert report["bounding"]["multiplicity"] == 1296
+        assert report["bounding"]["complexity"] == 4320
+        names = {c["name"]: c["status"] for c in report["checks"]}
+        assert names == {
+            "input-is-cycle": "pass",
+            "boundary-identity": "pass",
+            "complexity-bound": "pass",
+        }
+
     def test_cycle_file_mod3(self, tmp_path):
         G = FiniteAbelianGroup([3])
         g = G.element([1])

@@ -1,11 +1,17 @@
+import math
 import random
 
 import pytest
 
-from rhoforge.bar import BarChain, hom_to_bar
+from rhoforge.bar import BarChain, gen_boundary, hom_to_bar
 from rhoforge.groups import FiniteAbelianGroup, cyclic
 from rhoforge.polytopes import (
+    ColoredCell,
+    ColoredPolytope,
+    ColoringError,
     NotACycleError,
+    PolytopeError,
+    as_cells,
     assemble_polytopes,
     octagon_cells,
     octagon_chain,
@@ -118,6 +124,30 @@ class TestTower:
         t = tower(P, [])
         assert t.copies == 1
         assert t.result is P
+        assert t.labeling.polytope is P
+        assert t.labeling.check()
+
+    def test_face_glued_twice(self):
+        P = z2_4_octagon()
+        pair = P.boundary_pairs()[0]
+        with pytest.raises(PolytopeError, match="two gluings"):
+            tower(P, [pair, pair])
+
+    def test_inconsistent_coloring(self):
+        # the two-triangle fixture of test_coloring_failure_fixture has one
+        # boundary pair; its tower cannot be endowed
+        G = cyclic(3)
+        g = G.element([1])
+        cells = [ColoredCell((g, g), 1), ColoredCell((g, g), -1)]
+        P = ColoredPolytope(G, 2, cells, [((0, 0), (1, 2)), ((0, 2), (1, 0))])
+        assert len(P.boundary_pairs()) == 1
+        with pytest.raises(ColoringError, match="contradiction"):
+            tower(P)
+
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setenv("RHOFORGE_CELL_CAP", "10")
+        with pytest.raises(ResourceCapError):
+            tower(z2_4_octagon())
 
 
 class TestCylinder:
@@ -227,6 +257,21 @@ class TestBoundingChain:
         with pytest.raises(NotACycleError):
             bounding_chain([((g, g), 1)])
 
+    def test_each_tower_endowed_once(self, monkeypatch):
+        calls = []
+        endow = ColoredPolytope.endow
+
+        def counted(self, base):
+            calls.append(len(self.cells))
+            return endow(self, base)
+
+        monkeypatch.setattr(ColoredPolytope, "endow", counted)
+        G = cyclic(3)
+        g = G.element([1])
+        res = bounding_chain(octagon_cells(g, g, g, g))
+        assert calls == [6 * 3**4]
+        assert len(res.polytopes) == 1
+
     def test_barchain_input(self):
         G = cyclic(2)
         g = G.element([1])
@@ -259,3 +304,252 @@ class TestConstants:
         assert c2.symbol == "C_5"
         with pytest.raises(ValueError):
             thm11_constant(0, 2)
+
+
+# -- differential oracle: the per-step pipeline this module replaced ------
+#
+# Test-local copies of the earlier code: every covering step built and
+# validated a full polytope, labels came from sweeping all edges until
+# nothing changed, and the cylinder took every cell on its own, each prism
+# term through hom_to_bar of n+2 labels.
+
+
+def old_covering_step(P, classes, which, height):
+    ncells = len(P.cells)
+
+    def shift(ref, copy):
+        return (ref[0] + copy * ncells, ref[1])
+
+    cells = [cell for _ in range(height) for cell in P.cells]
+    gluings = []
+    for j in range(height):
+        for a, b in P.gluings:
+            gluings.append((shift(a, j), shift(b, j)))
+    for plus, minus in classes[which]:
+        for j in range(height - 1):
+            gluings.append((shift(minus, j), shift(plus, j + 1)))
+    Q = ColoredPolytope(P.group, P.degree, cells, gluings)
+    new_classes = []
+    for r, cls in enumerate(classes):
+        if r == which:
+            new_classes.append(
+                tuple((shift(plus, 0), shift(minus, height - 1)) for plus, minus in cls)
+            )
+        else:
+            new_classes.append(
+                tuple(
+                    (shift(plus, j), shift(minus, j))
+                    for j in range(height)
+                    for plus, minus in cls
+                )
+            )
+    return Q, new_classes
+
+
+def old_propagate(P, base):
+    labels = [None] * P.vertex_count
+    for comp_idx, members in enumerate(P.components):
+        base_vertex = P.vertex_class(members[0], 0)
+        if labels[base_vertex] is None:
+            labels[base_vertex] = base[comp_idx]
+    changed = True
+    while changed:
+        changed = False
+        for c, cell in enumerate(P.cells):
+            for k, g in enumerate(cell.gen):
+                u = P.vertex_class(c, k)
+                v = P.vertex_class(c, k + 1)
+                lu, lv = labels[u], labels[v]
+                if lu is not None and lv is None:
+                    labels[v] = lu * g
+                    changed = True
+                elif lu is None and lv is not None:
+                    labels[u] = lv * ~g
+                    changed = True
+                elif lu is not None and lv is not None:
+                    if lu * g != lv:
+                        return labels, (c, k)
+    return labels, None
+
+
+def old_endow_labels(P):
+    e = P.group.identity
+    labels, conflict = old_propagate(P, {i: e for i in range(len(P.components))})
+    assert conflict is None
+    return tuple(labels)
+
+
+def old_tower(P, pairs=None):
+    """(result, dangling, identity labels) of the per-step tower."""
+    if pairs is None:
+        pairs = sorted(
+            P.boundary_pairs(),
+            key=lambda pr: (tuple(e.residues for e in P.face_gen(*pr[0])), pr),
+        )
+    Q = P
+    classes = [(pair,) for pair in pairs]
+    for r in range(len(pairs)):
+        Q, classes = old_covering_step(Q, classes, r, P.group.order)
+    labels = old_endow_labels(Q)
+    n = Q.degree
+    for cls in classes:
+        for plus, minus in cls:
+            for j in range(n):
+                vp = j if j < plus[1] else j + 1
+                vm = j if j < minus[1] else j + 1
+                assert (
+                    labels[Q.vertex_class(plus[0], vp)]
+                    == labels[Q.vertex_class(minus[0], vm)]
+                )
+    return Q, tuple(classes), labels
+
+
+def old_cylinder_terms(cells):
+    for labels, sign in cells:
+        e = labels[0].group.identity
+        for i in range(len(labels)):
+            yield (
+                hom_to_bar((e,) * (i + 1) + tuple(labels[i:])),
+                sign if i % 2 == 0 else -sign,
+            )
+
+
+def old_labeled_cells(Q, labels):
+    n = Q.degree
+    return [
+        (tuple(labels[Q.vertex_class(c, v)] for v in range(n + 1)), cell.sign)
+        for c, cell in enumerate(Q.cells)
+    ]
+
+
+def old_bounding_chain(C):
+    """(u, multiplicity, per-polytope old_tower results)."""
+    group, degree, _ = as_cells(C)
+    polys = assemble_polytopes(C)
+    towers = [old_tower(P) for P in polys]
+    copies = [P.group.order ** len(P.boundary_pairs()) for P in polys]
+    multiplicity = math.lcm(*copies)
+    terms = []
+    for (Q, _, labels), k in zip(towers, copies):
+        chain = BarChain.from_terms(
+            group, degree + 1, old_cylinder_terms(old_labeled_cells(Q, labels))
+        )
+        scale = multiplicity // k
+        terms.extend((gen, scale * coef) for gen, coef in chain.terms.items())
+    return BarChain.from_terms(group, degree + 1, terms), multiplicity, towers
+
+
+GENERATOR_IMAGES = [
+    (str(order), (x,))
+    for order in range(2, 7)
+    for x in range(1, order)
+    if math.gcd(x, order) == 1
+] + [("2,2", image) for image in ((1, 0), (0, 1), (1, 1))]
+
+
+@pytest.mark.parametrize(
+    "group,image", GENERATOR_IMAGES, ids=[f"{g}:{i}" for g, i in GENERATOR_IMAGES]
+)
+def test_bounding_chain_matches_per_step_pipeline(group, image):
+    G = FiniteAbelianGroup([int(m) for m in group.split(",")])
+    g = G.element(image)
+    cells = octagon_cells(g, g, g, g)
+    res = bounding_chain(cells)
+    u, multiplicity, ((Q, dangling, labels),) = old_bounding_chain(cells)
+    assert res.u.terms == u.terms
+    assert res.multiplicity == multiplicity
+    assert res.complexity == u.complexity()
+    (P,) = assemble_polytopes(cells)
+    t = tower(P)
+    assert t.dangling == dangling
+    assert t.labeling.labels == labels
+    assert t.result.gluings == Q.gluings
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_z2_4_tower_matches_per_step_pipeline(count):
+    P = z2_4_octagon()
+    pairs = P.boundary_pairs()[:count]
+    t = tower(P, pairs)
+    Q, dangling, labels = old_tower(P, pairs)
+    assert len(t.result.cells) == 6 * 16**count
+    assert t.dangling == dangling
+    assert t.labeling.labels == labels
+    cells = old_labeled_cells(Q, labels)
+    assert polytope_labeled_cells(t.result, t.labeling) == cells
+    G = P.group
+    assert cylinder(cells).chain == BarChain.from_terms(
+        G, 3, old_cylinder_terms(cells)
+    )
+
+
+def test_cylinder_matches_per_cell_terms():
+    # the seeded labeled chains of test_boundary_identity_seeded
+    G = cyclic(6)
+    elems = list(G)
+    rng = random.Random(4)
+    for _ in range(50):
+        degree = rng.choice([1, 2])
+        cells = [
+            (
+                tuple(rng.choice(elems) for _ in range(degree + 1)),
+                rng.choice([-1, 1]),
+            )
+            for _ in range(rng.randint(1, 4))
+        ]
+        res = cylinder(cells)
+        assert res.chain == BarChain.from_terms(
+            G, degree + 1, old_cylinder_terms(cells)
+        )
+        assert res.top == BarChain.from_terms(
+            G, degree, ((hom_to_bar(labels), sign) for labels, sign in cells)
+        )
+        for labels, sign in cells:
+            assert cylinder_cell(labels, sign) == BarChain.from_terms(
+                G, degree + 1, old_cylinder_terms([(labels, sign)])
+            )
+
+
+def _random_glued_polytope(rng, G, degree, size):
+    """Random cells glued along random matching faces; rarely colorable."""
+    elems = list(G)
+    cells = [
+        ColoredCell(
+            tuple(rng.choice(elems) for _ in range(degree)), rng.choice([-1, 1])
+        )
+        for _ in range(size)
+    ]
+    faces = [
+        (c, i, face, cells[c].sign * s)
+        for c in range(size)
+        for i, (face, s) in enumerate(gen_boundary(cells[c].gen))
+    ]
+    rng.shuffle(faces)
+    free = set(range(len(faces)))
+    gluings = []
+    for x in range(len(faces)):
+        if x not in free:
+            continue
+        for y in range(x + 1, len(faces)):
+            if y in free and faces[y][2] == faces[x][2] and faces[y][3] == -faces[x][3]:
+                free -= {x, y}
+                gluings.append((faces[x][:2], faces[y][:2]))
+                break
+    return ColoredPolytope(G, degree, cells, gluings)
+
+
+def test_propagate_matches_repeated_sweeps():
+    # same labels, and on a contradiction the same first (cell, k) and the
+    # same partial labels, as sweeping all edges until nothing changes
+    rng = random.Random(11)
+    conflicts = 0
+    for G in (cyclic(2), cyclic(3), FiniteAbelianGroup([2, 2])):
+        elems = list(G)
+        for _ in range(60):
+            degree, size = rng.choice([1, 2, 3]), rng.randint(1, 12)
+            P = _random_glued_polytope(rng, G, degree, size)
+            base = {i: rng.choice(elems) for i in range(len(P.components))}
+            labels, conflict = P._propagate(base)
+            assert (labels, conflict) == old_propagate(P, base)
+            conflicts += conflict is not None
+    assert conflicts > 20
