@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -255,10 +256,6 @@ def _homology_payload(K: DeltaComplex) -> dict:
 
 def _cmd_bound_chain(args):
     group, payload, inputs = _load_cycle(args)
-    try:
-        cell_cap()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     checks = []
     extra = {}
     try:
@@ -559,7 +556,9 @@ def _cmd_constants(args):
 # -- parser and dispatch ----------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once and reused by every ``main``."""
     parser = argparse.ArgumentParser(
         prog="rhoforge",
         description="verification pipelines for colored-polytope bounding "
@@ -639,6 +638,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     t0 = time.monotonic()
+    try:
+        cell_cap()  # towers, lens spaces and simplices read it
+    except ValueError as exc:
+        print(f"rhoforge: {exc}", file=sys.stderr)
+        return 2
     try:
         inputs, checks, extra, out_attr = args.handler(args)
     except UsageError as exc:

@@ -4,6 +4,8 @@ Cells of dimension q carry q+1 ordered references to (q-1)-cells,
 repeats allowed; the simplicial identities are checked on construction,
 so every complex produced by the builders here (joins, cones, prisms,
 barycentric subdivisions, free quotients) is verified as it is built.
+The subset, join, prism and subdivision builders list their cells as
+keys with a face rule on keys, and ``keyed_complex`` numbers them.
 Integral homology runs through Smith normal form; the combinatorial
 torsion runs through Laplacian pseudo-determinants.
 """
@@ -12,13 +14,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .groups import FiniteAbelianGroup, GroupElement
 from .smith import smith_normal_form
+from .towers import ResourceCapError, cell_cap
 
 Face = tuple[int, ...]
 
@@ -295,6 +299,35 @@ class HomologySummary:
 # -- elementary builders ----------------------------------------------
 
 
+def keyed_complex(
+    levels: Sequence[Sequence], face: Callable, tags=None
+) -> DeltaComplex:
+    """The complex whose q-cells are the keys ``levels[q]``, in that order.
+
+    ``face(q, key, i)`` is the key, among ``levels[q - 1]``, of the i-th
+    face of the q-cell ``key`` (q >= 1, i = 0..q).  Keys are resolved
+    through one index dict per level; the ``DeltaComplex`` constructor
+    then checks ranges and the simplicial identities as for any complex.
+    ``tags`` are passed through.  The boundary of a triangle from its
+    vertex subsets:
+
+    >>> from itertools import combinations
+    >>> levels = [list(combinations(range(3), k)) for k in (1, 2)]
+    >>> K = keyed_complex(levels, lambda q, s, i: s[:i] + s[i + 1 :])
+    >>> K.faces[1]
+    ((1, 0), (2, 0), (2, 1))
+    >>> K.homology().betti
+    (1, 1)
+    """
+    faces = []
+    for q, (level, above) in enumerate(zip(levels, levels[1:]), 1):
+        index = {key: i for i, key in enumerate(level)}
+        faces.append(
+            [tuple(index[face(q, key, i)] for i in range(q + 1)) for key in above]
+        )
+    return DeltaComplex(len(levels[0]) if levels else 0, faces, tags)
+
+
 def empty_complex() -> DeltaComplex:
     return DeltaComplex(0)
 
@@ -319,37 +352,27 @@ def simplex(n: int) -> DeltaComplex:
     """The full n-simplex; each cell is tagged with its vertex subset."""
     if n < 0:
         raise DeltaComplexError("dimension must be >= 0")
-    levels = [
-        [tuple(s) for s in combinations(range(n + 1), q + 1)]
-        for q in range(n + 1)
-    ]
-    return _subset_complex(levels)
+    return _subset_complex(n, n + 1)
 
 
 def boundary_simplex(n: int) -> DeltaComplex:
     """The boundary of the n-simplex (empty for n = 0)."""
     if n < 0:
         raise DeltaComplexError("dimension must be >= 0")
-    levels = [
-        [tuple(s) for s in combinations(range(n + 1), q + 1)]
-        for q in range(n)
-    ]
-    return _subset_complex(levels)
+    return _subset_complex(n, n)
 
 
-def _subset_complex(levels: list[list[tuple[int, ...]]]) -> DeltaComplex:
-    if not levels:
-        return empty_complex()
-    index = [{s: i for i, s in enumerate(level)} for level in levels]
-    faces = []
-    for q in range(1, len(levels)):
-        faces.append(
-            [
-                tuple(index[q - 1][s[:i] + s[i + 1 :]] for i in range(len(s)))
-                for s in levels[q]
-            ]
+def _subset_complex(n: int, top: int) -> DeltaComplex:
+    """Nonempty subsets of {0..n} of at most ``top`` elements, capped."""
+    cells = sum(math.comb(n + 1, k) for k in range(1, top + 1))
+    cap = cell_cap()
+    if cells > cap:
+        raise ResourceCapError(
+            f"{top - 1}-skeleton of the {n}-simplex needs {cells} cells, "
+            f"cap is {cap}"
         )
-    return DeltaComplex(len(levels[0]), faces, levels)
+    levels = [list(combinations(range(n + 1), q + 1)) for q in range(top)]
+    return keyed_complex(levels, lambda q, s, i: s[:i] + s[i + 1 :], levels)
 
 
 # -- join, cone --------------------------------------------------------
@@ -377,31 +400,18 @@ def join(K: DeltaComplex, L: DeltaComplex) -> DeltaComplex:
     K vertices ordered before the L vertices.
     """
     top = K.dim + L.dim + 1
-    if top < 0:
-        return empty_complex()
     levels = [_join_halves(K, L, q) for q in range(top + 1)]
-    index = [
-        {pair: i for i, pair in enumerate(level)} for level in levels
-    ]
-    faces: list[list[Face]] = []
-    for q in range(1, top + 1):
-        level: list[Face] = []
-        for a, b in levels[q]:
-            p = a[0] if a else -1
-            refs = []
-            for i in range(p + 1):
-                na = None if p == 0 else (p - 1, K.faces[p][a[1]][i])
-                refs.append(index[q - 1][(na, b)])
-            r = b[0] if b else -1
-            for i in range(r + 1):
-                nb = None if r == 0 else (r - 1, L.faces[r][b[1]][i])
-                refs.append(index[q - 1][(a, nb)])
-            level.append(tuple(refs))
-        faces.append(level)
-    tags = [
-        [("join", a, b) for a, b in level] for level in levels
-    ]
-    return DeltaComplex(len(levels[0]), faces, tags)
+
+    def face(q: int, cell, i: int):
+        a, b = cell
+        p = a[0] if a else -1
+        if i <= p:
+            return (None if p == 0 else (p - 1, K.faces[p][a[1]][i]), b)
+        r, j = b
+        return (a, None if r == 0 else (r - 1, L.faces[r][j][i - p - 1]))
+
+    tags = [[("join", a, b) for a, b in level] for level in levels]
+    return keyed_complex(levels, face, tags)
 
 
 def cone(K: DeltaComplex) -> DeltaComplex:
@@ -432,10 +442,11 @@ def _prism_chains(q: int) -> tuple[list[Chain], list[Chain]]:
     return flat, doubled
 
 
-def _chain_face(
-    K: DeltaComplex, q: int, c: int, chain: Chain, i: int
-) -> tuple[int, int, Chain]:
-    """Drop chain vertex i; re-anchor when first-coord coverage is lost."""
+def _chain_face(K: DeltaComplex, d: int, cell, i: int):
+    """Face i of the prism d-cell ``(q, c, chain)`` over the q-cell c:
+    drop chain vertex i, and re-anchor at a face of c when first-coord
+    coverage is lost."""
+    q, c, chain = cell
     k = chain[i][0]
     covered = (i > 0 and chain[i - 1][0] == k) or (
         i + 1 < len(chain) and chain[i + 1][0] == k
@@ -454,8 +465,6 @@ def prism(K: DeltaComplex) -> DeltaComplex:
     level graphs, the all-0 and all-1 ones forming the two copies of K)
     and q+1 cells of dimension q+1.
     """
-    if K.dim < 0:
-        return empty_complex()
     levels: list[list[tuple[int, int, Chain]]] = [
         [] for _ in range(K.dim + 2)
     ]
@@ -464,25 +473,11 @@ def prism(K: DeltaComplex) -> DeltaComplex:
         for c in range(K.n_cells(q)):
             levels[q].extend((q, c, chain) for chain in flat)
             levels[q + 1].extend((q, c, chain) for chain in doubled)
-    index = [
-        {cell: i for i, cell in enumerate(level)} for level in levels
-    ]
-    faces: list[list[Face]] = []
-    for d in range(1, K.dim + 2):
-        level: list[Face] = []
-        for q, c, chain in levels[d]:
-            level.append(
-                tuple(
-                    index[d - 1][_chain_face(K, q, c, chain, i)]
-                    for i in range(len(chain))
-                )
-            )
-        faces.append(level)
     tags = [
         [("prism", q, c, chain) for q, c, chain in level]
         for level in levels
     ]
-    return DeltaComplex(len(levels[0]), faces, tags)
+    return keyed_complex(levels, partial(_chain_face, K), tags)
 
 
 def prism_end(P: DeltaComplex, K: DeltaComplex, level: int) -> list[list[int]]:
@@ -532,8 +527,6 @@ def barycentric(K: DeltaComplex) -> DeltaComplex:
     the spanned face, which keeps the construction functorial in face
     maps even with repeated faces.
     """
-    if K.dim < 0:
-        return empty_complex()
     flags_by_dim: dict[int, list[Flag]] = {
         q: _flags_of(q) for q in range(K.dim + 1)
     }
@@ -546,12 +539,10 @@ def barycentric(K: DeltaComplex) -> DeltaComplex:
                 levels[len(flag) - 1].append((q, c, flag))
     for level in levels:
         level.sort()
-    index = [
-        {cell: i for i, cell in enumerate(level)} for level in levels
-    ]
 
-    def face(q: int, c: int, flag: Flag, j: int) -> tuple[int, int, Flag]:
-        if j < len(flag) - 1:
+    def face(d: int, cell: tuple[int, int, Flag], j: int):
+        q, c, flag = cell
+        if j < d:
             return q, c, flag[:j] + flag[j + 1 :]
         top = flag[-2]
         fq, fc = K.iterated_face(q, c, top)
@@ -561,21 +552,10 @@ def barycentric(K: DeltaComplex) -> DeltaComplex:
         )
         return fq, fc, new_flag
 
-    faces: list[list[Face]] = []
-    for d in range(1, K.dim + 1):
-        level: list[Face] = []
-        for q, c, flag in levels[d]:
-            level.append(
-                tuple(
-                    index[d - 1][face(q, c, flag, j)]
-                    for j in range(len(flag))
-                )
-            )
-        faces.append(level)
     tags = [
         [("bary", q, c, flag) for q, c, flag in level] for level in levels
     ]
-    return DeltaComplex(len(levels[0]), faces, tags)
+    return keyed_complex(levels, face, tags)
 
 
 # -- free actions and quotients ---------------------------------------

@@ -23,6 +23,7 @@ from .delta import (
     DeltaComplex,
     barycentric,
     boundary_simplex,
+    keyed_complex,
     prism,
     simplex,
 )
@@ -205,20 +206,13 @@ def fiber_product(
             S = X.carriers[q][sigma]
             for tau in by_span.get(S, []):
                 cells[q].append((sigma, (len(S) - 1, tau)))
-    index = [
-        {cell: i for i, cell in enumerate(level)} for level in cells
-    ]
-    faces = []
-    for q in range(1, dims):
-        level = []
-        for sigma, (tq, tc) in cells[q]:
-            refs = []
-            for i, fs in enumerate(X.complex.faces[q][sigma]):
-                sub = X.carriers[q - 1][fs]
-                refs.append(index[q - 1][(fs, colored_face(L, tq, tc, sub))])
-            level.append(tuple(refs))
-        faces.append(level)
-    F = DeltaComplex(len(cells[0]), faces)
+
+    def face(q: int, cell: tuple[int, CellRef], i: int):
+        sigma, (tq, tc) = cell
+        fs = X.complex.faces[q][sigma][i]
+        return fs, colored_face(L, tq, tc, X.carriers[q - 1][fs])
+
+    F = keyed_complex(cells, face)
     carriers = tuple(
         tuple(X.carriers[q][sigma] for sigma, _ in cells[q])
         for q in range(dims)

@@ -2,7 +2,10 @@
 
 The standard lens space of dimension 2d-1 with fundamental group Z_N is
 the quotient of a join of d copies of the N-gon circle by the diagonal
-rotation.  Cell counts of the quotient scale like N^(d-1); the rho
+rotation.  The rotation shifts every polygon index by one, so each orbit
+of join cells has exactly one member whose first present index is 0;
+``lens_complex`` lists those representatives directly, without building
+the join.  Cell counts of the quotient scale like N^(d-1); the rho
 invariant of these spaces is a cotangent power sum, evaluated here with
 compensated summation, together with the bound checks and the
 invariant-counting arithmetic built on it.
@@ -12,11 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
-from .delta import DeltaComplex, join, ngon, orbit_action, quotient
-from .groups import cyclic
-
-Perms = list[tuple[int, ...]]
+from .delta import DeltaComplex, keyed_complex
+from .towers import ResourceCapError, cell_cap
 
 
 class LensError(ValueError):
@@ -41,54 +43,62 @@ class LensSpec:
         return 2 * self.d - 1
 
 
-def _ngon_rotation(n: int) -> Perms:
-    shift = tuple((k + 1) % n for k in range(n))
-    return [shift, shift]
-
-
-def _join_rotation(J: DeltaComplex, kp: Perms, lp: Perms) -> Perms:
-    """Diagonal action on a join, read off through the join tags."""
-
-    def half(ref, perms):
-        if ref is None:
-            return None
-        p, c = ref
-        return p, perms[p][c]
-
-    out: Perms = []
-    for q in range(len(J.faces)):
-        table = J.index_by_tag(q)
-        perm = []
-        for c in range(J.n_cells(q)):
-            _, a, b = J.tags[q][c]
-            perm.append(table[("join", half(a, kp), half(b, lp))])
-        out.append(tuple(perm))
-    return out
-
-
-def _joined_polygons(n: int, d: int) -> tuple[DeltaComplex, Perms]:
-    K = ngon(n)
-    perms = _ngon_rotation(n)
-    for _ in range(d - 1):
-        L = ngon(n)
-        J = join(K, L)
-        perms = _join_rotation(J, perms, _ngon_rotation(n))
-        K = J
-    return K, perms
-
-
 def lens_complex(spec: LensSpec) -> DeltaComplex:
     """Quotient of the join of d N-gons by the diagonal rotation.
 
-    Requires N >= 3; the construction is stated for rotations acting
-    freely on a polygon with at least three sides.
+    A cell is keyed by its orbit representative: per polygon -1
+    (absent), 0 (vertex k) or 1 (edge k -> k+1), then the indices k of
+    the present polygons, the first one 0.  Each dimension is numbered
+    by ``(dims[::-1], indices)``, as the quotient of the iterated join
+    ``join(...join(P, P)..., P)`` keeping each orbit's smallest member
+    is.  Face i drops vertex i of the concatenated vertex list (edge k
+    keeps k+1 at position 0, k at position 1) and rotates the first
+    index back to 0.  The ((2N+1)^d - 1) / N cells are checked against
+    the cell cap first.  Requires N >= 3; the construction is stated for
+    rotations acting freely on a polygon with at least three sides.
     """
-    if spec.n < 3:
+    n, d = spec.n, spec.d
+    if n < 3:
         raise LensError(
             "lens complexes need N >= 3 for the rotation action"
         )
-    K, perms = _joined_polygons(spec.n, spec.d)
-    return quotient(K, orbit_action(cyclic(spec.n), perms))
+    cells = ((2 * n + 1) ** d - 1) // n
+    cap = cell_cap()
+    if cells > cap:
+        raise ResourceCapError(
+            f"lens complex ({n}, {d}) needs {cells} cells, cap is {cap}"
+        )
+    levels: list[list] = [[] for _ in range(2 * d)]
+    # rev = dims[::-1] runs in lex order, so each level comes out sorted
+    for rev in product((-1, 0, 1), repeat=d):
+        present = d - rev.count(-1)
+        if present:
+            dims = rev[::-1]
+            levels[sum(dims) + d - 1].extend(
+                (dims, (0,) + rest)
+                for rest in product(range(n), repeat=present - 1)
+            )
+
+    def face(q: int, key, i: int):
+        dims, idx = key
+        j = 0  # find polygon t holding vertex i, and its slot j in idx
+        for t, dt in enumerate(dims):
+            if dt < 0:
+                continue
+            if i <= dt:
+                break
+            i -= dt + 1
+            j += 1
+        if dt == 0:
+            idx = idx[:j] + idx[j + 1 :]
+        else:
+            idx = idx[:j] + ((idx[j] + 1 - i) % n,) + idx[j + 1 :]
+        first = idx[0]
+        if first:
+            idx = tuple((k - first) % n for k in idx)
+        return dims[:t] + (dt - 1,) + dims[t + 1 :], idx
+
+    return keyed_complex(levels, face, levels)
 
 
 @dataclass(frozen=True)

@@ -337,6 +337,19 @@ class TestMalformedInput:
         err = self.usage_error(capsys, "bound-chain", "--group", "2", "--octagon")
         assert "RHOFORGE_CELL_CAP" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("lens", "--N", "5", "--d", "2"),
+            ("hyperbolize", "--dim", "1"),
+            ("fvector", "--builtin", "simplex:3"),
+        ],
+    )
+    def test_bad_cell_cap_builders(self, monkeypatch, capsys, argv):
+        monkeypatch.setenv("RHOFORGE_CELL_CAP", "abc")
+        err = self.usage_error(capsys, *argv)
+        assert "RHOFORGE_CELL_CAP must be an integer" in err
+
     def test_complex_without_vertices(self, tmp_path, capsys):
         src = tmp_path / "k.json"
         src.write_text(json.dumps({"faces": [[[0, 1]]]}))
@@ -378,3 +391,39 @@ class TestConstantsAndUsage:
         with pytest.raises(SystemExit) as err:
             run()
         assert err.value.code == 2
+
+
+class TestCellCap:
+    """Builds over the cell cap exit 3 with one line, before building."""
+
+    @pytest.mark.parametrize(
+        "argv, cells",
+        [
+            (("lens", "--N", "20", "--d", "3"), 3446),
+            (("homology", "--builtin", "lens:20,3"), 3446),
+            (("fvector", "--builtin", "simplex:12"), 8191),
+        ],
+    )
+    def test_over_the_cap(self, monkeypatch, capsys, argv, cells):
+        monkeypatch.setenv("RHOFORGE_CELL_CAP", "1000")
+        assert run(*argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("rhoforge: resource cap exceeded: ")
+        assert captured.err.count("\n") == 1
+        assert f"needs {cells} cells, cap is 1000" in captured.err
+
+
+def test_one_process_runs_commands_in_turn(capsys):
+    # the parser is built once and must serve every later call
+    assert run("constants") == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "constants"
+    with pytest.raises(SystemExit) as exc:
+        run("lens", "--N", "five", "--d", "2")
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert run("fvector", "--builtin", "ngon:5") == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["command"] == "fvector"
+    assert report["inputs"] == {"builtin": "ngon:5"}
+    assert report["f_vector"] == [5, 5]

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -12,6 +14,7 @@ from rhoforge.delta import (
     cone,
     empty_complex,
     join,
+    keyed_complex,
     ngon,
     orbit_action,
     point,
@@ -21,8 +24,9 @@ from rhoforge.delta import (
     simplex,
 )
 from rhoforge.groups import FiniteAbelianGroup, cyclic
-from rhoforge.lens import _joined_polygons
+from rhoforge.lens import LensSpec, lens_complex
 from rhoforge.smith import bareiss_determinant
+from rhoforge.towers import ResourceCapError
 
 
 def quadratic_validate(action, K):
@@ -54,6 +58,80 @@ def quadratic_validate(action, K):
                 pg, ph = action.perms[g][q], action.perms[h][q]
                 if any(pg[ph[c]] != gh[q][c] for c in range(K.n_cells(q))):
                     raise DeltaComplexError("does not compose as the group")
+
+
+def join_rotation(J, kp, lp):
+    """Diagonal action on a join, read off through the join tags."""
+
+    def half(ref, perms):
+        if ref is None:
+            return None
+        p, c = ref
+        return p, perms[p][c]
+
+    out = []
+    for q in range(len(J.faces)):
+        table = J.index_by_tag(q)
+        out.append(
+            tuple(
+                table[("join", half(a, kp), half(b, lp))]
+                for _, a, b in J.tags[q]
+            )
+        )
+    return out
+
+
+def joined_polygons(n, d):
+    """The join of d N-gons and the cell perms of its diagonal rotation."""
+    shift = tuple((k + 1) % n for k in range(n))
+    K, perms = ngon(n), [shift, shift]
+    for _ in range(d - 1):
+        J = join(K, ngon(n))
+        perms = join_rotation(J, perms, [shift, shift])
+        K = J
+    return K, perms
+
+
+def reference_lens(n, d):
+    """The lens space as built before orbit keys: the iterated join, its
+    rotation, a validated action and the quotient keeping the smallest
+    member of each orbit."""
+    K, perms = joined_polygons(n, d)
+    return quotient(K, orbit_action(cyclic(n), perms))
+
+
+def digest(*parts):
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+# sha256 of repr((faces, tags)) of each build, taken before the builders
+# went through keyed_complex
+PINNED = {
+    "simplex(4)": (
+        lambda: simplex(4),
+        "0920bbc30a715aeee9a4cb64992b398121e8d0bfab9f9ffec1e62f4c51d3e256",
+    ),
+    "boundary_simplex(4)": (
+        lambda: boundary_simplex(4),
+        "79312964bd8a8843d8021c41b1390e94c4420eb419d55420307300d8c723b1ce",
+    ),
+    "join(ngon(4), simplex(2))": (
+        lambda: join(ngon(4), simplex(2)),
+        "932f08fc18012b3257eccd75fbad4a90650417c7ab990fe6f086a0c3e29ace9a",
+    ),
+    "cone(ngon(5))": (
+        lambda: cone(ngon(5)),
+        "4fae07427b10417dc330654514450b8f47a547f22b82462d5258f844245151d7",
+    ),
+    "prism(boundary_simplex(3))": (
+        lambda: prism(boundary_simplex(3)),
+        "c2dfe14cef28e6c397f90820783ab827869a63f256d46553aafb2e00a09103ee",
+    ),
+    "barycentric(simplex(3))": (
+        lambda: barycentric(simplex(3)),
+        "54cac755be5d5794ea4934e4f3bd9f65382fd8ad467592d2b8182d9cdc5b6b40",
+    ),
+}
 
 
 def rotations(n, steps):
@@ -138,6 +216,52 @@ class TestConstruction:
         K2 = K.relabeled(perms)
         assert K2.f_vector() == K.f_vector()
         assert K2.homology() == K.homology()
+
+
+class TestKeyedBuilders:
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_digest(self, name):
+        build, expected = PINNED[name]
+        K = build()
+        assert digest(K.faces, K.tags) == expected
+
+    def test_keyed_complex_checks_identities(self):
+        # a triangle whose faces 0 and 1 are swapped
+        levels = [list(combinations(range(3), k)) for k in (1, 2, 3)]
+        drop = {1: (0, 1), 2: (1, 0, 2)}
+        with pytest.raises(DeltaComplexError, match="simplicial identity"):
+            keyed_complex(
+                levels, lambda q, s, i: s[: drop[q][i]] + s[drop[q][i] + 1 :]
+            )
+        assert keyed_complex([], None).dim == -1
+
+    def test_simplex_cell_cap(self, monkeypatch):
+        monkeypatch.setenv("RHOFORGE_CELL_CAP", "30")
+        assert simplex(3).total_cells() == 15
+        assert boundary_simplex(4).total_cells() == 30
+        with pytest.raises(ResourceCapError, match="31 cells, cap is 30"):
+            simplex(4)
+        with pytest.raises(ResourceCapError, match="62 cells"):
+            boundary_simplex(5)
+
+
+class TestLensAgainstIteratedJoin:
+    @pytest.mark.parametrize(
+        "n, d",
+        [(n, d) for n in range(3, 9) for d in (1, 2, 3)]
+        + [(4, 4), (5, 4), (20, 2), (3, 5)],
+    )
+    def test_faces_match_the_quotient(self, n, d):
+        K = lens_complex(LensSpec(n, d))
+        assert K.faces == reference_lens(n, d).faces
+        assert K.total_cells() == ((2 * n + 1) ** d - 1) // n
+
+    def test_cell_cap(self, monkeypatch):
+        monkeypatch.setenv("RHOFORGE_CELL_CAP", "3446")
+        assert lens_complex(LensSpec(20, 3)).total_cells() == 3446
+        monkeypatch.setenv("RHOFORGE_CELL_CAP", "3445")
+        with pytest.raises(ResourceCapError, match="3446 cells, cap is 3445"):
+            lens_complex(LensSpec(20, 3))
 
 
 class TestJoinAndCone:
@@ -282,7 +406,7 @@ class TestValidateThroughGenerators:
 
     @pytest.mark.parametrize("n, d", [(3, 2), (8, 3), (4, 4)])
     def test_agrees_on_lens_actions(self, n, d):
-        K, perms = _joined_polygons(n, d)
+        K, perms = joined_polygons(n, d)
         assert self.verdicts(orbit_action(cyclic(n), perms), K) == [True, True]
 
     def test_agrees_on_a_two_generator_action(self):

@@ -1,5 +1,6 @@
 """Structure maps, fiber products, and the hyperbolization tower."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -23,6 +24,42 @@ from rhoforge.hyperbolize import (
     z_comparison_table,
     z_formula,
 )
+
+
+def digest(*parts):
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+# sha256 of repr((faces, tags)) of each stage, and for the spheres also
+# of the projections, carriers (as sorted tuples) and colors, taken before
+# fiber_product and the delta builders went through keyed_complex
+STAGE_DIGESTS = {
+    1: "1e5a4451996aa8d3393abafe77a8f674e0542881a3057ec72de751974508e4eb",
+    2: "b45b6f370deb650a3940aacf76cc6856c6833b2e9fa358e7c42988c504e1d0a8",
+    3: "2443d6809d18018aea58226247ac56dcedeff7ee3276327d36fd91d89e313674",
+}
+SPHERE_DIGESTS = {
+    1: "19e1232e05e77192dc43df331dce313a20d708a2153e421cc1bddbb40047984f",
+    2: "eb100af96887ee85ecd104dd621c9bdf5bc2f8ca4e0cf8659401f1d7aa77a276",
+}
+
+
+@pytest.mark.parametrize("n", sorted(STAGE_DIGESTS))
+def test_stage_digest_pinned(n):
+    K = hyperbolized_simplex(n).complex
+    assert digest(K.faces, K.tags) == STAGE_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", sorted(SPHERE_DIGESTS))
+def test_sphere_digest_pinned(n):
+    Y = hyperbolized_sphere(n)
+    carriers = tuple(
+        tuple(tuple(sorted(S)) for S in level) for level in Y.carriers
+    )
+    assert digest(
+        Y.complex.faces, Y.complex.tags, Y.proj_left, Y.proj_right,
+        carriers, Y.colors,
+    ) == SPHERE_DIGESTS[n]
 
 
 class TestStructures:
