@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .groups import FiniteAbelianGroup, GroupElement, GroupMismatchError
+from .groups import FiniteAbelianGroup, GroupElement, GroupMismatchError, as_int
 
 Gen = tuple[GroupElement, ...]
 
@@ -254,13 +254,13 @@ class BarChain:
 
     @classmethod
     def from_json(cls, group: FiniteAbelianGroup, data: dict) -> "BarChain":
-        degree = int(data["degree"])
+        degree = as_int(data["degree"], "degree")
         terms: dict[Gen, int] = {}
         for entry in data["terms"]:
             gen = tuple(group.element(r) for r in entry["gen"])
             if len(gen) != degree:
                 raise ValueError("generator length does not match degree")
-            coef = int(entry["coef"])
+            coef = as_int(entry["coef"], "coef")
             terms[gen] = terms.get(gen, 0) + coef
         return cls(group, degree, terms)
 

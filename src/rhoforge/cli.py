@@ -177,20 +177,20 @@ def _load_cycle(args):
     if not args.cycle:
         raise UsageError("need --cycle FILE or --octagon")
     data = _read_json(args.cycle)
-    if "group" in data:
-        group = _group_from_field(data["group"])
-        if flag_group is not None and group.moduli != flag_group.moduli:
-            raise UsageError("--group disagrees with the cycle file")
-    elif flag_group is not None:
-        group = flag_group
-    else:
-        raise UsageError("cycle file has no group; pass --group")
     try:
+        if "group" in data:
+            group = _group_from_field(data["group"])
+            if flag_group is not None and group.moduli != flag_group.moduli:
+                raise UsageError("--group disagrees with the cycle file")
+        elif flag_group is not None:
+            group = flag_group
+        else:
+            raise UsageError("cycle file has no group; pass --group")
         if "cells" in data:
             payload = [
                 ColoredCell(
                     tuple(group.element(r) for r in entry["gen"]),
-                    int(entry["sign"]),
+                    entry["sign"],
                 )
                 for entry in data["cells"]
             ]
@@ -262,10 +262,10 @@ def _cmd_bound_chain(args):
         result = bounding_chain(payload)
     except NotACycleError as exc:
         checks.append(_check("input-is-cycle", False, error=str(exc)))
-        return inputs, checks, extra, "report"
+        return inputs, checks, extra
     except ColoringError as exc:
         checks.append(_check("tower-coloring", False, error=str(exc)))
-        return inputs, checks, extra, "report"
+        return inputs, checks, extra
     checks.append(_check("input-is-cycle", True))
     checks.append(
         _check(
@@ -297,7 +297,7 @@ def _cmd_bound_chain(args):
             for p in result.polytopes
         ],
     }
-    return inputs, checks, extra, "report"
+    return inputs, checks, extra
 
 
 def _cmd_verify_polytope(args):
@@ -337,7 +337,7 @@ def _cmd_verify_polytope(args):
             "vertices": P.vertex_count,
         }
     }
-    return inputs, checks, extra, "report"
+    return inputs, checks, extra
 
 
 def _cmd_homology(args):
@@ -347,7 +347,7 @@ def _cmd_homology(args):
         "euler": K.euler(),
         "homology": _homology_payload(K),
     }
-    return inputs, [], extra, "report"
+    return inputs, [], extra
 
 
 def _cmd_torsion(args):
@@ -357,7 +357,7 @@ def _cmd_torsion(args):
         "pseudodeterminants": dets,
         "torsion": K.laplacian_torsion(),
     }
-    return inputs, [], extra, "report"
+    return inputs, [], extra
 
 
 def _cmd_fvector(args):
@@ -368,7 +368,7 @@ def _cmd_fvector(args):
         "euler": K.euler(),
         "dim": K.dim,
     }
-    return inputs, [], extra, "report"
+    return inputs, [], extra
 
 
 def _cmd_hyperbolize(args):
@@ -436,7 +436,7 @@ def _cmd_hyperbolize(args):
                     betti=list(H.betti),
                 )
             )
-    return inputs, checks, extra, "out"
+    return inputs, checks, extra
 
 
 def _cmd_lens(args):
@@ -472,7 +472,7 @@ def _cmd_lens(args):
         "total": sum(f),
         "homology": _homology_payload(K),
     }
-    return inputs, checks, extra, "report"
+    return inputs, checks, extra
 
 
 def _cmd_rho_sweep(args):
@@ -520,7 +520,7 @@ def _cmd_rho_sweep(args):
         _atomic_write(args.csv, buf.getvalue())
     inputs = {"d": args.d, "from": args.start, "to": args.stop}
     extra = {"rows": rows}
-    return inputs, checks, extra, "report"
+    return inputs, checks, extra
 
 
 def _cmd_constants(args):
@@ -550,7 +550,7 @@ def _cmd_constants(args):
         "thm12": {str(k): thm12_constant(k) for k in (1, 2)},
         "catalan": catalan,
     }
-    return {}, checks, extra, "report"
+    return {}, checks, extra
 
 
 # -- parser and dispatch ----------------------------------------------
@@ -614,7 +614,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="build a hyperbolization stage and its sphere",
     )
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--out", help="write the JSON report here (atomic)")
+    p.add_argument("--out", dest="report", help="same as --report")
     p.set_defaults(handler=_cmd_hyperbolize)
 
     p = sub.add_parser("lens", parents=[common])
@@ -639,12 +639,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     t0 = time.monotonic()
     try:
-        cell_cap()  # towers, lens spaces and simplices read it
+        cell_cap()  # every construction reads it through require_cells
     except ValueError as exc:
         print(f"rhoforge: {exc}", file=sys.stderr)
         return 2
     try:
-        inputs, checks, extra, out_attr = args.handler(args)
+        inputs, checks, extra = args.handler(args)
     except UsageError as exc:
         print(f"rhoforge: {exc}", file=sys.stderr)
         return 2
@@ -656,10 +656,9 @@ def main(argv=None) -> int:
         return 2
     report = _assemble(args.subcommand, inputs, checks, extra, t0)
     text = _dumps(report)
-    path = getattr(args, out_attr, None) or args.report
-    if path:
-        _atomic_write(path, text + "\n")
-        print(f"{report['status']}: report written to {path}")
+    if args.report:
+        _atomic_write(args.report, text + "\n")
+        print(f"{report['status']}: report written to {args.report}")
     else:
         print(text)
     return 0 if report["status"] == "pass" else 1

@@ -22,7 +22,7 @@ import numpy as np
 
 from .groups import FiniteAbelianGroup, GroupElement
 from .smith import smith_normal_form
-from .towers import ResourceCapError, cell_cap
+from .towers import require_cells
 
 Face = tuple[int, ...]
 
@@ -35,9 +35,10 @@ class DeltaComplex:
     """Immutable Delta-complex.
 
     ``faces[q][c]`` is the ordered face tuple of q-cell c (empty for
-    vertices).  ``tags[q][c]`` is an optional provenance token attached
-    by the builders; tags never affect equality of structure, they only
-    let later constructions find cells again.
+    vertices), of ints.  ``tags[q][c]`` is an optional provenance token
+    attached by the builders; tags never affect equality of structure,
+    they only let later constructions find cells again.  Construction
+    counts the cells against the cell cap before it checks them.
     """
 
     __slots__ = ("faces", "tags", "_tag_index")
@@ -48,21 +49,22 @@ class DeltaComplex:
         faces: Sequence[Sequence[Sequence[int]]] = (),
         tags: Sequence[Sequence[object]] | None = None,
     ):
-        if vertices < 0:
-            raise DeltaComplexError("negative vertex count")
+        if type(vertices) is not int or vertices < 0:
+            raise DeltaComplexError(f"vertex count {vertices!r} is not an int >= 0")
+        require_cells(vertices + sum(map(len, faces)), "Delta-complex")
         built: list[tuple[Face, ...]] = [tuple(() for _ in range(vertices))]
         for q_minus_1, level in enumerate(faces):
             q = q_minus_1 + 1
-            cells = tuple(tuple(int(i) for i in cell) for cell in level)
+            cells = tuple(map(tuple, level))
             for c, cell in enumerate(cells):
                 if len(cell) != q + 1:
                     raise DeltaComplexError(
                         f"{q}-cell {c} has {len(cell)} faces, wants {q + 1}"
                     )
                 below = len(built[q - 1])
-                if any(not 0 <= f < below for f in cell):
+                if any(type(f) is not int or not 0 <= f < below for f in cell):
                     raise DeltaComplexError(
-                        f"{q}-cell {c} references a missing {q - 1}-cell"
+                        f"{q}-cell {c} faces {cell!r} are not {q - 1}-cells"
                     )
             built.append(cells)
         while len(built) > 1 and not built[-1]:
@@ -266,7 +268,7 @@ class DeltaComplex:
 
     @classmethod
     def from_json(cls, data: dict) -> "DeltaComplex":
-        return cls(int(data["vertices"]), data.get("faces", []))
+        return cls(data["vertices"], data.get("faces", []))
 
     def __repr__(self) -> str:
         return f"DeltaComplex(f={self.f_vector()})"
@@ -340,6 +342,7 @@ def ngon(n: int) -> DeltaComplex:
     """Circle with n vertices and n edges; edge k runs k -> k+1 mod n."""
     if n < 1:
         raise DeltaComplexError("ngon needs at least one edge")
+    require_cells(2 * n, f"{n}-gon")
     edges = [((k + 1) % n, k) for k in range(n)]
     tags = [[("v", k) for k in range(n)], [("e", k) for k in range(n)]]
     return DeltaComplex(n, [edges], tags)
@@ -365,12 +368,7 @@ def boundary_simplex(n: int) -> DeltaComplex:
 def _subset_complex(n: int, top: int) -> DeltaComplex:
     """Nonempty subsets of {0..n} of at most ``top`` elements, capped."""
     cells = sum(math.comb(n + 1, k) for k in range(1, top + 1))
-    cap = cell_cap()
-    if cells > cap:
-        raise ResourceCapError(
-            f"{top - 1}-skeleton of the {n}-simplex needs {cells} cells, "
-            f"cap is {cap}"
-        )
+    require_cells(cells, f"{top - 1}-skeleton of the {n}-simplex")
     levels = [list(combinations(range(n + 1), q + 1)) for q in range(top)]
     return keyed_complex(levels, lambda q, s, i: s[:i] + s[i + 1 :], levels)
 

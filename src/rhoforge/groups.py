@@ -10,7 +10,22 @@ and compares group elements in very tight loops.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterator, Sequence
+
+
+def as_int(value, what: str) -> int:
+    """``value`` as an int; TypeError for floats, booleans and strings.
+
+    Residues, moduli and the integer fields of input files are read
+    through it, where ``int()`` would take 1.7, True or "1" for 1.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
 class GroupMismatchError(ValueError):
@@ -128,7 +143,7 @@ class FiniteAbelianGroup:
     __slots__ = ("moduli", "order", "identity", "_cache")
 
     def __init__(self, moduli: Sequence[int]):
-        moduli = tuple(int(m) for m in moduli)
+        moduli = tuple(as_int(m, "modulus") for m in moduli)
         for m in moduli:
             if m < 1:
                 raise ValueError(f"moduli must be positive, got {m}")
@@ -149,7 +164,7 @@ class FiniteAbelianGroup:
 
     def element(self, residues: Sequence[int]) -> GroupElement:
         """Build an element, reducing each residue mod its modulus."""
-        residues = tuple(int(r) for r in residues)
+        residues = tuple(as_int(r, "residue") for r in residues)
         if len(residues) != len(self.moduli):
             raise ValueError(
                 f"expected {len(self.moduli)} residues, got {len(residues)}"

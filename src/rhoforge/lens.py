@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .delta import DeltaComplex, keyed_complex
-from .towers import ResourceCapError, cell_cap
+from .towers import require_cells
 
 
 class LensError(ValueError):
@@ -62,12 +62,7 @@ def lens_complex(spec: LensSpec) -> DeltaComplex:
         raise LensError(
             "lens complexes need N >= 3 for the rotation action"
         )
-    cells = ((2 * n + 1) ** d - 1) // n
-    cap = cell_cap()
-    if cells > cap:
-        raise ResourceCapError(
-            f"lens complex ({n}, {d}) needs {cells} cells, cap is {cap}"
-        )
+    require_cells(((2 * n + 1) ** d - 1) // n, f"lens complex ({n}, {d})")
     levels: list[list] = [[] for _ in range(2 * d)]
     # rev = dims[::-1] runs in lex order, so each level comes out sorted
     for rev in product((-1, 0, 1), repeat=d):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
 from .bar import BarChain, Gen, bar_to_hom, gen_boundary, hom_to_bar
-from .groups import FiniteAbelianGroup, GroupElement
+from .groups import FiniteAbelianGroup, GroupElement, as_int
 
 FaceRef = tuple[int, int]  # (cell index, face index)
 
@@ -50,8 +50,8 @@ class ColoredCell:
     sign: int
 
     def __post_init__(self):
-        if self.sign not in (-1, 1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+        if type(self.sign) is not int or self.sign not in (-1, 1):
+            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
 
 
 def _gen_key(gen: Gen) -> tuple:
@@ -352,14 +352,15 @@ class ColoredPolytope:
         group = FiniteAbelianGroup.from_json(data["group"])
         cells = [
             ColoredCell(
-                tuple(group.element(r) for r in entry["gen"]), int(entry["sign"])
+                tuple(group.element(r) for r in entry["gen"]), entry["sign"]
             )
             for entry in data["cells"]
         ]
         gluings = [
-            (tuple(a), tuple(b)) for a, b in data.get("gluings", [])
+            tuple(tuple(as_int(x, "face reference") for x in ref) for ref in pair)
+            for pair in data.get("gluings", [])
         ]
-        return cls(group, int(data["degree"]), cells, gluings)
+        return cls(group, as_int(data["degree"], "degree"), cells, gluings)
 
     def __repr__(self) -> str:
         return (

@@ -42,7 +42,7 @@ DEFAULT_CELL_CAP = 10_000_000
 
 
 class ResourceCapError(RuntimeError):
-    """Tower construction would exceed the configured cell cap."""
+    """A construction would exceed the configured cell cap."""
 
 
 def cell_cap() -> int:
@@ -56,6 +56,13 @@ def cell_cap() -> int:
         raise ValueError(
             f"RHOFORGE_CELL_CAP must be an integer, got {raw!r}"
         ) from None
+
+
+def require_cells(count: int, what: str) -> None:
+    """Raise ResourceCapError if ``what`` needs more than cell_cap() cells."""
+    cap = cell_cap()
+    if count > cap:
+        raise ResourceCapError(f"{what} needs {count} cells, cap is {cap}")
 
 
 PairClass = tuple[tuple[FaceRef, FaceRef], ...]  # (plus, minus) members
@@ -74,7 +81,6 @@ def _covering_step(
     classes: Sequence[PairClass],
     which: int,
     height: int,
-    cap: int,
 ) -> tuple[list[ColoredCell], list[Gluing], list[PairClass]]:
     """One covering: chain ``height`` copies of the cells along class ``which``.
 
@@ -86,10 +92,7 @@ def _covering_step(
     gluings of every step.
     """
     ncells = len(cells)
-    if height * ncells > cap:
-        raise ResourceCapError(
-            f"covering needs {height * ncells} cells, cap is {cap}"
-        )
+    require_cells(height * ncells, "covering")
     new_gluings = [
         (_shift_ref(a, j, ncells), _shift_ref(b, j, ncells))
         for j in range(height)
@@ -136,7 +139,7 @@ def covering(
     if pair not in P.boundary_pairs():
         raise ValueError(f"{pair} is not a boundary pair of the polytope")
     cells, gluings, _ = _covering_step(
-        list(P.cells), list(P.gluings), [(pair,)], 0, height, cell_cap()
+        list(P.cells), list(P.gluings), [(pair,)], 0, height
     )
     return ColoredPolytope(P.group, P.degree, cells, gluings)
 
@@ -202,12 +205,11 @@ def tower(
     if not pairs:
         return Tower(P, (), P, 1, (), (), P.endow(e))
     order = P.group.order
-    cap = cell_cap()
     cells, gluings = list(P.cells), list(P.gluings)
     classes: list[PairClass] = [(pair,) for pair in pairs]
     for r in range(len(pairs)):
         cells, gluings, classes = _covering_step(
-            cells, gluings, classes, r, order, cap
+            cells, gluings, classes, r, order
         )
     Q = ColoredPolytope(P.group, P.degree, cells, gluings)
     labeling = Q.endow(e)

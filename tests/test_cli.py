@@ -368,6 +368,45 @@ class TestMalformedInput:
         err = self.usage_error(capsys, "homology", "--complex", str(src))
         assert "invalid complex" in err
 
+    @pytest.mark.parametrize("argv, path, value, prefix", [
+        (("homology", "--complex"), ("faces", 0, 0, 1), 0.5, "invalid complex"),
+        (("homology", "--complex"), ("faces", 0, 0, 0), "0", "invalid complex"),
+        (("homology", "--complex"), ("vertices",), True, "invalid complex"),
+        (("bound-chain", "--cycle"), ("group", 0), 2.9, "bad cycle file entry"),
+        (("bound-chain", "--cycle"), ("cells", 0, "sign"), 1.7,
+         "bad cycle file entry"),
+        (("bound-chain", "--cycle"), ("cells", 0, "sign"), "1",
+         "bad cycle file entry"),
+        (("bound-chain", "--cycle"), ("cells", 0, "gen", 0, 0), True,
+         "bad cycle file entry"),
+        (("verify-polytope", "--polytope"), ("degree",), 2.0,
+         "invalid polytope"),
+        (("verify-polytope", "--polytope"), ("cells", 0, "sign"), True,
+         "invalid polytope"),
+        (("verify-polytope", "--polytope"), ("gluings", 0, 0, 0), False,
+         "invalid polytope"),
+    ], ids=[
+        "complex-face-float", "complex-face-string", "complex-vertices-bool",
+        "cycle-group-float", "cycle-sign-float", "cycle-sign-string",
+        "cycle-residue-bool", "polytope-degree-float", "polytope-sign-bool",
+        "polytope-gluing-bool",
+    ])
+    def test_non_integer_field(self, tmp_path, capsys, argv, path, value, prefix):
+        g = FiniteAbelianGroup([3]).element([1])
+        data = {
+            "--complex": {"vertices": 1, "faces": [[[0, 0]]]},
+            "--cycle": {"group": [2], "cells": [{"gen": [[1], [1]], "sign": 1}]},
+            "--polytope": octagon_polytope(g, g, g, g).to_json(),
+        }[argv[1]]
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps(data))
+        err = self.usage_error(capsys, *argv, str(src))
+        assert err.startswith(f"rhoforge: {prefix}: ")
+
     def test_rho_sweep_d0(self, capsys):
         err = self.usage_error(capsys, "rho-sweep", "--d", "0")
         assert "d must be at least 1" in err
@@ -394,7 +433,16 @@ class TestConstantsAndUsage:
 
 
 class TestCellCap:
-    """Builds over the cell cap exit 3 with one line, before building."""
+    """Builds over the cell cap exit 3 with one line and no report."""
+
+    def assert_capped(self, monkeypatch, capsys, argv, cells, cap):
+        monkeypatch.setenv("RHOFORGE_CELL_CAP", str(cap))
+        assert run(*argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("rhoforge: resource cap exceeded: ")
+        assert captured.err.count("\n") == 1
+        assert f"needs {cells} cells, cap is {cap}" in captured.err
 
     @pytest.mark.parametrize(
         "argv, cells",
@@ -402,16 +450,30 @@ class TestCellCap:
             (("lens", "--N", "20", "--d", "3"), 3446),
             (("homology", "--builtin", "lens:20,3"), 3446),
             (("fvector", "--builtin", "simplex:12"), 8191),
+            (("fvector", "--builtin", "ngon:5000"), 10000),
+            (("fvector", "--builtin", "boundary-simplex:10"), 2046),
+            # boundary_simplex(3), 14 cells, fits; the X3 stage does not
+            (("hyperbolize", "--dim", "3"), 4476),
+            (("homology", "--complex", "600-gon.json"), 1200),
         ],
     )
-    def test_over_the_cap(self, monkeypatch, capsys, argv, cells):
-        monkeypatch.setenv("RHOFORGE_CELL_CAP", "1000")
-        assert run(*argv) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("rhoforge: resource cap exceeded: ")
-        assert captured.err.count("\n") == 1
-        assert f"needs {cells} cells, cap is 1000" in captured.err
+    def test_over_the_cap(self, monkeypatch, capsys, tmp_path, argv, cells):
+        monkeypatch.chdir(tmp_path)
+        edges = [[(k + 1) % 600, k] for k in range(600)]
+        (tmp_path / "600-gon.json").write_text(
+            json.dumps({"vertices": 600, "faces": [edges]})
+        )
+        self.assert_capped(monkeypatch, capsys, argv, cells, 1000)
+
+    @pytest.mark.parametrize("dim, cells", [(1, 12), (2, 820), (3, 4476)])
+    def test_hyperbolize_up_to_its_largest_complex(
+        self, monkeypatch, capsys, dim, cells
+    ):
+        monkeypatch.setenv("RHOFORGE_CELL_CAP", str(cells))
+        assert run("hyperbolize", "--dim", str(dim)) == 0
+        capsys.readouterr()
+        argv = ("hyperbolize", "--dim", str(dim))
+        self.assert_capped(monkeypatch, capsys, argv, cells, cells - 1)
 
 
 def test_one_process_runs_commands_in_turn(capsys):

@@ -24,6 +24,7 @@ from rhoforge.hyperbolize import (
     z_comparison_table,
     z_formula,
 )
+from rhoforge.towers import ResourceCapError
 
 
 def digest(*parts):
@@ -175,6 +176,13 @@ class TestFiberProduct:
         L = degree_structure(boundary_simplex(3))
         F = fiber_product(X, L)
         assert_iso_via_right_projection(F, L)
+
+    def test_cell_cap(self, monkeypatch):
+        X = simplex_over_itself(2)
+        L = degree_structure(boundary_simplex(3))
+        monkeypatch.setenv("RHOFORGE_CELL_CAP", "73")
+        with pytest.raises(ResourceCapError, match="needs 74 cells, cap is 73"):
+            fiber_product(X, L)
 
     def test_requires_colored_right_factor(self):
         Y = hyperbolized_simplex(2).over
