@@ -1,12 +1,17 @@
 """Command-line verification pipelines and report emission.
 
-Every subcommand assembles a JSON report: command echo, input digest,
-named checks with pass/fail/info status, library version, and wall
-clock.  Reports are written atomically and are byte-identical across
-runs with the same inputs, apart from the timing field.
+Every subcommand assembles a JSON report: command echo, inputs, input
+digest, named checks with pass/fail/info status, library version, and
+wall clock.  Reports are written atomically and are byte-identical
+across runs with the same inputs, apart from the timing field.
 
-Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error,
-3 resource cap exceeded.
+``inputs`` records the arguments; an input file appears as the sha256
+and size of its bytes, not as a copy, which made a report as large as
+its file (311 KB for X3) and was serialized twice per run.
+
+Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error
+(bad arguments, a malformed or unreadable input file, an unwritable
+output path), 3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from . import __version__
 from .bar import BarChain
 from .delta import (
     DeltaComplex,
+    HomologySummary,
     boundary_simplex,
     ngon,
     simplex,
@@ -75,8 +81,6 @@ def _jsonable(obj):
         )
     if isinstance(obj, frozenset):
         return sorted(obj)
-    if isinstance(obj, tuple):
-        return list(obj)
     raise TypeError(f"not serializable: {type(obj).__name__}")
 
 
@@ -129,20 +133,36 @@ def _assemble(command, inputs, checks, extra, t0) -> dict:
 # -- shared input loading ---------------------------------------------
 
 
-def _read_json(path: str) -> dict:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{path}: not valid JSON: {exc}") from None
+def _load_file(path: str, build, missing: str, invalid: str):
+    """``build`` applied to the JSON object in ``path``, and its digest.
+
+    The file's bytes are read once, parsed, and hashed for the report's
+    ``inputs``.  A key ``build`` misses becomes the usage error
+    "<missing> without key ...", a value it rejects "<invalid>: ...".
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        data = json.loads(raw)
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise UsageError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise UsageError(f"{path}: top level must be a JSON object")
-    return data
+    try:
+        built = build(data)
+    except KeyError as exc:
+        raise UsageError(f"{missing} without key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{invalid}: {exc}") from None
+    digest = {"sha256": hashlib.sha256(raw).hexdigest(), "bytes": len(raw)}
+    return built, digest
 
 
 def _parse_group(text: str) -> FiniteAbelianGroup:
     try:
         moduli = [int(p) for p in text.split(",") if p.strip()]
+        if not moduli:
+            raise ValueError("no moduli")
         return FiniteAbelianGroup(moduli)
     except (ValueError, TypeError) as exc:
         raise UsageError(f"bad group {text!r}: {exc}") from None
@@ -154,8 +174,13 @@ def _group_from_field(field) -> FiniteAbelianGroup:
     return FiniteAbelianGroup.from_json(field)
 
 
-def _first_generator(group: FiniteAbelianGroup):
-    return group.element([1] + [0] * (len(group.moduli) - 1))
+def _octagon(args):
+    """The first generator of ``--group`` and the inputs of --octagon."""
+    if not args.group:
+        raise UsageError("--octagon needs --group")
+    group = _parse_group(args.group)
+    g = group.element([1] + [0] * (len(group.moduli) - 1))
+    return g, {"octagon": True, "group": group.to_json()}
 
 
 def _load_cycle(args):
@@ -165,19 +190,14 @@ def _load_cycle(args):
     an explicit decomposition, or {"group": ..., "degree": ...,
     "terms": ...} for a collapsed chain whose terms expand by |coef|.
     """
-    flag_group = _parse_group(args.group) if args.group else None
     if args.octagon:
-        if flag_group is None:
-            raise UsageError("--octagon needs --group")
-        g = _first_generator(flag_group)
-        return flag_group, octagon_cells(g, g, g, g), {
-            "octagon": True,
-            "group": flag_group.to_json(),
-        }
+        g, inputs = _octagon(args)
+        return octagon_cells(g, g, g, g), inputs
     if not args.cycle:
         raise UsageError("need --cycle FILE or --octagon")
-    data = _read_json(args.cycle)
-    try:
+    flag_group = _parse_group(args.group) if args.group else None
+
+    def build(data):
         if "group" in data:
             group = _group_from_field(data["group"])
             if flag_group is not None and group.moduli != flag_group.moduli:
@@ -198,12 +218,12 @@ def _load_cycle(args):
             payload = BarChain.from_json(group, data)
         else:
             raise UsageError("cycle file needs 'cells' or 'terms'")
-    except KeyError as exc:
-        raise UsageError(f"cycle file entry without key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad cycle file entry: {exc}") from None
-    inputs = {"cycle": data, "group": group.to_json()}
-    return group, payload, inputs
+        return group, payload
+
+    (group, payload), digest = _load_file(
+        args.cycle, build, "cycle file entry", "bad cycle file entry"
+    )
+    return payload, {"cycle": digest, "group": group.to_json()}
 
 
 def _builtin_complex(spec: str) -> DeltaComplex:
@@ -232,18 +252,15 @@ def _load_complex(args):
     if args.builtin:
         return _builtin_complex(args.builtin), {"builtin": args.builtin}
     if args.complex:
-        data = _read_json(args.complex)
-        try:
-            return DeltaComplex.from_json(data), {"complex": data}
-        except KeyError as exc:
-            raise UsageError(f"complex file without key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"invalid complex: {exc}") from None
+        K, digest = _load_file(
+            args.complex, DeltaComplex.from_json, "complex file",
+            "invalid complex",
+        )
+        return K, {"complex": digest}
     raise UsageError("need --complex FILE or --builtin NAME")
 
 
-def _homology_payload(K: DeltaComplex) -> dict:
-    H = K.homology()
+def _homology_payload(H: HomologySummary) -> dict:
     return {
         "betti": list(H.betti),
         "torsion": [list(t) for t in H.torsion],
@@ -255,7 +272,7 @@ def _homology_payload(K: DeltaComplex) -> dict:
 
 
 def _cmd_bound_chain(args):
-    group, payload, inputs = _load_cycle(args)
+    payload, inputs = _load_cycle(args)
     checks = []
     extra = {}
     try:
@@ -302,21 +319,14 @@ def _cmd_bound_chain(args):
 
 def _cmd_verify_polytope(args):
     if args.octagon:
-        if not args.group:
-            raise UsageError("--octagon needs --group")
-        group = _parse_group(args.group)
-        g = _first_generator(group)
+        g, inputs = _octagon(args)
         P = octagon_polytope(g, g, g, g)
-        inputs = {"octagon": True, "group": group.to_json()}
     elif args.polytope:
-        data = _read_json(args.polytope)
-        try:
-            P = ColoredPolytope.from_json(data)
-        except KeyError as exc:
-            raise UsageError(f"polytope file without key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"invalid polytope: {exc}") from None
-        inputs = {"polytope": data}
+        P, digest = _load_file(
+            args.polytope, ColoredPolytope.from_json, "polytope file",
+            "invalid polytope",
+        )
+        inputs = {"polytope": digest}
     else:
         raise UsageError("need --polytope FILE or --octagon")
     checks = [_check("coloring", P.check_coloring())]
@@ -345,7 +355,7 @@ def _cmd_homology(args):
     extra = {
         "f_vector": list(K.f_vector()),
         "euler": K.euler(),
-        "homology": _homology_payload(K),
+        "homology": _homology_payload(K.homology()),
     }
     return inputs, [], extra
 
@@ -380,33 +390,24 @@ def _cmd_hyperbolize(args):
     checks = []
     extra = {
         "stage_counts": list(stage.counts),
-        "z_table": [
-            {
-                "n": row["n"],
-                "z_formula": row["z_formula"],
-                "construction": row["construction"],
-                "ratio": row["ratio"],
-                "built": row["built"],
-            }
-            for row in z_comparison_table(4)
-        ],
+        "z_table": z_comparison_table(4),
     }
     if n <= 2:
-        Y = hyperbolized_sphere(n)
-        K = Y.complex
+        K = hyperbolized_sphere(n).complex
+        H = K.homology()
+        f = K.f_vector()
         extra["sphere"] = {
-            "f_vector": list(K.f_vector()),
+            "f_vector": list(f),
             "euler": K.euler(),
-            "homology": _homology_payload(K),
+            "homology": _homology_payload(H),
         }
         extra["complex"] = K.to_json()
-        H = K.homology()
         if n == 1:
             checks.append(
                 _check(
                     "circle",
-                    K.f_vector() == (6, 6) and H.betti == (1, 1),
-                    f_vector=list(K.f_vector()),
+                    f == (6, 6) and H.betti == (1, 1),
+                    f_vector=list(f),
                 )
             )
         else:
@@ -470,7 +471,7 @@ def _cmd_lens(args):
     extra = {
         "f_vector": list(f),
         "total": sum(f),
-        "homology": _homology_payload(K),
+        "homology": _homology_payload(H),
     }
     return inputs, checks, extra
 
@@ -645,19 +646,17 @@ def main(argv=None) -> int:
         return 2
     try:
         inputs, checks, extra = args.handler(args)
-    except UsageError as exc:
+        report = _assemble(args.subcommand, inputs, checks, extra, t0)
+        text = _dumps(report)
+        if args.report:
+            _atomic_write(args.report, text + "\n")
+    except (UsageError, OSError) as exc:  # OSError: a path we cannot use
         print(f"rhoforge: {exc}", file=sys.stderr)
         return 2
     except ResourceCapError as exc:
         print(f"rhoforge: resource cap exceeded: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"rhoforge: {exc}", file=sys.stderr)
-        return 2
-    report = _assemble(args.subcommand, inputs, checks, extra, t0)
-    text = _dumps(report)
     if args.report:
-        _atomic_write(args.report, text + "\n")
         print(f"{report['status']}: report written to {args.report}")
     else:
         print(text)

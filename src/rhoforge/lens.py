@@ -53,16 +53,13 @@ def lens_complex(spec: LensSpec) -> DeltaComplex:
     ``join(...join(P, P)..., P)`` keeping each orbit's smallest member
     is.  Face i drops vertex i of the concatenated vertex list (edge k
     keeps k+1 at position 0, k at position 1) and rotates the first
-    index back to 0.  The ((2N+1)^d - 1) / N cells are checked against
-    the cell cap first.  Requires N >= 3; the construction is stated for
-    rotations acting freely on a polygon with at least three sides.
+    index back to 0.  The ``lens_count`` total, ((2N+1)^d - 1) / N, is
+    checked against the cell cap first.  Requires N >= 3; the
+    construction is stated for rotations acting freely on a polygon with
+    at least three sides.
     """
     n, d = spec.n, spec.d
-    if n < 3:
-        raise LensError(
-            "lens complexes need N >= 3 for the rotation action"
-        )
-    require_cells(((2 * n + 1) ** d - 1) // n, f"lens complex ({n}, {d})")
+    require_cells(lens_count(spec).total, f"lens complex ({n}, {d})")
     levels: list[list] = [[] for _ in range(2 * d)]
     # rev = dims[::-1] runs in lex order, so each level comes out sorted
     for rev in product((-1, 0, 1), repeat=d):
@@ -104,8 +101,22 @@ class LensCount:
 
 
 def lens_count(spec: LensSpec) -> LensCount:
-    f = lens_complex(spec).f_vector()
-    return LensCount(f, sum(f), f[-1])
+    """The f-vector of ``lens_complex(spec)``, without building it.
+
+    A cell with p present polygons, e of them edges, has dimension
+    p + e - 1; there are C(d, p) C(p, e) such choices, each with N^(p-1)
+    orbit representatives.  The total is ((2N+1)^d - 1) / N.
+    """
+    n, d = spec.n, spec.d
+    if n < 3:
+        raise LensError(
+            "lens complexes need N >= 3 for the rotation action"
+        )
+    f = [0] * (2 * d)
+    for p in range(1, d + 1):
+        for e in range(p + 1):
+            f[p + e - 1] += math.comb(d, p) * math.comb(p, e) * n ** (p - 1)
+    return LensCount(tuple(f), sum(f), f[-1])
 
 
 def growth_exponent(
@@ -142,21 +153,17 @@ def growth_exponent(
 def rho_atiyah_bott(spec: LensSpec) -> float:
     """Sum of cot^d(pi k / N) over k = 1 .. N-1.
 
-    Terms are paired k with N-k, whose cotangents are exact negatives,
-    before compensated summation; for even N the middle cotangent is
-    zero by symmetry and is added as an exact zero.  Odd powers
-    therefore cancel to exactly 0.0.
+    The cotangents at k and N-k are exact negatives and, for even N, the
+    middle one is zero by symmetry.  So odd powers cancel to exactly 0.0,
+    and even powers are twice the compensated sum over k < N/2.
     """
     n, d = spec.n, spec.d
-    terms = []
-    for k in range(1, (n + 1) // 2):
-        t = math.pi * k / n
-        c = math.cos(t) / math.sin(t)
-        terms.append(c**d)
-        terms.append((-c) ** d)
-    if n % 2 == 0:
-        terms.append(0.0)
-    return math.fsum(terms)
+    if d % 2:
+        return 0.0
+    return 2 * math.fsum(
+        (math.cos(t) / math.sin(t)) ** d
+        for t in (math.pi * k / n for k in range(1, (n + 1) // 2))
+    )
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """End-to-end runs of the command-line interface."""
 
 import csv
+import hashlib
 import json
 
 import pytest
 
 from rhoforge.cli import main
+from rhoforge.delta import DeltaComplex
 from rhoforge.groups import FiniteAbelianGroup
 from rhoforge.polytopes import octagon_cells, octagon_polytope
 
@@ -196,6 +198,52 @@ class TestComplexCommands:
         assert run("homology", "--builtin", "lens:2,2") == 2
         assert run("homology") == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("lens", "--N", "5", "--d", "2"),
+            ("homology", "--builtin", "lens:5,2"),
+            ("hyperbolize", "--dim", "2"),
+        ],
+    )
+    def test_homology_computed_once(self, monkeypatch, capsys, argv):
+        calls = []
+        homology = DeltaComplex.homology
+
+        def counted(K):
+            calls.append(K)
+            return homology(K)
+
+        monkeypatch.setattr(DeltaComplex, "homology", counted)
+        assert run(*argv) == 0
+        assert len(calls) == 1
+
+
+class TestInputDigest:
+    """A report records each input file by the sha256 and size of its bytes."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("fvector", "--complex"),
+        ("bound-chain", "--cycle"),
+        ("verify-polytope", "--polytope"),
+    ])
+    def test_file_inputs(self, tmp_path, capsys, command, flag):
+        g = FiniteAbelianGroup([3]).element([1])
+        data = {
+            "--complex": {"vertices": 3, "faces": [[[1, 0], [2, 1], [0, 2]]]},
+            "--cycle": {"group": [4], "degree": 1,
+                        "terms": [{"gen": [[1]], "coef": 1}]},
+            "--polytope": octagon_polytope(g, g, g, g).to_json(),
+        }[flag]
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps(data, indent=1))
+        assert run(command, flag, str(src)) == 0
+        inputs = json.loads(capsys.readouterr().out)["inputs"]
+        raw = src.read_bytes()  # indented: not the bytes of the parsed object
+        assert inputs[flag[2:]] == {
+            "sha256": hashlib.sha256(raw).hexdigest(), "bytes": len(raw),
+        }
+
 
 class TestHyperbolize:
     def test_dim1(self, capsys):
@@ -295,6 +343,35 @@ class TestMalformedInput:
         src = tmp_path / "bad.json"
         src.write_text('{"group": [2], "cells": [')
         assert "not valid JSON" in self.usage_error(capsys, *flag, str(src))
+
+    @pytest.mark.parametrize("flag", FILE_FLAGS)
+    def test_not_utf8(self, tmp_path, capsys, flag):
+        src = tmp_path / "latin1.json"
+        src.write_bytes('{"group": [2], "note": "\u00e9"}'.encode("latin-1"))
+        assert "not valid JSON" in self.usage_error(capsys, *flag, str(src))
+
+    @pytest.mark.parametrize("flag", FILE_FLAGS)
+    def test_directory_as_input(self, tmp_path, capsys, flag):
+        err = self.usage_error(capsys, *flag, str(tmp_path))
+        assert "Is a directory" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("constants", "--report"),
+        ("hyperbolize", "--dim", "1", "--out"),
+        ("rho-sweep", "--d", "2", "--to", "5", "--csv"),
+    ], ids=["report", "out", "csv"])
+    def test_output_path_is_a_directory(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        out.mkdir()
+        err = self.usage_error(capsys, *argv, str(out))
+        assert "Is a directory" in err
+        assert list(tmp_path.iterdir()) == [out]  # no temporary file left
+
+    @pytest.mark.parametrize("command", ["bound-chain", "verify-polytope"])
+    @pytest.mark.parametrize("group", [",", " , "])
+    def test_octagon_empty_group(self, capsys, command, group):
+        err = self.usage_error(capsys, command, "--octagon", "--group", group)
+        assert "no moduli" in err
 
     @pytest.mark.parametrize("flag", FILE_FLAGS)
     def test_top_level_not_an_object(self, tmp_path, capsys, flag):

@@ -31,8 +31,9 @@ class TestSpec:
         assert LensSpec(5, 3).dim == 5
 
     def test_n2_rejected_by_builder(self):
-        with pytest.raises(LensError):
-            lens_complex(LensSpec(2, 2))
+        for builder in (lens_complex, lens_count):
+            with pytest.raises(LensError):
+                builder(LensSpec(2, 2))
 
 
 class TestComplex:
@@ -55,6 +56,14 @@ class TestComplex:
             assert c.per_dim == (2, n + 2, 2 * n, n)
             assert c.total == 4 * n + 4
             assert c.top == n
+
+    def test_closed_form_counts_match_the_built_complex(self):
+        for n in range(3, 9):
+            for d in range(1, 5):
+                spec = LensSpec(n, d)
+                c = lens_count(spec)
+                assert c.per_dim == lens_complex(spec).f_vector()
+                assert c.total == ((2 * n + 1) ** d - 1) // n
 
     def test_top_count_power_law(self):
         for d in (2, 3):
@@ -92,7 +101,29 @@ class TestGrowth:
             growth_exponent(2, counts="median")
 
 
+def paired_rho(spec):
+    """The cotangent sum with each (k, N-k) pair summed term by term."""
+    n, d = spec.n, spec.d
+    terms = []
+    for k in range(1, (n + 1) // 2):
+        t = math.pi * k / n
+        c = math.cos(t) / math.sin(t)
+        terms.append(c**d)
+        terms.append((-c) ** d)
+    if n % 2 == 0:
+        terms.append(0.0)
+    return math.fsum(terms)
+
+
 class TestRho:
+    def test_bit_identical_to_pairing(self):
+        for d in range(1, 11):
+            for n in range(2, 600):
+                rho = rho_atiyah_bott(LensSpec(n, d))
+                oracle = paired_rho(LensSpec(n, d))
+                assert rho == oracle, (n, d)
+                assert math.copysign(1.0, rho) == math.copysign(1.0, oracle)
+
     def test_square_case(self):
         assert abs(rho_atiyah_bott(LensSpec(4, 2)) - 2.0) < 1e-12
 
