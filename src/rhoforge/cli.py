@@ -11,7 +11,8 @@ its file (311 KB for X3) and was serialized twice per run.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error
 (bad arguments, a malformed or unreadable input file, an unwritable
-output path), 3 resource cap exceeded.
+output path, a ``rho-sweep`` row whose rho or bound overflows a float),
+3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -486,7 +487,13 @@ def _cmd_rho_sweep(args):
     rows = []
     gated_failures = []
     for n in range(args.start, args.stop + 1):
-        res = rho_lower_bound_check(LensSpec(n, args.d))
+        try:
+            res = rho_lower_bound_check(LensSpec(n, args.d))
+        except OverflowError:
+            raise UsageError(
+                f"rho or (N/pi)^d at (N, d) = ({n}, {args.d}) does not "
+                "fit in a float"
+            ) from None
         rows.append(
             {
                 "N": n,
@@ -496,7 +503,7 @@ def _cmd_rho_sweep(args):
                 "status": res.status,
             }
         )
-        if res.status == "ok" and not res.holds:
+        if res.status != "out_of_hypothesis" and not res.holds:
             gated_failures.append(n)
     checks = [
         _check(

@@ -302,14 +302,19 @@ class HomologySummary:
 
 
 def keyed_complex(
-    levels: Sequence[Sequence], face: Callable, tags=None
+    levels: Sequence[Sequence],
+    face: Callable,
+    tags=None,
+    what: str = "Delta-complex",
 ) -> DeltaComplex:
     """The complex whose q-cells are the keys ``levels[q]``, in that order.
 
     ``face(q, key, i)`` is the key, among ``levels[q - 1]``, of the i-th
-    face of the q-cell ``key`` (q >= 1, i = 0..q).  Keys are resolved
-    through one index dict per level; the ``DeltaComplex`` constructor
-    then checks ranges and the simplicial identities as for any complex.
+    face of the q-cell ``key`` (q >= 1, i = 0..q).  The keys are counted
+    against the cell cap first, under the name ``what``, so that an
+    oversized build names its construction.  Keys are resolved through
+    one index dict per level; the ``DeltaComplex`` constructor then
+    checks ranges and the simplicial identities as for any complex.
     ``tags`` are passed through.  The boundary of a triangle from its
     vertex subsets:
 
@@ -321,6 +326,7 @@ def keyed_complex(
     >>> K.homology().betti
     (1, 1)
     """
+    require_cells(sum(map(len, levels)), what)
     faces = []
     for q, (level, above) in enumerate(zip(levels, levels[1:]), 1):
         index = {key: i for i, key in enumerate(level)}
@@ -409,7 +415,7 @@ def join(K: DeltaComplex, L: DeltaComplex) -> DeltaComplex:
         return (a, None if r == 0 else (r - 1, L.faces[r][j][i - p - 1]))
 
     tags = [[("join", a, b) for a, b in level] for level in levels]
-    return keyed_complex(levels, face, tags)
+    return keyed_complex(levels, face, tags, "join")
 
 
 def cone(K: DeltaComplex) -> DeltaComplex:
@@ -456,12 +462,13 @@ def _chain_face(K: DeltaComplex, d: int, cell, i: int):
     return q - 1, K.faces[q][c][k], shifted
 
 
-def prism(K: DeltaComplex) -> DeltaComplex:
+def prism(K: DeltaComplex, what: str = "prism") -> DeltaComplex:
     """K x [0,1] in the ordered triangulation; ends carry level tags.
 
     Each q-cell contributes q+2 cells of dimension q (the nondecreasing
     level graphs, the all-0 and all-1 ones forming the two copies of K)
-    and q+1 cells of dimension q+1.
+    and q+1 cells of dimension q+1.  ``what`` names the result in a
+    cell-cap error.
     """
     levels: list[list[tuple[int, int, Chain]]] = [
         [] for _ in range(K.dim + 2)
@@ -475,7 +482,7 @@ def prism(K: DeltaComplex) -> DeltaComplex:
         [("prism", q, c, chain) for q, c, chain in level]
         for level in levels
     ]
-    return keyed_complex(levels, partial(_chain_face, K), tags)
+    return keyed_complex(levels, partial(_chain_face, K), tags, what)
 
 
 def prism_end(P: DeltaComplex, K: DeltaComplex, level: int) -> list[list[int]]:
@@ -553,7 +560,7 @@ def barycentric(K: DeltaComplex) -> DeltaComplex:
     tags = [
         [("bary", q, c, flag) for q, c, flag in level] for level in levels
     ]
-    return keyed_complex(levels, face, tags)
+    return keyed_complex(levels, face, tags, "barycentric subdivision")
 
 
 # -- free actions and quotients ---------------------------------------

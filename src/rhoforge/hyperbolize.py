@@ -181,14 +181,15 @@ def colored_face(
 
 
 def fiber_product(
-    X: ComplexOverSimplex, L: ComplexOverSimplex
+    X: ComplexOverSimplex, L: ComplexOverSimplex, what: str = "fiber product"
 ) -> ComplexOverSimplex:
     """Fiber product over the common target simplex.
 
     A q-cell of X with carrier S pairs with every L-cell whose color
     span is exactly S; the pair is a copy of the X-cell, and its i-th
     face pairs the i-th face of the X half with the L-face spanned by
-    the smaller carrier.  L must be colored; X need not be.
+    the smaller carrier.  L must be colored; X need not be.  ``what``
+    names the result in a cell-cap error.
     """
     if X.target_dim != L.target_dim:
         raise OverSimplexError("factors live over different simplices")
@@ -212,7 +213,7 @@ def fiber_product(
         fs = X.complex.faces[q][sigma][i]
         return fs, colored_face(L, tq, tc, X.carriers[q - 1][fs])
 
-    F = keyed_complex(cells, face)
+    F = keyed_complex(cells, face, what=what)
     carriers = tuple(
         tuple(X.carriers[q][sigma] for sigma, _ in cells[q])
         for q in range(dims)
@@ -237,14 +238,16 @@ def fiber_product(
     )
 
 
-def williams(X: ComplexOverSimplex, K: DeltaComplex) -> ComplexOverSimplex:
+def williams(
+    X: ComplexOverSimplex, K: DeltaComplex, what: str = "fiber product"
+) -> ComplexOverSimplex:
     """Fiber product of X with the degree structure of K."""
     if K.dim != X.target_dim:
         raise OverSimplexError(
             f"complex of dimension {K.dim} cannot pair with a structure "
             f"over the {X.target_dim}-simplex"
         )
-    return fiber_product(X, degree_structure(K))
+    return fiber_product(X, degree_structure(K), what)
 
 
 # -- the hyperbolization tower ----------------------------------------
@@ -274,7 +277,7 @@ def _anchor_subset(base: DeltaComplex, sub: DeltaComplex, ref: CellRef):
 
 
 def _prism_structure(
-    Y: ComplexOverSimplex, base: DeltaComplex
+    Y: ComplexOverSimplex, base: DeltaComplex, what: str
 ) -> ComplexOverSimplex:
     """Prism over a sphere stage, over the next simplex up.
 
@@ -282,7 +285,7 @@ def _prism_structure(
     projection is anchored at; every cell touching the interior of the
     interval is carried by the whole simplex.
     """
-    P = prism(Y.complex)
+    P = prism(Y.complex, what)
     sub = barycentric(base)
     target = Y.target_dim + 1
     full = frozenset(range(target + 1))
@@ -311,12 +314,13 @@ def hyperbolized_simplex(n: int) -> Hyperbolization:
     K = over.complex
     for m in range(1, n):
         base = boundary_simplex(m + 1)
-        Y = fiber_product(over, degree_structure(base))
+        Y = williams(over, base, f"hyperbolized Y{m} sphere")
+        stage = f"hyperbolized X{m + 1} stage"
         if m + 1 == 3:
-            K = prism(Y.complex)
+            K = prism(Y.complex, stage)
             over = None
         else:
-            over = _prism_structure(Y, base)
+            over = _prism_structure(Y, base, stage)
             K = over.complex
     return Hyperbolization(n, K, over, K.f_vector())
 
@@ -329,7 +333,9 @@ def hyperbolized_sphere(n: int) -> ComplexOverSimplex:
             "record for X^3"
         )
     stage = hyperbolized_simplex(n)
-    return williams(stage.over, boundary_simplex(n + 1))
+    return williams(
+        stage.over, boundary_simplex(n + 1), f"hyperbolized Y{n} sphere"
+    )
 
 
 # -- counting ---------------------------------------------------------

@@ -6,15 +6,17 @@ rotation.  The rotation shifts every polygon index by one, so each orbit
 of join cells has exactly one member whose first present index is 0;
 ``lens_complex`` lists those representatives directly, without building
 the join.  Cell counts of the quotient scale like N^(d-1); the rho
-invariant of these spaces is a cotangent power sum, evaluated here with
-compensated summation, together with the bound checks and the
-invariant-counting arithmetic built on it.
+invariant of these spaces is a cotangent power sum, evaluated here
+exactly as a rational by Newton's identities in integers, together with
+the certified bound check and the invariant-counting arithmetic built
+on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
 from .delta import DeltaComplex, keyed_complex
@@ -150,29 +152,63 @@ def growth_exponent(
 # -- the rho invariant ------------------------------------------------
 
 
-def rho_atiyah_bott(spec: LensSpec) -> float:
-    """Sum of cot^d(pi k / N) over k = 1 .. N-1.
+def rho_exact(spec: LensSpec) -> Fraction:
+    """Sum of cot^d(pi k / N) over k = 1 .. N-1, as an exact rational.
 
-    The cotangents at k and N-k are exact negatives and, for even N, the
-    middle one is zero by symmetry.  So odd powers cancel to exactly 0.0,
-    and even powers are twice the compensated sum over k < N/2.
+    The cotangents cot(pi k / N) are the roots of
+    sum_j (-1)^j C(N, 2j+1) x^(N-1-2j), so their elementary symmetric
+    functions are e_2j = E_j / N with E_j = (-1)^j C(N, 2j+1), and the
+    odd ones vanish; so do the odd power sums.  Writing the power sum of
+    degree 2k as P_k / N^k, Newton's identities become the integer
+    recurrence P_k = -2k E_k N^(k-1) - sum_{0<j<k} E_j P_{k-j} N^(j-1).
+    A row costs O(d^2) integer operations whatever N is.
+
+    >>> rho_exact(LensSpec(5, 6))
+    Fraction(68, 5)
+    >>> rho_exact(LensSpec(4, 6)), rho_exact(LensSpec(7, 3))
+    (Fraction(2, 1), Fraction(0, 1))
     """
     n, d = spec.n, spec.d
     if d % 2:
-        return 0.0
-    return 2 * math.fsum(
-        (math.cos(t) / math.sin(t)) ** d
-        for t in (math.pi * k / n for k in range(1, (n + 1) // 2))
-    )
+        return Fraction(0)
+    half = d // 2
+    e = [(-1) ** j * math.comb(n, 2 * j + 1) for j in range(half + 1)]
+    p = [n - 1]  # P_0, the number of roots
+    for k in range(1, half + 1):
+        acc = 2 * k * e[k] * n ** (k - 1)
+        for j in range(1, k):
+            acc += e[j] * p[k - j] * n ** (j - 1)
+        p.append(-acc)
+    return Fraction(p[half], n**half)
+
+
+def rho_atiyah_bott(spec: LensSpec) -> float:
+    """``rho_exact`` correctly rounded to a float.
+
+    Raises OverflowError when the value does not fit in a float.
+    """
+    return float(rho_exact(spec))
+
+
+# Rational bounds on pi that certify the (N/pi)^d < rho decision.
+PI_BRACKET = (
+    Fraction(314159265358979, 10**14),
+    Fraction(314159265358980, 10**14),
+)
 
 
 @dataclass(frozen=True)
 class RhoBoundResult:
     """Outcome of the (N/pi)^d < rho comparison.
 
-    Truthiness is the comparison itself; ``status`` records whether the
-    pair (N, d) sits inside the hypothesis of the stated bound (d even,
-    N >= 4).
+    Truthiness is the comparison itself, decided exactly: rho is the
+    rational ``rho_exact`` and pi lies in ``PI_BRACKET``, so the bound
+    holds if N^d < rho pi_lo^d and fails if N^d >= rho pi_hi^d.
+    ``status`` is "undecided" when neither is true (``holds`` is then
+    False), else it records whether the pair (N, d) sits inside the
+    hypothesis of the stated bound (d even, N >= 4): "ok" or
+    "out_of_hypothesis".  ``rho`` is the correctly rounded float and
+    ``bound`` the float (N/pi)^d, for reports.
     """
 
     spec: LensSpec
@@ -186,12 +222,27 @@ class RhoBoundResult:
 
 
 def rho_lower_bound_check(spec: LensSpec) -> RhoBoundResult:
-    rho = rho_atiyah_bott(spec)
-    bound = (spec.n / math.pi) ** spec.d
-    status = (
-        "ok" if spec.d % 2 == 0 and spec.n >= 4 else "out_of_hypothesis"
-    )
-    return RhoBoundResult(spec, rho, bound, bound < rho, status)
+    """Decide (N/pi)^d < rho(N, d) in integers.
+
+    Raises OverflowError when rho or (N/pi)^d does not fit in a float.
+
+    >>> r = rho_lower_bound_check(LensSpec(5, 6))
+    >>> r.holds, r.status, r.rho
+    (False, 'ok', 13.6)
+    """
+    n, d = spec.n, spec.d
+    rho = rho_exact(spec)
+    target = n**d * rho.denominator  # N^d < rho pi^d, denominators cleared
+    lo, hi = PI_BRACKET
+    holds = target * lo.denominator**d < rho.numerator * lo.numerator**d
+    fails = target * hi.denominator**d >= rho.numerator * hi.numerator**d
+    if not (holds or fails):
+        status = "undecided"
+    elif d % 2 == 0 and n >= 4:
+        status = "ok"
+    else:
+        status = "out_of_hypothesis"
+    return RhoBoundResult(spec, float(rho), (n / math.pi) ** d, holds, status)
 
 
 def thm13_lower(spec: LensSpec, constant):

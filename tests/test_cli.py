@@ -3,9 +3,11 @@
 import csv
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
+from rhoforge import lens
 from rhoforge.cli import main
 from rhoforge.delta import DeltaComplex
 from rhoforge.groups import FiniteAbelianGroup
@@ -322,6 +324,45 @@ class TestRhoSweep:
     def test_bad_range(self, capsys):
         assert run("rho-sweep", "--d", "2", "--from", "9", "--to", "3") == 2
 
+    def test_exact_rows(self, tmp_path):
+        rep = tmp_path / "rho.json"
+        rc = run(
+            "rho-sweep", "--d", "6", "--from", "4", "--to", "6",
+            "--report", str(rep),
+        )
+        assert rc == 1
+        rows = load(rep)["rows"]
+        assert [r["rho"] for r in rows[:2]] == [2.0, 13.6]
+        assert [r["status"] for r in rows] == ["ok"] * 3
+        assert [r["pass"] for r in rows] == [False, False, True]
+
+    def test_undecided_rows_gate_the_exit(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(lens, "PI_BRACKET", (Fraction(1), Fraction(4)))
+        rep = tmp_path / "rho.json"
+        rc = run(
+            "rho-sweep", "--d", "2", "--from", "4", "--to", "6",
+            "--report", str(rep),
+        )
+        assert rc == 1
+        report = load(rep)
+        assert report["checks"][0]["values"]["failures"] == [4, 5, 6]
+        assert {r["status"] for r in report["rows"]} == {"undecided"}
+        assert not any(r["pass"] for r in report["rows"])
+
+    def test_overflow_exits_2(self, tmp_path, capsys):
+        rep = tmp_path / "rho.json"
+        rc = run(
+            "rho-sweep", "--d", "120", "--from", "1990", "--to", "1991",
+            "--report", str(rep),
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not rep.exists()
+        assert captured.err == (
+            "rhoforge: rho or (N/pi)^d at (N, d) = (1990, 120) does not "
+            "fit in a float\n"
+        )
+
 
 class TestMalformedInput:
     """Bad input files and arguments exit 2 with one line on stderr."""
@@ -541,6 +582,14 @@ class TestCellCap:
             json.dumps({"vertices": 600, "faces": [edges]})
         )
         self.assert_capped(monkeypatch, capsys, argv, cells, 1000)
+
+    def test_message_names_the_stage(self, monkeypatch, capsys):
+        monkeypatch.setenv("RHOFORGE_CELL_CAP", "1000")
+        assert run("hyperbolize", "--dim", "3") == 3
+        assert capsys.readouterr().err == (
+            "rhoforge: resource cap exceeded: hyperbolized X3 stage needs "
+            "4476 cells, cap is 1000\n"
+        )
 
     @pytest.mark.parametrize("dim, cells", [(1, 12), (2, 820), (3, 4476)])
     def test_hyperbolize_up_to_its_largest_complex(

@@ -244,15 +244,18 @@ class TestKeyedBuilders:
         with pytest.raises(ResourceCapError, match="62 cells"):
             boundary_simplex(5)
 
-    @pytest.mark.parametrize("build, cells", [
-        (lambda: ngon(16), 32),
-        (lambda: join(simplex(2), simplex(1)), 31),
-        (lambda: prism(simplex(2)), 31),
-        (lambda: barycentric(boundary_simplex(3)), 74),
+    @pytest.mark.parametrize("build, what, cells", [
+        (lambda: ngon(16), "16-gon", 32),
+        (lambda: join(simplex(2), simplex(1)), "join", 31),
+        (lambda: prism(simplex(2)), "prism", 31),
+        (lambda: barycentric(boundary_simplex(3)), "barycentric subdivision", 74),
     ], ids=["ngon", "join", "prism", "barycentric"])
-    def test_builder_cell_cap(self, monkeypatch, build, cells):
+    def test_builder_cell_cap(self, monkeypatch, build, what, cells):
+        # each builder names itself, not the bare "Delta-complex"
         monkeypatch.setenv("RHOFORGE_CELL_CAP", "30")
-        with pytest.raises(ResourceCapError, match=f"{cells} cells, cap is 30"):
+        with pytest.raises(
+            ResourceCapError, match=f"^{what} needs {cells} cells, cap is 30$"
+        ):
             build()
 
 

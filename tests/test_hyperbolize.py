@@ -181,7 +181,9 @@ class TestFiberProduct:
         X = simplex_over_itself(2)
         L = degree_structure(boundary_simplex(3))
         monkeypatch.setenv("RHOFORGE_CELL_CAP", "73")
-        with pytest.raises(ResourceCapError, match="needs 74 cells, cap is 73"):
+        with pytest.raises(
+            ResourceCapError, match="^fiber product needs 74 cells, cap is 73$"
+        ):
             fiber_product(X, L)
 
     def test_requires_colored_right_factor(self):

@@ -1,9 +1,11 @@
 """Lens quotients, rho sums, and the counting arithmetic."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
+from rhoforge import lens
 from rhoforge.lens import (
     LensCount,
     LensError,
@@ -15,6 +17,7 @@ from rhoforge.lens import (
     lens_complex,
     lens_count,
     rho_atiyah_bott,
+    rho_exact,
     rho_lower_bound_check,
     thm13_lower,
 )
@@ -116,13 +119,44 @@ def paired_rho(spec):
 
 
 class TestRho:
-    def test_bit_identical_to_pairing(self):
+    def test_exact_small_cases(self):
+        # the float sum read 2.0000000000000027 and 13.600000000000003
+        cases = {
+            (4, 4): Fraction(2),
+            (4, 6): Fraction(2),
+            (5, 6): Fraction(68, 5),
+            (2, 4): Fraction(0),
+            (3, 4): Fraction(2, 9),
+        }
+        for (n, d), value in cases.items():
+            assert rho_exact(LensSpec(n, d)) == value, (n, d)
+        assert rho_atiyah_bott(LensSpec(4, 6)) == 2.0
+        assert rho_atiyah_bott(LensSpec(5, 6)) == 13.6
+
+    def test_closed_forms(self):
+        for n in range(2, 401):
+            assert rho_exact(LensSpec(n, 2)) == Fraction((n - 1) * (n - 2), 3)
+            assert rho_exact(LensSpec(n, 4)) == Fraction(
+                (n - 1) * (n - 2) * (n * n + 3 * n - 13), 45
+            )
+
+    def test_odd_d_is_exactly_zero(self):
+        for n in range(2, 60):
+            for d in (1, 3, 5, 7, 9):
+                assert rho_exact(LensSpec(n, d)) == 0
+
+    def test_float_is_the_rounded_exact_value(self):
+        for d in (2, 3, 6, 10):
+            for n in range(2, 200):
+                spec = LensSpec(n, d)
+                assert rho_atiyah_bott(spec) == float(rho_exact(spec))
+
+    def test_agrees_with_pairing(self):
         for d in range(1, 11):
             for n in range(2, 600):
                 rho = rho_atiyah_bott(LensSpec(n, d))
                 oracle = paired_rho(LensSpec(n, d))
-                assert rho == oracle, (n, d)
-                assert math.copysign(1.0, rho) == math.copysign(1.0, oracle)
+                assert abs(rho - oracle) <= 1e-12 * abs(oracle), (n, d)
 
     def test_square_case(self):
         assert abs(rho_atiyah_bott(LensSpec(4, 2)) - 2.0) < 1e-12
@@ -168,6 +202,28 @@ class TestLowerBound:
                 if not rho_lower_bound_check(LensSpec(n, d)):
                     failures.add((n, d))
         assert failures == COUNTEREXAMPLES
+
+    def test_certified_failures(self):
+        # every row is decided by the integer comparison; none is undecided
+        expected = {2: [], 4: [4], 6: [4, 5], 8: [4, 5, 6], 10: [4, 5, 6, 7]}
+        for d, failures in expected.items():
+            rows = [rho_lower_bound_check(LensSpec(n, d)) for n in range(4, 2001)]
+            assert {r.status for r in rows} == {"ok"}
+            assert [r.spec.n for r in rows if not r.holds] == failures
+
+    def test_undecided_when_the_bracket_is_too_wide(self, monkeypatch):
+        monkeypatch.setattr(lens, "PI_BRACKET", (Fraction(1), Fraction(4)))
+        r = rho_lower_bound_check(LensSpec(4, 2))
+        assert r.status == "undecided"
+        assert not r.holds and not r
+        assert r.rho == 2.0 and r.bound == (4 / math.pi) ** 2
+        # rho = 0 for odd d, which no bracket can lift over N^d
+        odd = rho_lower_bound_check(LensSpec(4, 3))
+        assert odd.status == "out_of_hypothesis" and not odd.holds
+
+    def test_overflow_is_an_overflow_error(self):
+        with pytest.raises(OverflowError):
+            rho_lower_bound_check(LensSpec(1990, 120))
 
     def test_thm13_lower(self):
         assert thm13_lower(LensSpec(7, 3), 2) == 98
