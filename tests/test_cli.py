@@ -5,6 +5,7 @@ import hashlib
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rhoforge import lens
@@ -180,6 +181,21 @@ class TestComplexCommands:
         ) == 0
         report = load(out)
         assert abs(report["torsion"] - 25.0) < 1e-6
+
+    def test_torsion_solves_one_gram_per_boundary_map(self, monkeypatch):
+        # lens:8,3 has f = (3, 27, 112, 216, 192, 64): one eigensolve per
+        # boundary map, of the smaller Gram matrix
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        assert run("torsion", "--builtin", "lens:8,3") == 0
+        f = [3, 27, 112, 216, 192, 64]
+        assert shapes == [(min(f[q - 1], f[q]),) * 2 for q in range(1, 6)]
 
     def test_fvector(self, capsys):
         assert run("fvector", "--builtin", "simplex:3") == 0

@@ -3,6 +3,7 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from rhoforge.delta import (
@@ -24,6 +25,7 @@ from rhoforge.delta import (
     simplex,
 )
 from rhoforge.groups import FiniteAbelianGroup, cyclic
+from rhoforge.hyperbolize import hyperbolized_sphere
 from rhoforge.lens import LensSpec, lens_complex
 from rhoforge.smith import bareiss_determinant
 from rhoforge.towers import ResourceCapError
@@ -140,6 +142,16 @@ def rotations(n, steps):
         g: ((tuple((c + k) % n for c in range(n)),) * 2)
         for g, k in steps.items()
     }
+
+
+def shuffled(K, rng):
+    """K with the cells of every dimension renumbered at random."""
+    perms = []
+    for q in range(K.dim + 1):
+        p = list(range(K.n_cells(q)))
+        rng.shuffle(p)
+        perms.append(p)
+    return K.relabeled(perms)
 
 
 def edge_complex():
@@ -460,6 +472,35 @@ class TestValidateThroughGenerators:
         assert self.verdicts(action, ngon(6)) == [False, False]
 
 
+# Complexes on which the Gram-spectrum torsion is checked against the
+# dense Laplacian oracle; ngon:1 has a loop whose two vertex faces cancel.
+TORSION_ZOO = {
+    "ngon:1": lambda: ngon(1),
+    "ngon:2": lambda: ngon(2),
+    "ngon:7": lambda: ngon(7),
+    "simplex:3": lambda: simplex(3),
+    "boundary-simplex:4": lambda: boundary_simplex(4),
+    "prism-ngon:4": lambda: prism(ngon(4)),
+    "prism-ngon:4-relabeled": lambda: shuffled(prism(ngon(4)), random.Random(4)),
+    "lens:5,2": lambda: lens_complex(LensSpec(5, 2)),
+    "lens:8,3": lambda: lens_complex(LensSpec(8, 3)),
+    "lens:3,3": lambda: lens_complex(LensSpec(3, 3)),
+    "lens:4,3": lambda: lens_complex(LensSpec(4, 3)),
+    "Y2": lambda: hyperbolized_sphere(2).complex,
+}
+
+
+def oracle_log_pdet(K, q):
+    """log of the product of the eigenvalues of the dense L_q above
+    1e-9 times its spectral radius."""
+    lap = K.laplacian(q)
+    if lap.size == 0:
+        return 0.0
+    eigs = np.linalg.eigvalsh(lap)
+    radius = float(np.max(np.abs(eigs)))
+    return float(np.sum(np.log(eigs[eigs > 1e-9 * radius])))
+
+
 class TestLaplacianTorsion:
     def test_three_circle(self):
         K = ngon(3)
@@ -487,12 +528,7 @@ class TestLaplacianTorsion:
         base = K.laplacian_torsion()
         rng = random.Random(10)
         for _ in range(5):
-            perms = []
-            for q in range(K.dim + 1):
-                p = list(range(K.n_cells(q)))
-                rng.shuffle(p)
-                perms.append(p)
-            assert K.relabeled(perms).laplacian_torsion() == pytest.approx(
+            assert shuffled(K, rng).laplacian_torsion() == pytest.approx(
                 base, rel=1e-9
             )
 
@@ -501,3 +537,40 @@ class TestLaplacianTorsion:
         for n in range(3, 25):
             K = ngon(n)
             assert math.log(K.laplacian_torsion()) <= 1.0 * K.total_cells()
+
+    @pytest.mark.parametrize("name", TORSION_ZOO)
+    def test_matches_dense_laplacian_oracle(self, name):
+        K = TORSION_ZOO[name]()
+        logs = [oracle_log_pdet(K, q) for q in range(K.dim + 1)]
+        for q, log_pdet in enumerate(logs):
+            assert K.laplacian_pseudodet(q) == pytest.approx(
+                math.exp(log_pdet), rel=1e-9
+            )
+        old = sum((-1) ** (q + 1) * q * logs[q] for q in range(1, K.dim + 1))
+        assert K.laplacian_torsion() == pytest.approx(math.exp(old), rel=1e-9)
+
+    @pytest.mark.parametrize("name", TORSION_ZOO)
+    def test_dense_boundary_matches_sparse(self, name):
+        K = TORSION_ZOO[name]()
+        for q in range(K.dim + 2):
+            dense = K._dense_boundary(q)
+            assert dense.shape == (K.n_cells(q - 1), K.n_cells(q))
+            expected = np.zeros(dense.shape)
+            for (r, c), v in K.boundary_matrix(q).items():
+                expected[r, c] = v
+            assert np.array_equal(dense, expected)
+
+    @pytest.mark.parametrize(
+        "n, d", [(5, 2), (6, 2), (7, 2), (3, 3), (4, 3), (8, 3), (4, 4)]
+    )
+    def test_lens_torsion_is_vertex_over_top_cells(self, n, d):
+        # L(N; 1, ..., 1): T = f_0 / f_top; (4, 4) has pseudodeterminants
+        # near e^1064, past float range, and T = 1/16 all the same
+        K = lens_complex(LensSpec(n, d))
+        f = K.f_vector()
+        assert K.laplacian_torsion() == pytest.approx(f[0] / f[-1], rel=1e-9)
+
+    def test_pseudodet_past_float_range_raises(self):
+        K = lens_complex(LensSpec(4, 4))
+        with pytest.raises(OverflowError):
+            [K.laplacian_pseudodet(q) for q in range(K.dim + 1)]
