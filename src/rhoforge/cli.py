@@ -237,7 +237,10 @@ def _builtin_complex(spec: str) -> DeltaComplex:
         if name == "boundary-simplex":
             return boundary_simplex(int(rest))
         if name == "lens":
-            n, d = (int(p) for p in rest.split(","))
+            parts = rest.split(",")
+            if len(parts) != 2:
+                raise UsageError(f"bad builtin {spec!r}: lens needs N,D")
+            n, d = map(int, parts)
             return lens_complex(LensSpec(n, d))
     except (ValueError, LensError) as exc:
         raise UsageError(f"bad builtin {spec!r}: {exc}") from None

@@ -6,7 +6,8 @@ so every complex produced by the builders here (joins, cones, prisms,
 barycentric subdivisions, free quotients) is verified as it is built.
 The subset, join, prism and subdivision builders list their cells as
 keys with a face rule on keys, and ``keyed_complex`` numbers them.
-Integral homology runs through Smith normal form; the combinatorial
+Integral homology runs through unit reductions of the whole chain
+complex and Smith normal form of the residue; the combinatorial
 torsion runs through the log pseudo-determinants of the boundary Gram
 matrices, which give the Laplacian ones.
 """
@@ -16,13 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .groups import FiniteAbelianGroup, GroupElement
-from .smith import smith_normal_form
+from .smith import reduce_chain_complex, smith_normal_form
 from .towers import require_cells
 
 Face = tuple[int, ...]
@@ -191,26 +192,43 @@ class DeltaComplex:
         if not 1 <= q < len(self.faces):
             return entries
         for c, cell in enumerate(self.faces[q]):
-            for i, f in enumerate(cell):
+            sign = 1
+            for f in cell:
                 key = (f, c)
-                entries[key] = entries.get(key, 0) + (-1) ** i
-                if not entries[key]:
+                v = entries.get(key, 0) + sign
+                if v:
+                    entries[key] = v
+                else:
                     del entries[key]
+                sign = -sign
         return entries
 
     def homology(self) -> "HomologySummary":
+        """Betti numbers and torsion by reduction, then elimination.
+
+        The chain complex, augmented by one (-1)-cell under every
+        vertex, is cut down by unit reductions over all degrees at
+        once, so each cell is eliminated once rather than as a column
+        of d_q and again as a row of d_{q+1}.  Smith normal form then
+        runs once per degree on the residue; the augmentation makes
+        the residue's b_0 the reduced one, so 1 is added back.
+        """
         if self.dim < 0:
             return HomologySummary((), ())
-        snf = [
-            smith_normal_form(self.boundary_matrix(q))
-            for q in range(self.dim + 2)
-        ]
-        betti = []
-        torsion = []
-        for q in range(self.dim + 1):
-            betti.append(self.n_cells(q) - snf[q].rank - snf[q + 1].rank)
-            torsion.append(snf[q + 1].torsion)
-        return HomologySummary(tuple(betti), tuple(torsion))
+        sizes = [1, *self.f_vector(), 0]
+        augmentation = {(0, v): 1 for v in range(self.n_cells(0))}
+        boundaries = chain(
+            [{}, augmentation],
+            map(self.boundary_matrix, range(1, self.dim + 2)),
+        )
+        sizes, boundaries = reduce_chain_complex(sizes, boundaries)
+        snf = [smith_normal_form(m) for m in boundaries[1:]]
+        degrees = range(self.dim + 1)
+        betti = tuple(
+            sizes[q + 1] - snf[q].rank - snf[q + 1].rank + (q == 0)
+            for q in degrees
+        )
+        return HomologySummary(betti, tuple(snf[q + 1].torsion for q in degrees))
 
     # -- combinatorial torsion ---------------------------------------
 

@@ -1,18 +1,24 @@
-"""Exact integer matrix routines: Smith normal form, rank, determinant.
+"""Exact integer matrix routines: chain complex reduction, Smith normal
+form, rank, determinant.
 
 Everything here is over the integers with arbitrary precision, so ranks
 and torsion coefficients are exact.  Matrices are sparse: the input is a
-mapping ``(row, col) -> value`` plus a shape.  Pivots are unit entries
-(±1) taken from a shortest row, found through an index of rows by
-length, so picking one costs no pass over the matrix; on the
-incidence-style matrices this package produces nearly every pivot is a
-unit.  Only the residue with no unit entry left is searched with the
-Markowitz scan (smallest absolute value, then least fill).
+mapping ``(row, col) -> value`` plus a shape.
+
+Homology reduces before it eliminates.  ``reduce_chain_complex`` removes
+pairs of cells joined by a ±1 coefficient over all degrees at once, so
+each cell is eliminated once rather than as a column of d_q and again as
+a row of d_{q+1}; Smith normal form then sees only the residue, one
+matrix per degree.  Its pivots are unit entries taken from a shortest
+row, found through an index of rows by length, so picking one costs no
+pass over the matrix.  Only what has no unit entry left is searched with
+the Markowitz scan (smallest absolute value, then least fill).
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -187,6 +193,149 @@ def smith_normal_form(entries: Mapping[tuple[int, int], int]) -> SmithResult:
                 changed = True
     diag.sort()
     return SmithResult(rank=len(diag), invariant_factors=tuple(diag))
+
+
+def reduce_chain_complex(
+    sizes: Sequence[int],
+    boundaries: Iterable[Mapping[tuple[int, int], int]],
+) -> tuple[list[int], list[dict[tuple[int, int], int]]]:
+    """A smaller chain complex with the same integral homology.
+
+    ``sizes[q]`` counts the q-cells and the q-th of ``boundaries``
+    holds d_q, rows indexed by (q-1)-cells and columns by q-cells; the
+    0-th is ignored.  Each is read once, in order, so they may come
+    from a generator.  Returns the residue in the same form,
+    cells renumbered in their old order within each level.
+
+    A cell a with a face b of coefficient ±1 is a reduction pair: a and
+    b go, and every other coface c of b becomes
+    c - <dc, b> <da, b> da, which leaves the homology, torsion included,
+    unchanged (Kaczynski-Mrozek-Slusarek 1998).  Two kinds cost no fill
+    and are drained first from queues: coreductions, where da = ±b
+    (Mrozek-Batko 2009), and free faces, where a is the only coface of
+    b.  When both queues are empty, the levels are swept once from the
+    top down, each in order of boundary length, pairing a cell with its
+    unit face of shortest coboundary and draining the queues after each
+    pair.  What is left is the residue.  Smith normal form is exact on
+    any residue, and on every complex the tests and the benchmark build
+    the residue is as small as the homology allows.
+
+    A circle as one vertex and one loop, and a 2-cell glued to a circle
+    of two edges, which collapses to a point:
+
+    >>> reduce_chain_complex([1, 1], [{}, {}])
+    ([1, 1], [{}, {}])
+    >>> reduce_chain_complex(
+    ...     [2, 2, 1], [{}, {(0, 0): -1, (1, 0): 1, (0, 1): -1, (1, 1): 1},
+    ...                 {(0, 0): 1, (1, 0): -1}])
+    ([1, 0, 0], [{}, {}, {}])
+    """
+    start = [0]
+    for n in sizes:
+        start.append(start[-1] + n)
+    # one int object per cell, shared by every map that names it
+    ids = list(range(start[-1]))
+    bd: list[dict[int, int]] = [{} for _ in ids]
+    # coboundaries are dicts used as ordered sets, which are smaller
+    cobd: list[dict[int, None]] = [{} for _ in ids]
+    for q, entries in enumerate(boundaries):
+        if not q:
+            continue
+        lo, hi = start[q - 1], start[q]
+        for (r, c), v in entries.items():
+            if v:
+                a, b = ids[hi + c], ids[lo + r]
+                bd[a][b] = v
+                cobd[b][a] = None
+        del entries  # freed before the next matrix is built
+    alive = [True] * len(ids)
+    # candidates by length only; the unit coefficient is checked on pop
+    coreducible = deque(a for a, da in enumerate(bd) if len(da) == 1)
+    free = deque(b for b, cb in enumerate(cobd) if len(cb) == 1)
+
+    def pair(a: int, b: int) -> None:
+        da = bd[a]
+        u = da.pop(b)
+        alive[a] = alive[b] = False
+        for c in cobd[b]:
+            if c == a:
+                continue
+            dc = bd[c]
+            k = dc.pop(b) * u
+            for f, v in da.items():
+                old = dc.get(f)
+                if old is None:
+                    dc[f] = -k * v
+                    cobd[f][c] = None
+                elif old == k * v:
+                    del dc[f]
+                    del cobd[f][c]
+                else:
+                    dc[f] = old - k * v
+            if len(dc) == 1:
+                coreducible.append(c)
+        for g in bd[b]:
+            cg = cobd[g]
+            del cg[b]
+            if len(cg) == 1:
+                free.append(g)
+        for f in da:
+            cf = cobd[f]
+            del cf[a]
+            if len(cf) == 1:
+                free.append(f)
+        for c in cobd[a]:
+            dc = bd[c]
+            del dc[a]
+            if len(dc) == 1:
+                coreducible.append(c)
+        # a dead cell has no boundary and no coboundary, so it is never
+        # taken from a queue again
+        for cells in (da, bd[b], cobd[a], cobd[b]):
+            cells.clear()
+
+    def drain() -> None:
+        while coreducible or free:
+            if coreducible:
+                a = coreducible.popleft()
+                da = bd[a]
+                if len(da) == 1:
+                    ((b, v),) = da.items()
+                    if v == 1 or v == -1:
+                        pair(a, b)
+            else:
+                b = free.popleft()
+                if len(cobd[b]) == 1:
+                    (a,) = cobd[b]
+                    v = bd[a][b]
+                    if v == 1 or v == -1:
+                        pair(a, b)
+
+    drain()
+    for q in reversed(range(1, len(sizes))):
+        cells = sorted(
+            (a for a in range(start[q], start[q + 1]) if alive[a]),
+            key=lambda a: len(bd[a]),
+        )
+        for a in cells:
+            if not alive[a]:
+                continue
+            units = [f for f, v in bd[a].items() if v == 1 or v == -1]
+            if units:
+                pair(a, min(units, key=lambda f: len(cobd[f])))
+                drain()
+
+    res_sizes: list[int] = []
+    res_bds: list[dict[tuple[int, int], int]] = []
+    local: dict[int, int] = {}
+    for q in range(len(sizes)):
+        cells = [a for a in range(start[q], start[q + 1]) if alive[a]]
+        local.update(zip(cells, range(len(cells))))
+        res_sizes.append(len(cells))
+        res_bds.append(
+            {(local[f], local[a]): v for a in cells for f, v in bd[a].items()}
+        )
+    return res_sizes, res_bds
 
 
 def integer_rank(entries: Mapping[tuple[int, int], int]) -> int:

@@ -215,6 +215,11 @@ class TestComplexCommands:
         assert run("homology", "--builtin", "torus:3") == 2
         assert run("homology", "--builtin", "lens:2,2") == 2
         assert run("homology") == 2
+        capsys.readouterr()
+        for spec in ("lens:4", "lens:4,4,4"):
+            assert run("homology", "--builtin", spec) == 2
+            err = capsys.readouterr().err
+            assert f"bad builtin {spec!r}: lens needs N,D" in err
 
     @pytest.mark.parametrize(
         "argv",

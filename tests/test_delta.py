@@ -6,10 +6,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from rhoforge import delta
 from rhoforge.delta import (
     DeltaComplex,
     DeltaComplexError,
     FreeAction,
+    HomologySummary,
     barycentric,
     boundary_simplex,
     cone,
@@ -27,7 +29,11 @@ from rhoforge.delta import (
 from rhoforge.groups import FiniteAbelianGroup, cyclic
 from rhoforge.hyperbolize import hyperbolized_sphere
 from rhoforge.lens import LensSpec, lens_complex
-from rhoforge.smith import bareiss_determinant
+from rhoforge.smith import (
+    bareiss_determinant,
+    reduce_chain_complex,
+    smith_normal_form,
+)
 from rhoforge.towers import ResourceCapError
 
 
@@ -574,3 +580,127 @@ class TestLaplacianTorsion:
         K = lens_complex(LensSpec(4, 4))
         with pytest.raises(OverflowError):
             [K.laplacian_pseudodet(q) for q in range(K.dim + 1)]
+
+
+def snf_homology(K):
+    """homology() as it was before reductions, kept as the oracle: one
+    Smith normal form per full boundary matrix."""
+    if K.dim < 0:
+        return HomologySummary((), ())
+    snf = [smith_normal_form(K.boundary_matrix(q)) for q in range(K.dim + 2)]
+    degrees = range(K.dim + 1)
+    return HomologySummary(
+        tuple(K.n_cells(q) - snf[q].rank - snf[q + 1].rank for q in degrees),
+        tuple(snf[q + 1].torsion for q in degrees),
+    )
+
+
+def rp2():
+    """RP^2 as two triangles: d t0 = 2 e0 - e1, and t1 = (e1, e2, e2),
+    whose repeated faces cancel to d t1 = e1."""
+    return DeltaComplex(2, [[(0, 0), (0, 0), (0, 1)], [(0, 1, 0), (1, 2, 2)]])
+
+
+# Complexes on which homology() is checked against the per-degree SNF
+# oracle: every builder, lens spaces, hyperbolized spheres and the edge
+# cases of the reduction.
+HOMOLOGY_ZOO = {
+    "ngon:1": lambda: ngon(1),
+    "ngon:2": lambda: ngon(2),
+    "ngon:6": lambda: ngon(6),
+    "simplex:0": lambda: simplex(0),
+    "simplex:3": lambda: simplex(3),
+    "boundary-simplex:0": lambda: boundary_simplex(0),
+    "boundary-simplex:1": lambda: boundary_simplex(1),
+    "boundary-simplex:4": lambda: boundary_simplex(4),
+    "prism-ngon:4": lambda: prism(ngon(4)),
+    "prism-boundary-simplex:3": lambda: prism(boundary_simplex(3)),
+    "barycentric-simplex:3": lambda: barycentric(simplex(3)),
+    "barycentric-ngon:3": lambda: barycentric(ngon(3)),
+    "cone-ngon:5": lambda: cone(ngon(5)),
+    "cone-boundary-simplex:3": lambda: cone(boundary_simplex(3)),
+    "join-ngon:3-ngon:3": lambda: join(ngon(3), ngon(3)),
+    "join-ngon:4-simplex:2": lambda: join(ngon(4), simplex(2)),
+    "join-point-ngon:2": lambda: join(point(), ngon(2)),
+    "lens:3,2": lambda: lens_complex(LensSpec(3, 2)),
+    "lens:6,2": lambda: lens_complex(LensSpec(6, 2)),
+    "lens:3,3": lambda: lens_complex(LensSpec(3, 3)),
+    "lens:8,3": lambda: lens_complex(LensSpec(8, 3)),
+    "lens:4,4": lambda: lens_complex(LensSpec(4, 4)),
+    "Y1": lambda: hyperbolized_sphere(1).complex,
+    "Y2": lambda: hyperbolized_sphere(2).complex,
+    "Y2-relabeled": lambda: shuffled(
+        hyperbolized_sphere(2).complex, random.Random(2)
+    ),
+    "vertices:1": lambda: DeltaComplex(1),
+    "vertices:4": lambda: DeltaComplex(4),
+    "dunce-cap": lambda: DeltaComplex(1, [[(0, 0)], [(0, 0, 0)]]),
+    "rp2": rp2,
+}
+
+
+class TestHomologyByReduction:
+    @pytest.mark.parametrize("name", HOMOLOGY_ZOO)
+    def test_matches_per_degree_snf(self, name):
+        K = HOMOLOGY_ZOO[name]()
+        assert K.homology() == snf_homology(K)
+
+    @pytest.mark.parametrize(
+        "name, betti, torsion",
+        [
+            ("boundary-simplex:0", (), ()),
+            ("vertices:4", (4,), ((),)),
+            ("ngon:1", (1, 1), ((), ())),
+            ("dunce-cap", (1, 0, 0), ((), (), ())),
+            ("rp2", (1, 0, 0), ((), (2,), ())),
+        ],
+    )
+    def test_edge_cases(self, name, betti, torsion):
+        H = HOMOLOGY_ZOO[name]().homology()
+        assert (H.betti, H.torsion) == (betti, torsion)
+
+    def test_non_unit_pair_is_skipped(self):
+        K = rp2()
+        sizes, boundaries = reduce_chain_complex(
+            [*K.f_vector()], [{}, K.boundary_matrix(1), K.boundary_matrix(2)]
+        )
+        # t1 and e1, then e2 and a vertex, go; 2 e0 stays for the SNF
+        assert sizes == [1, 1, 1]
+        assert boundaries == [{}, {}, {(0, 0): 2}]
+
+    def test_smith_sees_one_small_residue_per_degree(self, monkeypatch):
+        K = lens_complex(LensSpec(8, 3))
+        seen = []
+
+        def record(entries):
+            seen.append(dict(entries))
+            return smith_normal_form(entries)
+
+        monkeypatch.setattr(delta, "smith_normal_form", record)
+        H = K.homology()
+        assert len(seen) == K.dim + 2
+        assert all(len({c for _, c in m}) <= 1 for m in seen)
+        assert H == snf_homology(K)
+
+    def test_matches_oracle_on_drawn_relabelings(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        bases = {
+            name: HOMOLOGY_ZOO[name]()
+            for name in ("prism-ngon:4", "lens:3,3", "rp2", "dunce-cap",
+                         "join-ngon:3-ngon:3", "cone-ngon:5")
+        }
+        expected = {name: snf_homology(K) for name, K in bases.items()}
+
+        @hypothesis.settings(max_examples=40, deadline=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            name = data.draw(st.sampled_from(sorted(bases)))
+            K = bases[name]
+            perms = [
+                data.draw(st.permutations(range(K.n_cells(q))))
+                for q in range(K.dim + 1)
+            ]
+            assert K.relabeled(perms).homology() == expected[name]
+
+        check()
