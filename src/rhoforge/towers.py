@@ -10,6 +10,14 @@ the group order is the identity.  The covering steps pass plain cell and
 gluing lists along, so a tower builds and validates one polytope, at the
 end, and endows it once; that labeling travels with the tower.
 
+A bounding chain needs only the tower's labeled cells, and those follow
+from P itself: under the identity endowment every copy of the tower is P
+labeled by one translation, the product of the pairs' crossing
+holonomies raised to the copy's coordinates.  ``tower_labeled_cells``
+gives that chain as P's labeled cells once per distinct translation,
+each sign scaled by how many copies share it, so the bounding path never
+builds the tower.
+
 The cylinder turns a labeled signed cell into a degree n+1 prism chain
 joining it to its fully degenerate shadow.  It is linear, so the signs of
 equal labeled cells are summed first and each distinct one is taken once.
@@ -144,9 +152,13 @@ def covering(
     return ColoredPolytope(P.group, P.degree, cells, gluings)
 
 
-def _pair_sort_key(P: ColoredPolytope, pair: tuple[FaceRef, FaceRef]):
-    plus, _ = pair
-    return (tuple(e.residues for e in P.face_gen(*plus)), pair)
+def _canonical_pairs(P: ColoredPolytope) -> tuple[tuple[FaceRef, FaceRef], ...]:
+    """P's boundary pairs sorted by plus-face generator, then reference."""
+
+    def key(pair: tuple[FaceRef, FaceRef]):
+        return (tuple(e.residues for e in P.face_gen(*pair[0])), pair)
+
+    return tuple(sorted(P.boundary_pairs(), key=key))
 
 
 @dataclass(frozen=True)
@@ -169,18 +181,21 @@ class Tower:
     labeling: VertexLabeling
 
 
+def _face_labels(
+    Q: ColoredPolytope, labeling: VertexLabeling, ref: FaceRef
+) -> list[GroupElement]:
+    """Labels of a face's n vertices: the cell's, skipping vertex ref[1]."""
+    cell, i = ref
+    return [
+        labeling.labels[Q.vertex_class(cell, j if j < i else j + 1)]
+        for j in range(Q.degree)
+    ]
+
+
 def _pair_labels_agree(
     Q: ColoredPolytope, labeling: VertexLabeling, plus: FaceRef, minus: FaceRef
 ) -> bool:
-    n = Q.degree
-    for j in range(n):
-        vp = j if j < plus[1] else j + 1
-        vm = j if j < minus[1] else j + 1
-        lp = labeling.labels[Q.vertex_class(plus[0], vp)]
-        lm = labeling.labels[Q.vertex_class(minus[0], vm)]
-        if lp != lm:
-            return False
-    return True
+    return _face_labels(Q, labeling, plus) == _face_labels(Q, labeling, minus)
 
 
 def tower(
@@ -197,10 +212,10 @@ def tower(
     group, so every dangling pair of the result carries equal vertex
     labels under that endowment; that is verified, and a mismatch raises
     ColoringError.  With no pairs the result is P itself, endowed.
+    ``bounding_chain`` does not build towers; it takes the same labeled
+    chain from ``tower_labeled_cells``.
     """
-    if pairs is None:
-        pairs = sorted(P.boundary_pairs(), key=lambda pr: _pair_sort_key(P, pr))
-    pairs = tuple(pairs)
+    pairs = _canonical_pairs(P) if pairs is None else tuple(pairs)
     e = P.group.identity
     if not pairs:
         return Tower(P, (), P, 1, (), (), P.endow(e))
@@ -229,6 +244,83 @@ def tower(
         dangling=tuple(classes),
         labeling=labeling,
     )
+
+
+def tower_labeled_cells(
+    P: ColoredPolytope,
+) -> tuple[
+    int,
+    tuple[tuple[FaceRef, FaceRef], ...],
+    list[tuple[tuple[GroupElement, ...], int]],
+]:
+    """The labeled chain of ``tower(P)``, from P alone.
+
+    Returns (copies, pairs, cells): the tower's |G|^s copies, its pairs in
+    canonical order, and (vertex labels, signed multiplicity) cells whose
+    sums per label tuple are those of ``polytope_labeled_cells`` over the
+    tower.  P must be connected, as every assembled polytope is.
+
+    P is endowed once with identity base labels L.  Pair r crosses from
+    its plus face to its minus face with holonomy hol_r = L(minus vertex)
+    * L(plus vertex)^-1, the same at every face vertex; the tower's copy
+    (j_1..j_s) is P labeled by t * L with t = hol_1^j_1 ... hol_s^j_s, and
+    hol_r^|G| = e is the dangling-label fact ``tower`` verifies.  Both are
+    checked here, and a failure raises ColoringError.  The multiplicity
+    of t counts its copies, the convolution over the pairs of the powers
+    hol_r^0..hol_r^(|G|-1).  Only the distinct translations are built, and
+    they count against the cell cap as the tower's cells.
+
+    >>> from rhoforge.groups import cyclic
+    >>> from rhoforge.polytopes import octagon_polytope
+    >>> g = cyclic(3).element([1])
+    >>> copies, pairs, cells = tower_labeled_cells(octagon_polytope(g, g, g, g))
+    >>> copies, len(pairs), len(cells)
+    (81, 4, 18)
+    >>> sorted({sign for _, sign in cells})
+    [-27, 27]
+    """
+    if len(P.components) != 1:
+        raise ValueError(
+            f"tower_labeled_cells needs a connected polytope, got "
+            f"{len(P.components)} components"
+        )
+    e, order = P.group.identity, P.group.order
+    pairs = _canonical_pairs(P)
+    labeling = P.endow(e)
+    shifts = {e: 1}
+    for r, (plus, minus) in enumerate(pairs):
+        crossings = {
+            lm * ~lp
+            for lp, lm in zip(
+                _face_labels(P, labeling, plus), _face_labels(P, labeling, minus)
+            )
+        }
+        if len(crossings) != 1:
+            raise ColoringError(
+                f"pair {r} has no single crossing holonomy; coloring bug"
+            )
+        (hol,) = crossings
+        if hol**order != e:
+            raise ColoringError(
+                f"dangling labels of pair {r} disagree; coloring bug"
+            )
+        powers = [hol**j for j in range(order)]
+        convolved: dict[GroupElement, int] = {}
+        for t, count in shifts.items():
+            for h in powers:
+                k = t * h
+                convolved[k] = convolved.get(k, 0) + count
+        shifts = convolved
+    require_cells(len(shifts) * len(P.cells), "tower")
+    base = [
+        (labeling.cell_labels(c), cell.sign) for c, cell in enumerate(P.cells)
+    ]
+    cells = [
+        (tuple(t * label for label in labels), sign * count)
+        for t, count in shifts.items()
+        for labels, sign in base
+    ]
+    return order ** len(pairs), pairs, cells
 
 
 # -- simplicial cylinders ---------------------------------------------
@@ -392,13 +484,15 @@ def lemma_bound(n: int, group: Union[FiniteAbelianGroup, int], c_size: int) -> i
 def bounding_chain(C: CellsInput) -> BoundingResult:
     """Build u with d(u) = N * (C - E) by towers and cylinders.
 
-    Pipeline: assemble the cycle's cells into polytopes; tower each over
-    all its boundary pairs, which builds one polytope per tower and its
-    identity endowment; take the cylinder of every tower's labeled cells,
-    equal labeled cells summed first; rescale per-polytope cylinders to
-    the common multiplicity N = |G|^(max pair count) and sum.  The
-    boundary identity is verified by exact chain arithmetic before
-    returning (the ``verified`` property re-runs it).
+    Pipeline: assemble the cycle's cells into polytopes; take each one's
+    tower labeled chain from copy translations (``tower_labeled_cells``,
+    which builds no tower: one endowment of the polytope, and its labeled
+    cells once per distinct translation, counted against the cell cap);
+    take the cylinder of each labeled chain, equal labeled cells summed
+    first; rescale per-polytope cylinders to the common multiplicity
+    N = lcm of the tower copy counts and sum.  The boundary identity is
+    verified by exact chain arithmetic before returning (the ``verified``
+    property re-runs it).
     """
     group, degree, cells = as_cells(C)
     if degree < 1:
@@ -428,22 +522,22 @@ def bounding_chain(C: CellsInput) -> BoundingResult:
         )
 
     polys = assemble_polytopes(cells)
-    towers = [tower(P) for P in polys]
-    multiplicity = math.lcm(*(t.copies for t in towers))
+    chains = [tower_labeled_cells(P) for P in polys]
+    multiplicity = math.lcm(*(copies for copies, _, _ in chains))
     terms: list[tuple[Gen, int]] = []
-    for t in towers:
-        cyl = cylinder(polytope_labeled_cells(t.result, t.labeling))
-        scale = multiplicity // t.copies
+    for copies, _, labeled in chains:
+        cyl = cylinder(labeled)
+        scale = multiplicity // copies
         terms.extend((gen, scale * coef) for gen, coef in cyl.chain.terms.items())
     u = BarChain.from_terms(group, degree + 1, terms)
     reports = [
         PolytopeReport(
-            cells=len(t.base.cells),
-            pair_count=len(t.pair_sequence),
-            copies=t.copies,
-            heights=t.heights,
+            cells=len(P.cells),
+            pair_count=len(pairs),
+            copies=copies,
+            heights=(group.order,) * len(pairs),
         )
-        for t in towers
+        for P, (copies, pairs, _) in zip(polys, chains)
     ]
     result = BoundingResult(
         u=u,

@@ -57,6 +57,20 @@ class TestBoundChain:
             "complexity-bound": "pass",
         }
 
+    @pytest.mark.parametrize(
+        "group, multiplicity, complexity",
+        [("3,3", 6561, 17496), ("2,2,2", 4096, 8192), ("7", 2401, 8232)],
+    )
+    def test_octagon_over_larger_groups(
+        self, capsys, group, multiplicity, complexity
+    ):
+        # towers of 39,366, 24,576 and 14,406 cells, none of them built
+        assert run("bound-chain", "--group", group, "--octagon") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "pass"
+        assert report["bounding"]["multiplicity"] == multiplicity
+        assert report["bounding"]["complexity"] == complexity
+
     def test_cycle_file_mod3(self, tmp_path):
         G = FiniteAbelianGroup([3])
         g = G.element([1])
@@ -610,6 +624,21 @@ class TestCellCap:
         assert capsys.readouterr().err == (
             "rhoforge: resource cap exceeded: hyperbolized X3 stage needs "
             "4476 cells, cap is 1000\n"
+        )
+
+    def test_bound_chain_up_to_its_labeled_cells(self, monkeypatch, capsys):
+        # three distinct copy translations of the octagon's 6 cells over Z/3
+        cells = 18
+        monkeypatch.setenv("RHOFORGE_CELL_CAP", str(cells))
+        argv = ("bound-chain", "--group", "3", "--octagon")
+        assert run(*argv) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("RHOFORGE_CELL_CAP", str(cells - 1))
+        assert run(*argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "rhoforge: resource cap exceeded: tower needs 18 cells, cap is 17\n"
         )
 
     @pytest.mark.parametrize("dim, cells", [(1, 12), (2, 820), (3, 4476)])

@@ -31,6 +31,7 @@ from rhoforge.towers import (
     polytope_labeled_cells,
     thm11_constant,
     tower,
+    tower_labeled_cells,
 )
 
 
@@ -258,19 +259,38 @@ class TestBoundingChain:
             bounding_chain([((g, g), 1)])
 
     def test_each_tower_endowed_once(self, monkeypatch):
-        calls = []
-        endow = ColoredPolytope.endow
+        # the tower's labeled chain comes from the assembled polytope: one
+        # endowment of its 6 cells, and no polytope larger than it is built
+        calls, built = [], []
+        endow, init = ColoredPolytope.endow, ColoredPolytope.__init__
 
         def counted(self, base):
             calls.append(len(self.cells))
             return endow(self, base)
 
+        def recorded(self, group, degree, cells, gluings=()):
+            built.append(len(cells))
+            init(self, group, degree, cells, gluings)
+
         monkeypatch.setattr(ColoredPolytope, "endow", counted)
+        monkeypatch.setattr(ColoredPolytope, "__init__", recorded)
         G = cyclic(3)
         g = G.element([1])
         res = bounding_chain(octagon_cells(g, g, g, g))
-        assert calls == [6 * 3**4]
+        assert calls == [6]
+        assert built and max(built) == 6
         assert len(res.polytopes) == 1
+        assert res.polytopes[0].copies == 3**4
+
+    def test_degree_three_beyond_any_tower(self):
+        # d[g|g|g|g] - d[g|g^2|g|g^3] over Z/4 assembles into one polytope of
+        # 10 cells and 11 pairs; its tower would have 4^11 * 10 cells
+        G = cyclic(4)
+        g = G.element([1])
+        res = bounding_chain(boundary_cells((g, g, g, g), (g, g**2, g, g**3)))
+        assert res.multiplicity == 4**11
+        assert [(p.cells, p.pair_count) for p in res.polytopes] == [(10, 11)]
+        assert res.u.boundary() == res.multiplicity * (res.cycle - res.shadow)
 
     def test_barchain_input(self):
         G = cyclic(2)
@@ -464,6 +484,64 @@ def test_bounding_chain_matches_per_step_pipeline(group, image):
     assert t.dangling == dangling
     assert t.labeling.labels == labels
     assert t.result.gluings == Q.gluings
+
+
+def summed_by_labels(cells):
+    summed = {}
+    for labels, sign in cells:
+        summed[tuple(labels)] = summed.get(tuple(labels), 0) + sign
+    return summed
+
+
+def boundary_cells(*gens):
+    """Explicit cells of the alternating sum of the boundaries of ``gens``."""
+    return [
+        (face, s * (-1) ** k)
+        for k, gen in enumerate(gens)
+        for face, s in gen_boundary(gen)
+    ]
+
+
+def _tower_chain_cases():
+    for group, image in GENERATOR_IMAGES:
+        G = FiniteAbelianGroup([int(m) for m in group.split(",")])
+        g = G.element(image)
+        yield f"octagon {group}:{image}", octagon_cells(g, g, g, g)
+    G = cyclic(3)
+    g = G.element([1])
+    yield "degree 3 Z/3 d[g|g|g|g]", boundary_cells((g, g, g, g))
+    yield "degree 3 Z/3 d[g|g2|g|g3]", boundary_cells((g, g**2, g, g**3))
+    G = cyclic(4)
+    yield "degree 1 Z/4", [((G.element([1]),), 1)]
+
+
+TOWER_CHAIN_CASES = list(_tower_chain_cases())
+
+
+@pytest.mark.parametrize(
+    "cells", [c for _, c in TOWER_CHAIN_CASES], ids=[n for n, _ in TOWER_CHAIN_CASES]
+)
+def test_tower_labeled_cells_match_built_tower(cells):
+    # the copy translations give the built tower's labeled chain, summed
+    # per label tuple, with the same copies and pair order
+    for P in assemble_polytopes(cells):
+        copies, pairs, labeled = tower_labeled_cells(P)
+        t = tower(P)
+        assert copies == t.copies
+        assert pairs == t.pair_sequence
+        assert summed_by_labels(labeled) == summed_by_labels(
+            polytope_labeled_cells(t.result, t.labeling)
+        )
+        assert len(labeled) <= P.group.order * len(P.cells)
+
+
+def test_tower_labeled_cells_need_a_connected_polytope():
+    G = cyclic(3)
+    g = G.element([1])
+    P = ColoredPolytope(G, 2, [ColoredCell((g, g), 1), ColoredCell((g, g), -1)])
+    assert len(P.components) == 2
+    with pytest.raises(ValueError, match="connected"):
+        tower_labeled_cells(P)
 
 
 @pytest.mark.parametrize("count", [1, 2])
