@@ -2,10 +2,12 @@
 
 Cells of dimension q carry q+1 ordered references to (q-1)-cells,
 repeats allowed; the simplicial identities are checked on construction,
-so every complex produced by the builders here (joins, cones, prisms,
-barycentric subdivisions, free quotients) is verified as it is built.
-The subset, join, prism and subdivision builders list their cells as
-keys with a face rule on keys, and ``keyed_complex`` numbers them.
+a level at a time as array comparisons, so every complex produced by
+the builders here (joins, cones, prisms, barycentric subdivisions, free
+quotients) is verified as it is built.  The subset, join and
+subdivision builders list their cells as keys with a face rule on keys,
+and ``keyed_complex`` numbers them; ``prism`` applies its face rule to
+whole blocks of cells by index arithmetic instead.
 Integral homology runs through unit reductions of the whole chain
 complex and Smith normal form of the residue; the combinatorial
 torsion runs through the log pseudo-determinants of the boundary Gram
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, combinations
 from typing import Callable, Mapping, Sequence
 
@@ -31,6 +32,30 @@ Face = tuple[int, ...]
 
 class DeltaComplexError(ValueError):
     pass
+
+
+def _check_level(q: int, cells: Sequence[Face], below: int) -> None:
+    """Each q-cell has q+1 faces, ints in range(below), the (q-1)-cells.
+
+    The level is checked as a whole; only when it fails are its cells
+    scanned in order, for the first bad one to name.
+    """
+    flat = list(chain.from_iterable(cells))
+    if (
+        set(map(len, cells)) <= {q + 1}
+        and set(map(type, flat)) <= {int}
+        and (not flat or 0 <= min(flat) and max(flat) < below)
+    ):
+        return
+    for c, cell in enumerate(cells):
+        if len(cell) != q + 1:
+            raise DeltaComplexError(
+                f"{q}-cell {c} has {len(cell)} faces, wants {q + 1}"
+            )
+        if any(type(f) is not int or not 0 <= f < below for f in cell):
+            raise DeltaComplexError(
+                f"{q}-cell {c} faces {cell!r} are not {q - 1}-cells"
+            )
 
 
 class DeltaComplex:
@@ -53,21 +78,12 @@ class DeltaComplex:
     ):
         if type(vertices) is not int or vertices < 0:
             raise DeltaComplexError(f"vertex count {vertices!r} is not an int >= 0")
-        require_cells(vertices + sum(map(len, faces)), "Delta-complex")
+        levels = list(faces)  # read once: ``faces`` may be an iterator
+        require_cells(vertices + sum(map(len, levels)), "Delta-complex")
         built: list[tuple[Face, ...]] = [tuple(() for _ in range(vertices))]
-        for q_minus_1, level in enumerate(faces):
-            q = q_minus_1 + 1
+        for q, level in enumerate(levels, 1):
             cells = tuple(map(tuple, level))
-            for c, cell in enumerate(cells):
-                if len(cell) != q + 1:
-                    raise DeltaComplexError(
-                        f"{q}-cell {c} has {len(cell)} faces, wants {q + 1}"
-                    )
-                below = len(built[q - 1])
-                if any(type(f) is not int or not 0 <= f < below for f in cell):
-                    raise DeltaComplexError(
-                        f"{q}-cell {c} faces {cell!r} are not {q - 1}-cells"
-                    )
+            _check_level(q, cells, len(built[q - 1]))
             built.append(cells)
         while len(built) > 1 and not built[-1]:
             built.pop()
@@ -91,17 +107,24 @@ class DeltaComplex:
         self._log_pdets: dict[int, float] = {}
 
     def _check_simplicial(self) -> None:
-        # d_i d_j = d_{j-1} d_i for i < j
-        for q in range(2, len(self.faces)):
-            lower = self.faces[q - 1]
-            for c, cell in enumerate(self.faces[q]):
-                for j in range(1, q + 1):
-                    for i in range(j):
-                        if lower[cell[j]][i] != lower[cell[i]][j - 1]:
-                            raise DeltaComplexError(
-                                f"simplicial identity fails at {q}-cell {c}, "
-                                f"faces ({i}, {j})"
-                            )
+        """d_i d_j = d_{j-1} d_i for i < j, one array comparison a level.
+
+        Pairs run j-major, as a per-cell loop over j then i would meet
+        them, so the first failing cell and pair are the ones named.
+        """
+        lower = None
+        for q, level in enumerate(self.faces[1:], 1):
+            cells = np.array(level, dtype=np.int64).reshape(-1, q + 1)
+            if q > 1:
+                j, i = np.array([(j, i) for j in range(1, q + 1) for i in range(j)]).T
+                bad = lower[cells[:, j], i] != lower[cells[:, i], j - 1]
+                if bad.any():
+                    c, pair = divmod(int(bad.argmax()), len(j))
+                    raise DeltaComplexError(
+                        f"simplicial identity fails at {q}-cell {c}, "
+                        f"faces ({i[pair]}, {j[pair]})"
+                    )
+            lower = cells
 
     # -- bookkeeping --------------------------------------------------
 
@@ -492,20 +515,25 @@ def _prism_chains(q: int) -> tuple[list[Chain], list[Chain]]:
     return flat, doubled
 
 
-def _chain_face(K: DeltaComplex, d: int, cell, i: int):
-    """Face i of the prism d-cell ``(q, c, chain)`` over the q-cell c:
-    drop chain vertex i, and re-anchor at a face of c when first-coord
-    coverage is lost."""
-    q, c, chain = cell
+def _chain_face(chain: Chain, i: int) -> tuple[int | None, Chain]:
+    """Face i of a prism cell over a q-cell c, by its chain alone.
+
+    Chain vertex i is dropped.  If the rest still covers first
+    coordinate k = chain[i][0], the face lies over c itself and
+    ``(None, rest)`` comes back; else it lies over face k of c, and
+    ``(k, rest)`` comes back with first coordinates above k moved down.
+    Over an edge:
+
+    >>> _chain_face(((0, 0), (0, 1), (1, 1)), 0)
+    (None, ((0, 1), (1, 1)))
+    >>> _chain_face(((0, 0), (0, 1), (1, 1)), 2)
+    (1, ((0, 0), (0, 1)))
+    """
     k = chain[i][0]
-    covered = (i > 0 and chain[i - 1][0] == k) or (
-        i + 1 < len(chain) and chain[i + 1][0] == k
-    )
     rest = chain[:i] + chain[i + 1 :]
-    if covered:
-        return q, c, rest
-    shifted = tuple((a - 1 if a > k else a, l) for a, l in rest)
-    return q - 1, K.faces[q][c][k], shifted
+    if any(a == k for a, _ in rest):
+        return None, rest
+    return k, tuple((a - 1 if a > k else a, l) for a, l in rest)
 
 
 def prism(K: DeltaComplex, what: str = "prism") -> DeltaComplex:
@@ -513,34 +541,56 @@ def prism(K: DeltaComplex, what: str = "prism") -> DeltaComplex:
 
     Each q-cell contributes q+2 cells of dimension q (the nondecreasing
     level graphs, the all-0 and all-1 ones forming the two copies of K)
-    and q+1 cells of dimension q+1.  ``what`` names the result in a
-    cell-cap error.
+    and q+1 cells of dimension q+1.  Level p lists the doubled chains of
+    the (p-1)-cells, then the flat chains of the p-cells, each block
+    cell-major in the order of ``_prism_chains``; every cell is tagged
+    ``("prism", q, c, chain)``.  ``_chain_face`` runs once per chain and
+    face, which gives a table of "chain t' over the same cell" or "chain
+    t' over face k of the cell"; the table is applied to all cells of a
+    block at once, as offset + cell * stride + t'.  The prism of an
+    edge, whose vertices 0..3 are (vertex 0, level 0), (vertex 0, level
+    1), (vertex 1, level 0) and (vertex 1, level 1):
+
+    >>> P = prism(simplex(1))
+    >>> P.faces[1]  # over vertex 0, over vertex 1; bottom, diagonal, top
+    ((1, 0), (3, 2), (2, 0), (3, 0), (3, 1))
+    >>> P.faces[2]  # (top, diagonal, over 0), (over 1, diagonal, bottom)
+    ((4, 3, 0), (1, 3, 2))
+
+    ``what`` names the result in a cell-cap error, raised before
+    anything is built.
     """
-    levels: list[list[tuple[int, int, Chain]]] = [
-        [] for _ in range(K.dim + 2)
-    ]
-    for q in range(K.dim + 1):
-        flat, doubled = _prism_chains(q)
-        for c in range(K.n_cells(q)):
-            levels[q].extend((q, c, chain) for chain in flat)
-            levels[q + 1].extend((q, c, chain) for chain in doubled)
-    tags = [
-        [("prism", q, c, chain) for q, c, chain in level]
-        for level in levels
-    ]
-    return keyed_complex(levels, partial(_chain_face, K), tags, what)
+    n = [K.n_cells(q) for q in range(K.dim + 1)]
+    require_cells(sum(m * (2 * q + 3) for q, m in enumerate(n)), what)
+    chains = [_prism_chains(q) for q in range(K.dim + 1)]
 
+    def position(q: int, chain: Chain) -> tuple[int, int, int]:
+        """(offset, stride, t): cell (q, c, chain) is offset + c * stride
+        + t in its level."""
+        flat, doubled = chains[q]
+        if len(chain) == q + 1:
+            return n[q - 1] * q if q else 0, q + 2, flat.index(chain)
+        return 0, q + 1, doubled.index(chain)
 
-def prism_end(P: DeltaComplex, K: DeltaComplex, level: int) -> list[list[int]]:
-    """Cell indices of the bottom (level 0) or top (level 1) copy of K."""
-    out = []
+    blocks: list[list[np.ndarray]] = [[] for _ in range(K.dim + 2)]
+    tags: list[list] = [[] for _ in range(K.dim + 2)]
     for q in range(K.dim + 1):
-        chain = tuple((i, level) for i in range(q + 1))
-        table = P.index_by_tag(q)
-        out.append(
-            [table[("prism", q, c, chain)] for c in range(K.n_cells(q))]
-        )
-    return out
+        cells = np.arange(n[q])
+        below = np.array(K.faces[q], dtype=np.int64)
+        for p, block in zip((q, q + 1), chains[q]):
+            tags[p].extend(("prism", q, c, ch) for c in range(n[q]) for ch in block)
+            if p == 0:
+                continue
+            out = np.empty((n[q], len(block), p + 1), dtype=np.int64)
+            for t, chain in enumerate(block):
+                for i in range(p + 1):
+                    k, rest = _chain_face(chain, i)
+                    over = cells if k is None else below[:, k]
+                    offset, stride, t2 = position(q if k is None else q - 1, rest)
+                    out[:, t, i] = offset + over * stride + t2
+            blocks[p].append(out.reshape(-1, p + 1))
+    faces = [np.concatenate(level).tolist() for level in blocks[1:]]
+    return DeltaComplex(len(tags[0]), faces, tags)
 
 
 # -- barycentric subdivision ------------------------------------------

@@ -112,12 +112,6 @@ class ComplexOverSimplex:
     def carrier(self, q: int, c: int) -> frozenset:
         return self.carriers[q][c]
 
-    def top_cells_onto_target(self) -> int:
-        """Cells of top dimension carried by the whole target simplex."""
-        q = self.complex.dim
-        full = frozenset(range(self.target_dim + 1))
-        return sum(1 for S in self.carriers[q] if S == full)
-
 
 def colored_over(K: DeltaComplex, colors) -> ComplexOverSimplex:
     """Structure map from explicit vertex colors; carriers are derived."""

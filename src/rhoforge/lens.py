@@ -19,7 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .delta import DeltaComplex, keyed_complex
+import numpy as np
+
+from .delta import DeltaComplex
 from .towers import require_cells
 
 
@@ -48,51 +50,68 @@ class LensSpec:
 def lens_complex(spec: LensSpec) -> DeltaComplex:
     """Quotient of the join of d N-gons by the diagonal rotation.
 
-    A cell is keyed by its orbit representative: per polygon -1
-    (absent), 0 (vertex k) or 1 (edge k -> k+1), then the indices k of
-    the present polygons, the first one 0.  Each dimension is numbered
-    by ``(dims[::-1], indices)``, as the quotient of the iterated join
+    A cell is keyed, and tagged, by its orbit representative: per
+    polygon -1 (absent), 0 (vertex k) or 1 (edge k -> k+1), the
+    ``dims`` pattern, then the indices k of the present polygons, the
+    first one 0.  Each dimension is numbered by ``(dims[::-1],
+    indices)``, as the quotient of the iterated join
     ``join(...join(P, P)..., P)`` keeping each orbit's smallest member
-    is.  Face i drops vertex i of the concatenated vertex list (edge k
-    keeps k+1 at position 0, k at position 1) and rotates the first
-    index back to 0.  The ``lens_count`` total, ((2N+1)^d - 1) / N, is
-    checked against the cell cap first.  Requires N >= 3; the
-    construction is stated for rotations acting freely on a polygon with
-    at least three sides.
+    is: a pattern's p present polygons take a block of N^(p-1) cells,
+    the indices after the first read as a mixed-radix number in base N.
+    Face i drops vertex i of the concatenated vertex list (edge k keeps
+    k+1 at position 0, k at position 1) and rotates the first index back
+    to 0.  That rule is applied to a pattern's whole grid of indices at
+    once, and the result read back as block offset plus mixed-radix
+    position.  The ``lens_count`` total, ((2N+1)^d - 1) / N, is checked
+    against the cell cap first.  Requires N >= 3; the construction is
+    stated for rotations acting freely on a polygon with at least three
+    sides.
     """
     n, d = spec.n, spec.d
     require_cells(lens_count(spec).total, f"lens complex ({n}, {d})")
     levels: list[list] = [[] for _ in range(2 * d)]
+    patterns: list[list[tuple[int, ...]]] = [[] for _ in range(2 * d)]
+    offset: dict[tuple[int, ...], int] = {}
     # rev = dims[::-1] runs in lex order, so each level comes out sorted
     for rev in product((-1, 0, 1), repeat=d):
         present = d - rev.count(-1)
         if present:
             dims = rev[::-1]
-            levels[sum(dims) + d - 1].extend(
+            q = sum(dims) + d - 1
+            patterns[q].append(dims)
+            offset[dims] = len(levels[q])
+            levels[q].extend(
                 (dims, (0,) + rest)
                 for rest in product(range(n), repeat=present - 1)
             )
-
-    def face(q: int, key, i: int):
-        dims, idx = key
-        j = 0  # find polygon t holding vertex i, and its slot j in idx
-        for t, dt in enumerate(dims):
-            if dt < 0:
-                continue
-            if i <= dt:
-                break
-            i -= dt + 1
-            j += 1
-        if dt == 0:
-            idx = idx[:j] + idx[j + 1 :]
-        else:
-            idx = idx[:j] + ((idx[j] + 1 - i) % n,) + idx[j + 1 :]
-        first = idx[0]
-        if first:
-            idx = tuple((k - first) % n for k in idx)
-        return dims[:t] + (dt - 1,) + dims[t + 1 :], idx
-
-    return keyed_complex(levels, face, levels)
+    faces = []
+    for q in range(1, 2 * d):
+        out = np.empty((len(levels[q]), q + 1), dtype=np.int64)
+        for dims in patterns[q]:
+            slots = [t for t, dt in enumerate(dims) if dt >= 0]
+            p = len(slots)
+            grid = np.indices((1,) + (n,) * (p - 1)).reshape(p, -1).T
+            # per face: the step on slot j, the slot that becomes first,
+            # the mixed-radix weights of the slots left, the block offset
+            step, first, weights, base = [], [], [], []
+            for j, t in enumerate(slots):
+                kept = [s for s in range(p) if s != j or dims[t]]
+                w = [0] * p
+                for r, s in enumerate(reversed(kept[1:])):
+                    w[s] = n**r
+                face = offset[dims[:t] + (dims[t] - 1,) + dims[t + 1 :]]
+                for v in range(dims[t] + 1):
+                    step.append([1 - v if s == j and dims[t] else 0 for s in range(p)])
+                    first.append(kept[0])
+                    weights.append(w)
+                    base.append(face)
+            idx = grid + np.array(step)[:, None, :]
+            idx -= idx[np.arange(len(first)), :, first][:, :, None]
+            idx %= n
+            rows = slice(offset[dims], offset[dims] + len(grid))
+            out[rows] = np.einsum("fmp,fp->mf", idx, np.array(weights)) + base
+        faces.append(out.tolist())
+    return DeltaComplex(len(levels[0]), faces, levels)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 """Exact integer matrix routines: chain complex reduction, Smith normal
-form, rank, determinant.
+form (with the rank), determinant.
 
 Everything here is over the integers with arbitrary precision, so ranks
 and torsion coefficients are exact.  Matrices are sparse: the input is a
@@ -338,10 +338,6 @@ def reduce_chain_complex(
     return res_sizes, res_bds
 
 
-def integer_rank(entries: Mapping[tuple[int, int], int]) -> int:
-    return smith_normal_form(entries).rank
-
-
 def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix, fraction free.
 
@@ -373,15 +369,3 @@ def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def matrix_entries(
-    dense: Sequence[Sequence[int]],
-) -> dict[tuple[int, int], int]:
-    """Convert a dense row-major matrix to the sparse mapping form."""
-    out = {}
-    for i, row in enumerate(dense):
-        for j, v in enumerate(row):
-            if v:
-                out[(i, j)] = int(v)
-    return out

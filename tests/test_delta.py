@@ -1,7 +1,7 @@
 import hashlib
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -22,12 +22,11 @@ from rhoforge.delta import (
     orbit_action,
     point,
     prism,
-    prism_end,
     quotient,
     simplex,
 )
 from rhoforge.groups import FiniteAbelianGroup, cyclic
-from rhoforge.hyperbolize import hyperbolized_sphere
+from rhoforge.hyperbolize import hyperbolized_simplex, hyperbolized_sphere
 from rhoforge.lens import LensSpec, lens_complex
 from rhoforge.smith import (
     bareiss_determinant,
@@ -106,6 +105,18 @@ def reference_lens(n, d):
     member of each orbit."""
     K, perms = joined_polygons(n, d)
     return quotient(K, orbit_action(cyclic(n), perms))
+
+
+def prism_end(P, K, level):
+    """Cell indices of the bottom (level 0) or top (level 1) copy of K."""
+    out = []
+    for q in range(K.dim + 1):
+        chain = tuple((i, level) for i in range(q + 1))
+        table = P.index_by_tag(q)
+        out.append(
+            [table[("prism", q, c, chain)] for c in range(K.n_cells(q))]
+        )
+    return out
 
 
 def digest(*parts):
@@ -704,3 +715,220 @@ class TestHomologyByReduction:
             assert K.relabeled(perms).homology() == expected[name]
 
         check()
+
+
+# -- whole-level construction against the per-cell rules -----------------
+
+
+def per_cell_complex(vertices, faces, tags=None):
+    """The former DeltaComplex constructor checks, kept as an oracle: one
+    cell at a time for lengths and ranges, then the simplicial identity
+    cell by cell and pair by pair.  Returns the faces or raises."""
+    built = [tuple(() for _ in range(vertices))]
+    for q_minus_1, level in enumerate(faces):
+        q = q_minus_1 + 1
+        cells = tuple(map(tuple, level))
+        for c, cell in enumerate(cells):
+            if len(cell) != q + 1:
+                raise DeltaComplexError(
+                    f"{q}-cell {c} has {len(cell)} faces, wants {q + 1}"
+                )
+            below = len(built[q - 1])
+            if any(type(f) is not int or not 0 <= f < below for f in cell):
+                raise DeltaComplexError(
+                    f"{q}-cell {c} faces {cell!r} are not {q - 1}-cells"
+                )
+        built.append(cells)
+    while len(built) > 1 and not built[-1]:
+        built.pop()
+    if tags is not None:
+        norm = [tuple(level) for level in tags]
+        while len(norm) < len(built):
+            norm.append(tuple(None for _ in built[len(norm)]))
+        if any(len(norm[q]) != len(built[q]) for q in range(len(built))):
+            raise DeltaComplexError("tag shape does not match cells")
+    for q in range(2, len(built)):
+        lower = built[q - 1]
+        for c, cell in enumerate(built[q]):
+            for j in range(1, q + 1):
+                for i in range(j):
+                    if lower[cell[j]][i] != lower[cell[i]][j - 1]:
+                        raise DeltaComplexError(
+                            f"simplicial identity fails at {q}-cell {c}, "
+                            f"faces ({i}, {j})"
+                        )
+    return tuple(built)
+
+
+def outcome(build, *args):
+    try:
+        return "ok", build(*args)
+    except DeltaComplexError as exc:
+        return "error", str(exc)
+
+
+def same_outcome(vertices, faces, tags=None):
+    want = outcome(per_cell_complex, vertices, faces, tags)
+    got = outcome(lambda *a: DeltaComplex(*a).faces, vertices, faces, tags)
+    assert got == want
+    return got
+
+
+def planted(K, rng, count):
+    """K's face lists with ``count`` cells of dimension >= 2 given a
+    random in-range face list, at seeded random cells."""
+    faces = [list(level) for level in K.faces[1:]]
+    for _ in range(count):
+        q = rng.randrange(2, K.dim + 1)
+        c = rng.randrange(K.n_cells(q))
+        below = K.n_cells(q - 1)
+        faces[q - 1][c] = tuple(rng.randrange(below) for _ in range(q + 1))
+    return faces
+
+
+def per_cell_prism(K):
+    """The former prism: every (cell, face) through a key face rule."""
+
+    def chain_face(d, cell, i):
+        q, c, chain = cell
+        k = chain[i][0]
+        covered = (i > 0 and chain[i - 1][0] == k) or (
+            i + 1 < len(chain) and chain[i + 1][0] == k
+        )
+        rest = chain[:i] + chain[i + 1 :]
+        if covered:
+            return q, c, rest
+        shifted = tuple((a - 1 if a > k else a, l) for a, l in rest)
+        return q - 1, K.faces[q][c][k], shifted
+
+    levels = [[] for _ in range(K.dim + 2)]
+    for q in range(K.dim + 1):
+        flat, doubled = delta._prism_chains(q)
+        for c in range(K.n_cells(q)):
+            levels[q].extend((q, c, chain) for chain in flat)
+            levels[q + 1].extend((q, c, chain) for chain in doubled)
+    tags = [[("prism", q, c, chain) for q, c, chain in level] for level in levels]
+    return keyed_complex(levels, chain_face, tags, "prism")
+
+
+def per_cell_lens(n, d):
+    """The former lens_complex: every (cell, face) through a key face rule."""
+    levels = [[] for _ in range(2 * d)]
+    for rev in product((-1, 0, 1), repeat=d):
+        present = d - rev.count(-1)
+        if present:
+            dims = rev[::-1]
+            levels[sum(dims) + d - 1].extend(
+                (dims, (0,) + rest)
+                for rest in product(range(n), repeat=present - 1)
+            )
+
+    def face(q, key, i):
+        dims, idx = key
+        j = 0
+        for t, dt in enumerate(dims):
+            if dt < 0:
+                continue
+            if i <= dt:
+                break
+            i -= dt + 1
+            j += 1
+        if dt == 0:
+            idx = idx[:j] + idx[j + 1 :]
+        else:
+            idx = idx[:j] + ((idx[j] + 1 - i) % n,) + idx[j + 1 :]
+        first = idx[0]
+        if first:
+            idx = tuple((k - first) % n for k in idx)
+        return dims[:t] + (dt - 1,) + dims[t + 1 :], idx
+
+    return keyed_complex(levels, face, levels)
+
+
+class TestLevelChecks:
+    def test_levels_from_a_generator(self):
+        K = DeltaComplex(2, (level for level in [[(1, 0)]]))
+        assert K.f_vector() == (2, 1)
+        assert K.faces == edge_complex().faces
+
+    @pytest.mark.parametrize("vertices, faces", [
+        (2, [[(1, 0, 0)]]),
+        (2, [[(1,)]]),
+        (2, [[(1, 0), ()]]),
+        (3, [[(1, 0), (2, 1)], [(0, 1)]]),
+        (2, [[(True, 0)]]),
+        (2, [[(1, False)]]),
+        (2, [[(1.0, 0)]]),
+        (2, [[(1, np.int64(0))]]),
+        (2, [[(1, 0), (np.int32(1), 0)]]),
+        (2, [[(1, 0), (None, 0)]]),
+        (2, [[(2, 0)]]),
+        (2, [[(1, -1)]]),
+        (2, [[(1, 0), (1, 2**70)]]),
+        (0, [[(0, 0)]]),
+        (3, [[(1, 0), (2, 1), (2, 0)], [(0, 1, 5)]]),
+        (3, [[(1, 0), (2, 1), (2, 0)], [(2, 2, 0)], [(0, 0, 0, 9)]]),
+        (3, [[(1, 0), (2, 1), (2, 0)], [(1, 2, 0)]]),
+        (3, [[(1, 0), (2, 1), (2, 0)], [(1, 2, 0), (1, 2, 0, 3)]]),
+        (3, [[(1, 0), (2, 1), (2, 0)], [(1, 2, 0), (1, 0.5, 0)]]),
+        (2, [[(1, 0)], []]),
+        (1, [[], []]),
+    ])
+    def test_same_verdicts_as_the_per_cell_checks(self, vertices, faces):
+        same_outcome(vertices, faces)
+
+    def test_first_failing_pair_in_loop_order(self):
+        # faces (1, 2) and (0, 3) both fail; a j-major scan meets (1, 2)
+        K = simplex(3)
+        faces = [list(level) for level in K.faces[1:]]
+        faces[2] = [(3, 3, 1, 1)]
+        verdict = same_outcome(4, faces)
+        assert verdict == (
+            "error", "simplicial identity fails at 3-cell 0, faces (1, 2)"
+        )
+
+    def test_tag_shape_is_checked_before_the_identities(self):
+        faces = [[(1, 0), (2, 1), (2, 0)], [(1, 2, 0)]]
+        verdict = same_outcome(3, faces, [[None] * 3, [None] * 2])
+        assert verdict == ("error", "tag shape does not match cells")
+
+    @pytest.mark.parametrize("name", ["X3", "lens:4,4"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_planted_identity_failures(self, name, seed):
+        K = {
+            "X3": lambda: hyperbolized_simplex(3).complex,
+            "lens:4,4": lambda: lens_complex(LensSpec(4, 4)),
+        }[name]()
+        rng = random.Random(seed)
+        verdict = same_outcome(K.n_cells(0), planted(K, rng, 1 + seed % 3))
+        assert verdict[0] == "error"
+        assert verdict[1].startswith("simplicial identity fails at ")
+
+    def test_unplanted_builds_agree(self):
+        K = lens_complex(LensSpec(4, 4))
+        assert same_outcome(K.n_cells(0), K.faces[1:]) == ("ok", K.faces)
+
+
+class TestBuildersAgainstPerCellRules:
+    @pytest.mark.parametrize("name", [
+        "empty", "point", "ngon:1", "Y2", "boundary-simplex:3",
+    ])
+    def test_prism(self, name):
+        K = {
+            "empty": empty_complex,
+            "point": point,
+            "ngon:1": lambda: ngon(1),
+            "Y2": lambda: hyperbolized_sphere(2).complex,
+            "boundary-simplex:3": lambda: boundary_simplex(3),
+        }[name]()
+        got, want = prism(K), per_cell_prism(K)
+        assert (got.faces, got.tags) == (want.faces, want.tags)
+
+    @pytest.mark.parametrize(
+        "n, d",
+        [(n, d) for n in range(3, 9) for d in (1, 2, 3)]
+        + [(4, 4), (3, 5), (20, 2)],
+    )
+    def test_lens(self, n, d):
+        got, want = lens_complex(LensSpec(n, d)), per_cell_lens(n, d)
+        assert (got.faces, got.tags) == (want.faces, want.tags)

@@ -7,12 +7,21 @@ import pytest
 from rhoforge import smith
 from rhoforge.hyperbolize import hyperbolized_simplex
 from rhoforge.lens import LensSpec, lens_complex
-from rhoforge.smith import (
-    bareiss_determinant,
-    integer_rank,
-    matrix_entries,
-    smith_normal_form,
-)
+from rhoforge.smith import bareiss_determinant, smith_normal_form
+
+
+def matrix_entries(dense):
+    """Convert a dense row-major matrix to the sparse mapping form."""
+    out = {}
+    for i, row in enumerate(dense):
+        for j, v in enumerate(row):
+            if v:
+                out[(i, j)] = int(v)
+    return out
+
+
+def integer_rank(entries):
+    return smith_normal_form(entries).rank
 
 
 def cofactor_det(m):
