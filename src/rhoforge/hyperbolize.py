@@ -271,16 +271,17 @@ def _anchor_subset(base: DeltaComplex, sub: DeltaComplex, ref: CellRef):
 
 
 def _prism_structure(
-    Y: ComplexOverSimplex, base: DeltaComplex, what: str
+    Y: ComplexOverSimplex, base: DeltaComplex, sub: DeltaComplex, what: str
 ) -> ComplexOverSimplex:
     """Prism over a sphere stage, over the next simplex up.
 
-    End-layer cells inherit the carrier of the base-complex face their
-    projection is anchored at; every cell touching the interior of the
-    interval is carried by the whole simplex.
+    ``sub`` is the barycentric subdivision of ``base`` that Y was
+    fibered with.  End-layer cells inherit the carrier of the
+    base-complex face their projection is anchored at; every cell
+    touching the interior of the interval is carried by the whole
+    simplex.
     """
     P = prism(Y.complex, what)
-    sub = barycentric(base)
     target = Y.target_dim + 1
     full = frozenset(range(target + 1))
     carriers = []
@@ -308,13 +309,14 @@ def hyperbolized_simplex(n: int) -> Hyperbolization:
     K = over.complex
     for m in range(1, n):
         base = boundary_simplex(m + 1)
-        Y = williams(over, base, f"hyperbolized Y{m} sphere")
+        L = degree_structure(base)
+        Y = fiber_product(over, L, f"hyperbolized Y{m} sphere")
         stage = f"hyperbolized X{m + 1} stage"
         if m + 1 == 3:
             K = prism(Y.complex, stage)
             over = None
         else:
-            over = _prism_structure(Y, base, stage)
+            over = _prism_structure(Y, base, L.complex, stage)
             K = over.complex
     return Hyperbolization(n, K, over, K.f_vector())
 

@@ -152,8 +152,8 @@ def growth_exponent(
     approaches the same exponent only as N grows.
     """
     lo, hi = n_range
-    if lo < 3 or hi < lo:
-        raise LensError("range must sit inside N >= 3")
+    if lo < 3 or hi <= lo:
+        raise LensError("range must hold at least two N >= 3")
     if counts not in ("top", "total"):
         raise LensError("counts must be 'top' or 'total'")
     xs, ys = [], []

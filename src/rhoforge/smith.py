@@ -2,17 +2,17 @@
 form (with the rank), determinant.
 
 Everything here is over the integers with arbitrary precision, so ranks
-and torsion coefficients are exact.  Matrices are sparse: the input is a
-mapping ``(row, col) -> value`` plus a shape.
+and torsion coefficients are exact.  Matrices are sparse: a mapping
+``(row, col) -> value``, absent entries zero.
 
-Homology reduces before it eliminates.  ``reduce_chain_complex`` removes
+Unit pivots come from one place.  ``reduce_chain_complex`` removes
 pairs of cells joined by a ±1 coefficient over all degrees at once, so
-each cell is eliminated once rather than as a column of d_q and again as
-a row of d_{q+1}; Smith normal form then sees only the residue, one
-matrix per degree.  Its pivots are unit entries taken from a shortest
-row, found through an index of rows by length, so picking one costs no
-pass over the matrix.  Only what has no unit entry left is searched with
-the Markowitz scan (smallest absolute value, then least fill).
+homology eliminates each cell once rather than as a column of d_q and
+again as a row of d_{q+1}.  Smith normal form runs the same reduction on
+its matrix as a two-level complex, counts each pair as an invariant
+factor 1, and eliminates the residue with the Markowitz pivot (smallest
+absolute value, then least fill), which still takes a ±1 entry first
+when elimination creates one.
 """
 
 from __future__ import annotations
@@ -40,55 +40,13 @@ class SmithResult:
 
 
 def _build_sparse(entries: Mapping[tuple[int, int], int]):
+    """Row dicts and column sets of a matrix with no zero entries."""
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for (r, c), v in entries.items():
-        if not v:
-            continue
-        rows.setdefault(r, {})[c] = int(v)
+        rows.setdefault(r, {})[c] = v
         cols.setdefault(c, set()).add(r)
     return rows, cols
-
-
-class _LengthIndex:
-    """Rows that may hold a ±1 entry, bucketed by their current length.
-
-    Every row is filed again whenever it changes.  A row searched and
-    found to hold no unit entry leaves the buckets until it changes, so
-    each row is searched at most once per change.
-    """
-
-    def __init__(self, rows, cols):
-        self.rows = rows
-        self.cols = cols
-        self.buckets: dict[int, set[int]] = {}
-        self.length: dict[int, int] = {}
-        for r in rows:
-            self.file(r)
-
-    def file(self, r: int) -> None:
-        self.drop(r)
-        n = len(self.rows[r])
-        self.buckets.setdefault(n, set()).add(r)
-        self.length[r] = n
-
-    def drop(self, r: int) -> None:
-        n = self.length.pop(r, None)
-        if n is not None:
-            bucket = self.buckets[n]
-            bucket.discard(r)
-            if not bucket:
-                del self.buckets[n]
-
-    def unit_pivot(self):
-        """A ±1 entry of a shortest row, in its shortest column, or None."""
-        while self.buckets:
-            r = next(iter(self.buckets[min(self.buckets)]))
-            units = [c for c, v in self.rows[r].items() if v == 1 or v == -1]
-            if units:
-                return r, min(units, key=lambda c: len(self.cols[c]))
-            self.drop(r)
-        return None
 
 
 def _markowitz_pivot(rows, cols):
@@ -110,7 +68,16 @@ def smith_normal_form(entries: Mapping[tuple[int, int], int]) -> SmithResult:
 
     Zero entries in the mapping are ignored; absent entries are zero.
     The shape is irrelevant beyond the support, so it is not passed.
+    Rows and columns of the support are numbered densely and reduced as
+    a two-level chain complex; each reduction pair is a unit pivot, so
+    an invariant factor 1.  The residue is eliminated with the Markowitz
+    pivot, the entry of least absolute value and then least fill, so a
+    unit the reduction left or a gcd step made still goes first.
 
+    One unit pivot, then the residue [-2] by the scan:
+
+    >>> smith_normal_form({(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): -1})
+    SmithResult(rank=2, invariant_factors=(1, 2))
     >>> smith_normal_form({(0, 0): 2, (1, 1): 4})
     SmithResult(rank=2, invariant_factors=(2, 4))
     >>> smith_normal_form({(0, 0): 2, (1, 1): 3}).invariant_factors
@@ -118,13 +85,18 @@ def smith_normal_form(entries: Mapping[tuple[int, int], int]) -> SmithResult:
     >>> smith_normal_form({})
     SmithResult(rank=0, invariant_factors=())
     """
-    rows, cols = _build_sparse(entries)
-    index = _LengthIndex(rows, cols)
-    diag: list[int] = []
+    support = {key: int(v) for key, v in entries.items() if v}
+    row_of = {r: i for i, r in enumerate(sorted({r for r, _ in support}))}
+    col_of = {c: j for j, c in enumerate(sorted({c for _, c in support}))}
+    (n_rows, _), (_, residue) = reduce_chain_complex(
+        [len(row_of), len(col_of)],
+        [{}, {(row_of[r], col_of[c]): v for (r, c), v in support.items()}],
+    )
+    diag = [1] * (len(row_of) - n_rows)
+    rows, cols = _build_sparse(residue)
 
     while rows:
-        pivot = index.unit_pivot()
-        r, c = pivot if pivot else _markowitz_pivot(rows, cols)
+        r, c = _markowitz_pivot(rows, cols)
         while True:
             v = rows[r][c]
             # row operations: kill the rest of column c
@@ -144,11 +116,8 @@ def smith_normal_form(entries: Mapping[tuple[int, int], int]) -> SmithResult:
                         elif cc in row2:
                             del row2[cc]
                             cols[cc].discard(r2)
-                    if row2:
-                        index.file(r2)
-                    else:
+                    if not row2:
                         del rows[r2]
-                        index.drop(r2)
             if len(cols[c]) > 1:
                 # a remainder smaller than |v| is sitting in column c
                 r = min(
@@ -171,12 +140,10 @@ def smith_normal_form(entries: Mapping[tuple[int, int], int]) -> SmithResult:
                     cols[c2].discard(r)
             if len(rowd) == 1:
                 break
-            index.file(r)
             # gcd not reached yet: restart from the smallest entry
             c = min((cc for cc in rowd if cc != c), key=lambda cc: abs(rowd[cc]))
         diag.append(abs(rows[r][c]))
         del rows[r]
-        index.drop(r)
         cols[c].discard(r)
         if not cols[c]:
             del cols[c]

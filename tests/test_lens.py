@@ -101,6 +101,8 @@ class TestGrowth:
         with pytest.raises(LensError):
             growth_exponent(2, (2, 5))
         with pytest.raises(LensError):
+            growth_exponent(2, (5, 5))
+        with pytest.raises(LensError):
             growth_exponent(2, counts="median")
 
 

@@ -79,8 +79,8 @@ def naive_smith(entries):
     """(rank, invariant factors) by elimination that scans every nonzero
     for each pivot, taking the least (|v|, row length * column length).
 
-    The reference the indexed pivot search in ``smith_normal_form`` is
-    checked against: same elimination, no index.
+    The reference ``smith_normal_form`` is checked against: the same
+    elimination on the whole matrix, without the unit reductions first.
     """
     rows, cols = {}, {}
     for (r, c), v in entries.items():
@@ -219,29 +219,33 @@ class TestSmithNormalForm:
             res = smith_normal_form(entries)
             assert (res.rank, res.invariant_factors) == naive_smith(entries)
 
-    def test_markowitz_scan_only_without_unit_entries(self, monkeypatch):
+    def test_markowitz_scan_takes_units_the_reduction_leaves(self, monkeypatch):
         markowitz = smith._markowitz_pivot
         scans = []
 
-        def guarded(rows, cols):
-            assert all(
-                abs(v) != 1 for rowd in rows.values() for v in rowd.values()
-            )
+        def recorded(rows, cols):
             scans.append(len(rows))
             return markowitz(rows, cols)
 
-        monkeypatch.setattr(smith, "_markowitz_pivot", guarded)
+        monkeypatch.setattr(smith, "_markowitz_pivot", recorded)
         for entries in boundary_matrices(lens_complex(LensSpec(4, 4))):
             smith_normal_form(entries)
         # the Z/4 torsion is the residue that reaches the scan
         assert scans
-        # rows without a unit that gain one by elimination must be found
-        rng = random.Random(19)
-        for _ in range(300):
-            r, c = rng.randint(2, 6), rng.randint(2, 6)
+        # the single sweep can leave a unit, which the scan must then take
+        rng = random.Random(1)
+        found = 0
+        for _ in range(5000):
+            r, c = rng.randint(1, 7), rng.randint(1, 7)
             m = [[rng.choice([0, 0, 1, -1, 2, -2, 3]) for _ in range(c)]
                  for _ in range(r)]
-            smith_normal_form(matrix_entries(m))
+            entries = matrix_entries(m)
+            _, (_, residue) = smith.reduce_chain_complex([r, c], [{}, entries])
+            if any(abs(v) == 1 for v in residue.values()):
+                found += 1
+                res = smith_normal_form(entries)
+                assert (res.rank, res.invariant_factors) == naive_smith(entries)
+        assert found >= 50
 
     def test_no_unit_entries(self):
         # every pivot comes from the Markowitz scan, and gcd steps create
