@@ -6,8 +6,7 @@ wall clock.  Reports are written atomically and are byte-identical
 across runs with the same inputs, apart from the timing field.
 
 ``inputs`` records the arguments; an input file appears as the sha256
-and size of its bytes, not as a copy, which made a report as large as
-its file (311 KB for X3) and was serialized twice per run.
+and size of its bytes, not as a copy.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error
 (bad arguments, a malformed or unreadable input file, an unwritable
@@ -60,6 +59,7 @@ from .polytopes import (
     ColoredPolytope,
     ColoringError,
     NotACycleError,
+    as_cells,
     octagon_cells,
     octagon_polytope,
 )
@@ -190,6 +190,8 @@ def _load_cycle(args):
     Files carry {"group": ..., "cells": [{"gen": ..., "sign": ...}]} for
     an explicit decomposition, or {"group": ..., "degree": ...,
     "terms": ...} for a collapsed chain whose terms expand by |coef|.
+    Either form needs degree >= 1, and explicit cells must be nonempty
+    and of one degree; a file that breaks this is a usage error.
     """
     if args.octagon:
         g, inputs = _octagon(args)
@@ -215,10 +217,14 @@ def _load_cycle(args):
                 )
                 for entry in data["cells"]
             ]
+            _, degree, _ = as_cells(payload)
         elif "terms" in data:
             payload = BarChain.from_json(group, data)
+            degree = payload.degree
         else:
             raise UsageError("cycle file needs 'cells' or 'terms'")
+        if degree < 1:
+            raise ValueError("degree must be >= 1")
         return group, payload
 
     (group, payload), digest = _load_file(

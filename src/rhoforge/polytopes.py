@@ -444,13 +444,6 @@ def as_cells(C: CellsInput) -> tuple[FiniteAbelianGroup, int, list[ColoredCell]]
     return group, degree, cells
 
 
-def decomposition_boundary(
-    group: FiniteAbelianGroup, degree: int, cells: Sequence[ColoredCell]
-) -> BarChain:
-    chain = BarChain.from_terms(group, degree, ((c.gen, c.sign) for c in cells))
-    return chain.boundary()
-
-
 def assemble_polytopes(C: CellsInput) -> list[ColoredPolytope]:
     """Glue a cycle's cells into polytopes, greedily and deterministically.
 
@@ -471,7 +464,8 @@ def assemble_polytopes(C: CellsInput) -> list[ColoredPolytope]:
     group, degree, cells = as_cells(C)
     if not cells:
         return []
-    if not decomposition_boundary(group, degree, cells).is_zero():
+    chain = BarChain.from_terms(group, degree, ((c.gen, c.sign) for c in cells))
+    if not chain.boundary().is_zero():
         raise NotACycleError("input chain has nonzero boundary")
     if degree == 1:
         return [ColoredPolytope(group, 1, [cell]) for cell in cells]

@@ -21,8 +21,10 @@ builds the tower.
 The cylinder turns a labeled signed cell into a degree n+1 prism chain
 joining it to its fully degenerate shadow.  It is linear, so the signs of
 equal labeled cells are summed first and each distinct one is taken once.
-Summing scaled cylinders over towers of all the assembled polytopes of a
-cycle produces an explicit chain u with boundary N * (C - E).
+A cycle's bounding chain is one cylinder: of the tower labeled chains of
+all its assembled polytopes, concatenated, each sign scaled by N over
+that polytope's copy count.  Its boundary is N * (C - E).  Assembly is
+the one check that the input is a cycle.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .polytopes import (
     ColoredPolytope,
     ColoringError,
     FaceRef,
-    NotACycleError,
     VertexLabeling,
     as_cells,
     assemble_polytopes,
@@ -152,15 +153,6 @@ def covering(
     return ColoredPolytope(P.group, P.degree, cells, gluings)
 
 
-def _canonical_pairs(P: ColoredPolytope) -> tuple[tuple[FaceRef, FaceRef], ...]:
-    """P's boundary pairs sorted by plus-face generator, then reference."""
-
-    def key(pair: tuple[FaceRef, FaceRef]):
-        return (tuple(e.residues for e in P.face_gen(*pair[0])), pair)
-
-    return tuple(sorted(P.boundary_pairs(), key=key))
-
-
 @dataclass(frozen=True)
 class Tower:
     """A finished tower of coverings.
@@ -204,7 +196,7 @@ def tower(
 ) -> Tower:
     """Tower of coverings of P over the given boundary pairs, in order.
 
-    Pairs default to all of P's boundary pairs in canonical generator
+    Pairs default to all of P's boundary pairs in ``boundary_pairs``
     order, and every pair gets height |G|.  The covering steps chain
     plain cell and gluing lists; one polytope is built and validated at
     the end, and endowed once with identity base labels.  The crossing
@@ -215,7 +207,7 @@ def tower(
     ``bounding_chain`` does not build towers; it takes the same labeled
     chain from ``tower_labeled_cells``.
     """
-    pairs = _canonical_pairs(P) if pairs is None else tuple(pairs)
+    pairs = tuple(P.boundary_pairs() if pairs is None else pairs)
     e = P.group.identity
     if not pairs:
         return Tower(P, (), P, 1, (), (), P.endow(e))
@@ -256,9 +248,9 @@ def tower_labeled_cells(
     """The labeled chain of ``tower(P)``, from P alone.
 
     Returns (copies, pairs, cells): the tower's |G|^s copies, its pairs in
-    canonical order, and (vertex labels, signed multiplicity) cells whose
-    sums per label tuple are those of ``polytope_labeled_cells`` over the
-    tower.  P must be connected, as every assembled polytope is.
+    ``boundary_pairs`` order, and (vertex labels, signed multiplicity)
+    cells whose sums per label tuple are those of ``polytope_labeled_cells``
+    over the tower.  P must be connected, as every assembled polytope is.
 
     P is endowed once with identity base labels L.  Pair r crosses from
     its plus face to its minus face with holonomy hol_r = L(minus vertex)
@@ -285,7 +277,7 @@ def tower_labeled_cells(
             f"{len(P.components)} components"
         )
     e, order = P.group.identity, P.group.order
-    pairs = _canonical_pairs(P)
+    pairs = tuple(P.boundary_pairs())
     labeling = P.endow(e)
     shifts = {e: 1}
     for r, (plus, minus) in enumerate(pairs):
@@ -312,9 +304,7 @@ def tower_labeled_cells(
                 convolved[k] = convolved.get(k, 0) + count
         shifts = convolved
     require_cells(len(shifts) * len(P.cells), "tower")
-    base = [
-        (labeling.cell_labels(c), cell.sign) for c, cell in enumerate(P.cells)
-    ]
+    base = polytope_labeled_cells(P, labeling)
     cells = [
         (tuple(t * label for label in labels), sign * count)
         for t, count in shifts.items()
@@ -484,24 +474,24 @@ def lemma_bound(n: int, group: Union[FiniteAbelianGroup, int], c_size: int) -> i
 def bounding_chain(C: CellsInput) -> BoundingResult:
     """Build u with d(u) = N * (C - E) by towers and cylinders.
 
-    Pipeline: assemble the cycle's cells into polytopes; take each one's
-    tower labeled chain from copy translations (``tower_labeled_cells``,
-    which builds no tower: one endowment of the polytope, and its labeled
-    cells once per distinct translation, counted against the cell cap);
-    take the cylinder of each labeled chain, equal labeled cells summed
-    first; rescale per-polytope cylinders to the common multiplicity
-    N = lcm of the tower copy counts and sum.  The boundary identity is
-    verified by exact chain arithmetic before returning (the ``verified``
-    property re-runs it).
+    Pipeline: assemble the cycle's cells into polytopes, which is the
+    check that C is a cycle; take each one's tower labeled chain from
+    copy translations (``tower_labeled_cells``, which builds no tower);
+    scale each chain's signs by N / copies, with N = lcm of the tower
+    copy counts; take one cylinder of the concatenated chain, equal
+    labeled cells summed first.  A chain C expands to its complexity in
+    cells, counted against the cell cap before the expansion.  The
+    boundary identity is verified by exact chain arithmetic before
+    returning (the ``verified`` property re-runs it).
     """
+    if isinstance(C, BarChain):
+        require_cells(C.complexity(), "cell decomposition")
     group, degree, cells = as_cells(C)
     if degree < 1:
         raise ValueError("degree must be >= 1")
     cycle_chain = BarChain.from_terms(
         group, degree, ((cell.gen, cell.sign) for cell in cells)
     )
-    if not cycle_chain.boundary().is_zero():
-        raise NotACycleError("input chain has nonzero boundary")
     e = group.identity
     sign_total = sum(cell.sign for cell in cells)
     shadow = BarChain(
@@ -524,12 +514,12 @@ def bounding_chain(C: CellsInput) -> BoundingResult:
     polys = assemble_polytopes(cells)
     chains = [tower_labeled_cells(P) for P in polys]
     multiplicity = math.lcm(*(copies for copies, _, _ in chains))
-    terms: list[tuple[Gen, int]] = []
-    for copies, _, labeled in chains:
-        cyl = cylinder(labeled)
-        scale = multiplicity // copies
-        terms.extend((gen, scale * coef) for gen, coef in cyl.chain.terms.items())
-    u = BarChain.from_terms(group, degree + 1, terms)
+    scaled = [
+        (labels, sign * (multiplicity // copies))
+        for copies, _, labeled in chains
+        for labels, sign in labeled
+    ]
+    u = cylinder(scaled).chain
     reports = [
         PolytopeReport(
             cells=len(P.cells),

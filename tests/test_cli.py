@@ -12,7 +12,7 @@ from rhoforge import lens
 from rhoforge.cli import main
 from rhoforge.delta import DeltaComplex
 from rhoforge.groups import FiniteAbelianGroup
-from rhoforge.polytopes import octagon_cells, octagon_polytope
+from rhoforge.polytopes import octagon_cells, octagon_chain, octagon_polytope
 
 
 def run(*argv):
@@ -134,6 +134,20 @@ class TestBoundChain:
         rc = run("bound-chain", "--group", "3", "--octagon")
         assert rc == 3
         assert "resource cap" in capsys.readouterr().err
+
+    def test_terms_expansion_counts_against_cap(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the Z/3 octagon chain times 400 is 800 cells before any tower
+        g = FiniteAbelianGroup([3]).element([1])
+        chain = 400 * octagon_chain(g, g, g, g)
+        assert chain.complexity() == 800
+        src = tmp_path / "cycle.json"
+        src.write_text(json.dumps({"group": [3], **chain.to_json()}))
+        monkeypatch.setenv("RHOFORGE_CELL_CAP", "100")
+        assert run("bound-chain", "--cycle", str(src)) == 3
+        err = capsys.readouterr().err
+        assert "cell decomposition needs 800 cells, cap is 100" in err
 
     def test_report_deterministic(self, tmp_path):
         a = tmp_path / "a.json"
@@ -462,15 +476,23 @@ class TestMalformedInput:
         err = self.usage_error(capsys, "bound-chain", "--cycle", str(src))
         assert "'sign'" in err
 
-    @pytest.mark.parametrize("cell, message", [
-        ({"gen": [[1, 0], [1]], "sign": 1}, "expected 1 residues, got 2"),
-        ({"gen": [[1], [1]], "sign": 2}, "sign must be +1 or -1"),
-    ], ids=["residue-count", "sign"])
-    def test_bad_cycle_cell(self, tmp_path, capsys, cell, message):
+    @pytest.mark.parametrize("data, message", [
+        ({"group": [2], "cells": [{"gen": [[1, 0], [1]], "sign": 1}]},
+         "expected 1 residues, got 2"),
+        ({"group": [2], "cells": [{"gen": [[1], [1]], "sign": 2}]},
+         "sign must be +1 or -1"),
+        ({"group": [3], "degree": 0, "terms": []}, "degree must be >= 1"),
+        ({"group": [3], "cells": []}, "empty decomposition"),
+        ({"group": [3], "cells": [{"gen": [[1], [1]], "sign": 1},
+                                  {"gen": [[1]], "sign": -1}]},
+         "mixed degrees"),
+    ], ids=["residue-count", "sign", "terms-degree-0", "no-cells",
+            "mixed-degrees"])
+    def test_bad_cycle_cell(self, tmp_path, capsys, data, message):
         src = tmp_path / "cycle.json"
-        src.write_text(json.dumps({"group": [2], "cells": [cell]}))
+        src.write_text(json.dumps(data))
         err = self.usage_error(capsys, "bound-chain", "--cycle", str(src))
-        assert message in err
+        assert f"bad cycle file entry: {message}" in err
 
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d.pop("degree"), "without key 'degree'"),

@@ -535,6 +535,41 @@ def test_tower_labeled_cells_match_built_tower(cells):
         assert len(labeled) <= P.group.order * len(P.cells)
 
 
+@pytest.mark.parametrize(
+    "cells", [c for _, c in TOWER_CHAIN_CASES], ids=[n for n, _ in TOWER_CHAIN_CASES]
+)
+def test_boundary_pairs_sorted_by_plus_face_generator(cells):
+    # towers take this order as given: plus-face residues, then reference
+    for P in assemble_polytopes(cells):
+        pairs = P.boundary_pairs()
+        assert pairs == sorted(
+            pairs,
+            key=lambda pr: (tuple(e.residues for e in P.face_gen(*pr[0])), pr),
+        )
+
+
+def test_bounding_chain_scales_each_polytope_to_the_common_multiplicity():
+    # two polytopes with unequal copy counts: u is the sum of each one's
+    # cylinder scaled by N / copies
+    G = cyclic(3)
+    g, e = G.element([1]), G.identity
+    cells = boundary_cells((g, g**2, g, g), (g**2, g, g, g), (e, e, e, e))
+    res = bounding_chain(cells)
+    polys = assemble_polytopes(cells)
+    chains = [tower_labeled_cells(P) for P in polys]
+    copies = sorted(c for c, _, _ in chains)
+    assert len(polys) >= 2 and copies[0] != copies[-1]
+    assert [(p.cells, p.pair_count, p.copies) for p in res.polytopes] == [
+        (len(P.cells), len(pairs), c) for P, (c, pairs, _) in zip(polys, chains)
+    ]
+    expected = BarChain.zero(G, 4)
+    for c, _, labeled in chains:
+        expected = expected + (res.multiplicity // c) * cylinder(labeled).chain
+    assert res.u.terms == expected.terms
+    assert res.multiplicity == 177_147
+    assert res.complexity == 1_299_078
+
+
 def test_tower_labeled_cells_need_a_connected_polytope():
     G = cyclic(3)
     g = G.element([1])
