@@ -85,8 +85,106 @@ def _jsonable(obj):
     raise TypeError(f"not serializable: {type(obj).__name__}")
 
 
+_FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _FLOAT_SPECIALS.get(text, text)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+# The text of a scalar, by its exact type; subclasses take the slow path.
+_SCALAR_TEXT = {
+    str: _encode_str,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return _encode_str(key)
+    if isinstance(key, float):
+        return _encode_str(_float_text(key))
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return _encode_str(int.__repr__(key))
+    raise TypeError(
+        "keys must be str, int, float, bool or None, "
+        f"not {key.__class__.__name__}"
+    )
+
+
+def _emit(obj, indent: str, out: list) -> None:
+    """Append the text of ``obj``, nested at ``indent``, to ``out``."""
+    text = _SCALAR_TEXT.get(type(obj))
+    if text is not None:
+        out.append(text(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        lead = "{\n" + inner
+        for key, value in obj.items():
+            key = _encode_str(key) if type(key) is str else _key_text(key)
+            text = _SCALAR_TEXT.get(type(value))
+            if text is not None:
+                out.append(lead + key + ": " + text(value))
+            else:
+                out.append(lead + key + ": ")
+                _emit(value, inner, out)
+            lead = sep
+        out.append("\n" + indent + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        lead = "[\n" + inner
+        for value in obj:
+            text = _SCALAR_TEXT.get(type(value))
+            if text is not None:
+                out.append(lead + text(value))
+            else:
+                out.append(lead)
+                _emit(value, inner, out)
+            lead = sep
+        out.append("\n" + indent + "]")
+    elif isinstance(obj, str):
+        out.append(_encode_str(obj))
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float_text(obj))
+    else:
+        _emit(_jsonable(obj), indent, out)
+
+
 def _dumps(payload) -> str:
-    return json.dumps(payload, indent=2, default=_jsonable)
+    """``json.dumps(payload, indent=2, default=_jsonable)``, byte for byte.
+
+    Any ``indent`` sends json to its pure-Python encoder; this writes the
+    same text directly.  Scalars of exact types are looked up by type;
+    anything else is tested as json tests it, and no class can be two of
+    dict, list or tuple, str, int and float, so the order of the tests
+    does not matter.  What none of them takes goes through ``_jsonable``.
+    Reports are trees, so there is no circular-reference check.
+    """
+    out: list[str] = []
+    _emit(payload, "", out)
+    return "".join(out)
 
 
 def _atomic_write(path: str, text: str) -> None:

@@ -6,14 +6,15 @@ rotation.  The rotation shifts every polygon index by one, so each orbit
 of join cells has exactly one member whose first present index is 0;
 ``lens_complex`` lists those representatives directly, without building
 the join.  Cell counts of the quotient scale like N^(d-1); the rho
-invariant of these spaces is a cotangent power sum, evaluated here
-exactly as a rational by Newton's identities in integers, together with
-the certified bound check and the invariant-counting arithmetic built
-on it.
+invariant of these spaces is a cotangent power sum, a polynomial in N
+for each d, derived once from Newton's identities in integers and
+evaluated exactly, together with the certified bound check and the
+invariant-counting arithmetic built on it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -171,26 +172,17 @@ def growth_exponent(
 # -- the rho invariant ------------------------------------------------
 
 
-def rho_exact(spec: LensSpec) -> Fraction:
-    """Sum of cot^d(pi k / N) over k = 1 .. N-1, as an exact rational.
+def _power_sum(n: int, half: int) -> int:
+    """N^half times the sum of cot^(2 half)(pi k / N) over k = 1 .. N-1.
 
     The cotangents cot(pi k / N) are the roots of
     sum_j (-1)^j C(N, 2j+1) x^(N-1-2j), so their elementary symmetric
     functions are e_2j = E_j / N with E_j = (-1)^j C(N, 2j+1), and the
-    odd ones vanish; so do the odd power sums.  Writing the power sum of
-    degree 2k as P_k / N^k, Newton's identities become the integer
-    recurrence P_k = -2k E_k N^(k-1) - sum_{0<j<k} E_j P_{k-j} N^(j-1).
-    A row costs O(d^2) integer operations whatever N is.
-
-    >>> rho_exact(LensSpec(5, 6))
-    Fraction(68, 5)
-    >>> rho_exact(LensSpec(4, 6)), rho_exact(LensSpec(7, 3))
-    (Fraction(2, 1), Fraction(0, 1))
+    odd ones vanish.  Writing the power sum of degree 2k as P_k / N^k,
+    Newton's identities become the integer recurrence
+    P_k = -2k E_k N^(k-1) - sum_{0<j<k} E_j P_{k-j} N^(j-1); this
+    returns P_half.
     """
-    n, d = spec.n, spec.d
-    if d % 2:
-        return Fraction(0)
-    half = d // 2
     e = [(-1) ** j * math.comb(n, 2 * j + 1) for j in range(half + 1)]
     p = [n - 1]  # P_0, the number of roots
     for k in range(1, half + 1):
@@ -198,7 +190,77 @@ def rho_exact(spec: LensSpec) -> Fraction:
         for j in range(1, k):
             acc += e[j] * p[k - j] * n ** (j - 1)
         p.append(-acc)
-    return Fraction(p[half], n**half)
+    return p[half]
+
+
+@functools.cache
+def rho_polynomial(d: int) -> tuple[tuple[int, ...], int]:
+    """Integers (A, D) with rho(N, d) = A(N) / D, D > 0 and gcd(D, *A) = 1.
+
+    ``A`` lists the coefficients of N^0, N^1, ..., N^d.  For even d the
+    cotangent power sum is a polynomial of degree d in N, with leading
+    coefficient 2^d |B_d| / d! (Berndt and Yeap); for odd d it is 0, and
+    so is ``A``.  The polynomial is interpolated through the values of
+    ``_power_sum`` at N = 2 .. d+2: with the values scaled to integers
+    by L = lcm(2 .. d+2)^(d/2), the Newton form on these unit-spaced
+    nodes has forward differences as coefficients, and d! clears the
+    k! under each.  The value at N = d+3 is checked against the
+    recurrence.  Derived once per d and cached.
+
+    >>> rho_polynomial(2)
+    ((2, -3, 1), 3)
+    >>> rho_polynomial(3)
+    ((0,), 1)
+    """
+    if d < 1:
+        raise LensError("d must be at least 1")
+    if d % 2:
+        return (0,), 1
+    half = d // 2
+    nodes = range(2, d + 3)
+    scale = math.lcm(*nodes) ** half
+    diffs = [_power_sum(n, half) * (scale // n**half) for n in nodes]
+    coeffs = [0] * (d + 1)
+    basis = [1]  # prod_{i<k} (N - nodes[i]), constant term first
+    for k in range(d + 1):
+        weight = diffs[0] * (math.factorial(d) // math.factorial(k))
+        for i, b in enumerate(basis):
+            coeffs[i] += weight * b
+        basis = [0] + basis
+        for i in range(len(basis) - 1):
+            basis[i] -= nodes[k] * basis[i + 1]
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    den = scale * math.factorial(d)
+    g = math.gcd(den, *coeffs)
+    coeffs = tuple(c // g for c in coeffs)
+    den //= g
+    n = d + 3
+    if _horner(coeffs, n) * n**half != _power_sum(n, half) * den:
+        raise ArithmeticError(f"rho polynomial for d = {d} misses N = {n}")
+    return coeffs, den
+
+
+def _horner(coeffs: tuple[int, ...], n: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * n + c
+    return acc
+
+
+def rho_exact(spec: LensSpec) -> Fraction:
+    """Sum of cot^d(pi k / N) over k = 1 .. N-1, as an exact rational.
+
+    The cached ``rho_polynomial(d)`` evaluated at N by Horner's rule: a
+    row costs O(d) integer operations, after a one-time derivation of
+    O(d^3) per d.
+
+    >>> rho_exact(LensSpec(5, 6))
+    Fraction(68, 5)
+    >>> rho_exact(LensSpec(4, 6)), rho_exact(LensSpec(7, 3))
+    (Fraction(2, 1), Fraction(0, 1))
+    """
+    coeffs, den = rho_polynomial(spec.d)
+    return Fraction(_horner(coeffs, spec.n), den)
 
 
 def rho_atiyah_bott(spec: LensSpec) -> float:
@@ -240,28 +302,56 @@ class RhoBoundResult:
         return self.holds
 
 
+# d -> (the PI_BRACKET object, the d-th powers taken from it)
+_PI_POWERS: dict[int, tuple] = {}
+
+
+def _pi_powers(d: int) -> tuple[int, int, int, int]:
+    """The d-th powers of the numerators and denominators of ``PI_BRACKET``.
+
+    Cached per d for the bracket they were taken from, so a rebound
+    bracket is raised to the power again.  Keyed on d alone: hashing
+    the bracket's Fractions would cost more than the powers.
+    """
+    cached = _PI_POWERS.get(d)
+    if cached is None or cached[0] is not PI_BRACKET:
+        lo, hi = PI_BRACKET
+        cached = (
+            PI_BRACKET,
+            (lo.numerator**d, lo.denominator**d, hi.numerator**d, hi.denominator**d),
+        )
+        _PI_POWERS[d] = cached
+    return cached[1]
+
+
 def rho_lower_bound_check(spec: LensSpec) -> RhoBoundResult:
     """Decide (N/pi)^d < rho(N, d) in integers.
 
-    Raises OverflowError when rho or (N/pi)^d does not fit in a float.
+    With rho = A(N) / D from ``rho_polynomial``, pi_lo = a / b and
+    pi_hi = a' / b', the bound holds if N^d D b^d < A(N) a^d and fails
+    if N^d D b'^d >= A(N) a'^d; scaling both sides by the same positive
+    integer changes neither comparison, so nothing is reduced.  Raises
+    OverflowError when rho or (N/pi)^d does not fit in a float.
 
     >>> r = rho_lower_bound_check(LensSpec(5, 6))
     >>> r.holds, r.status, r.rho
     (False, 'ok', 13.6)
     """
     n, d = spec.n, spec.d
-    rho = rho_exact(spec)
-    target = n**d * rho.denominator  # N^d < rho pi^d, denominators cleared
-    lo, hi = PI_BRACKET
-    holds = target * lo.denominator**d < rho.numerator * lo.numerator**d
-    fails = target * hi.denominator**d >= rho.numerator * hi.numerator**d
+    coeffs, den = rho_polynomial(d)
+    a = _horner(coeffs, n)
+    lo_num, lo_den, hi_num, hi_den = _pi_powers(d)
+    target = n**d * den
+    holds = target * lo_den < a * lo_num
+    fails = target * hi_den >= a * hi_num
     if not (holds or fails):
         status = "undecided"
     elif d % 2 == 0 and n >= 4:
         status = "ok"
     else:
         status = "out_of_hypothesis"
-    return RhoBoundResult(spec, float(rho), (n / math.pi) ** d, holds, status)
+    # int true division is correctly rounded, as float(Fraction) is
+    return RhoBoundResult(spec, a / den, (n / math.pi) ** d, holds, status)
 
 
 def thm13_lower(spec: LensSpec, constant):

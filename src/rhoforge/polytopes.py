@@ -454,7 +454,8 @@ def assemble_polytopes(C: CellsInput) -> list[ColoredPolytope]:
     each other (algebraic self-pairings stay on the boundary), so every
     gluing attaches a fresh cell and the gluing graph of each polytope is
     a tree.  When no face can grow, the polytope is closed off and the
-    next unused cell seeds a new one.
+    next unused cell seeds a new one.  The faces are indexed once by face
+    generator and induced sign, so no search rescans the cells.
 
     In degree 1 the faces are points and no gluing is performed; each
     cell becomes its own polytope and pairing is left to the boundary.
@@ -470,10 +471,15 @@ def assemble_polytopes(C: CellsInput) -> list[ColoredPolytope]:
     if degree == 1:
         return [ColoredPolytope(group, 1, [cell]) for cell in cells]
 
-    faces = [gen_boundary(cell.gen) for cell in cells]
-
-    def ind(c: int, i: int) -> int:
-        return cells[c].sign * faces[c][i][1]
+    faces_of = {gen: gen_boundary(gen) for gen in {cell.gen for cell in cells}}
+    faces = [faces_of[cell.gen] for cell in cells]
+    # (face generator, induced sign) -> its (cell, face) pairs in order;
+    # pairs of used cells are dropped when met, so the first pair left
+    # is the first unused cell and its first such face
+    index: dict[tuple[Gen, int], deque[tuple[int, int]]] = {}
+    for c, cell in enumerate(cells):
+        for i, (fg, s) in enumerate(faces[c]):
+            index.setdefault((fg, cell.sign * s), deque()).append((c, i))
 
     used = [False] * len(cells)
     polytopes = []
@@ -484,33 +490,22 @@ def assemble_polytopes(C: CellsInput) -> list[ColoredPolytope]:
         members = [seed]
         local = {seed: 0}
         gluings: list[tuple[FaceRef, FaceRef]] = []
-        glued: set[tuple[int, int]] = set()
+        # each face enters the queue once, and the face a cell is glued
+        # by never does, so every face popped is still unglued
         queue = deque((seed, i) for i in range(degree + 1))
         while queue:
             c, i = queue.popleft()
-            if (c, i) in glued:
+            fg, s = faces[c][i]
+            waiting = index.get((fg, -cells[c].sign * s))
+            while waiting and used[waiting[0][0]]:
+                waiting.popleft()
+            if not waiting:
                 continue
-            fg = faces[c][i][0]
-            fs = ind(c, i)
-            hit = None
-            for d in range(len(cells)):
-                if used[d]:
-                    continue
-                for j in range(degree + 1):
-                    if faces[d][j][0] == fg and ind(d, j) == -fs:
-                        hit = (d, j)
-                        break
-                if hit:
-                    break
-            if hit is None:
-                continue
-            d, j = hit
+            d, j = waiting.popleft()
             used[d] = True
             local[d] = len(members)
             members.append(d)
             gluings.append(((local[c], i), (local[d], j)))
-            glued.add((c, i))
-            glued.add((d, j))
             queue.extend((d, jj) for jj in range(degree + 1) if jj != j)
         polytopes.append(
             ColoredPolytope(

@@ -3,12 +3,13 @@
 import csv
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from rhoforge import lens
+from rhoforge import cli, lens
 from rhoforge.cli import main
 from rhoforge.delta import DeltaComplex
 from rhoforge.groups import FiniteAbelianGroup
@@ -17,6 +18,27 @@ from rhoforge.polytopes import octagon_cells, octagon_chain, octagon_polytope
 
 def run(*argv):
     return main(list(argv))
+
+
+def json_text(payload):
+    return json.dumps(payload, indent=2, default=cli._jsonable)
+
+
+@pytest.fixture(autouse=True)
+def reports_are_json_dumps(monkeypatch):
+    """Every report these tests write is the text json.dumps would give."""
+    payloads = []
+    dumps = cli._dumps
+
+    def recording(payload):
+        text = dumps(payload)
+        payloads.append(payload)
+        return text
+
+    monkeypatch.setattr(cli, "_dumps", recording)
+    yield
+    for payload in payloads:
+        assert dumps(payload) == json_text(payload)
 
 
 def load(path):
@@ -672,6 +694,37 @@ class TestCellCap:
         capsys.readouterr()
         argv = ("hyperbolize", "--dim", str(dim))
         self.assert_capped(monkeypatch, capsys, argv, cells, cells - 1)
+
+
+class TestEmitter:
+    class Unsupported:
+        pass
+
+    def test_crafted_payload(self):
+        payload = {
+            "fractions": [Fraction(6, 3), Fraction(-2, 7), {"x": Fraction(1, 2)}],
+            "frozen": frozenset({3, 1, 2}),
+            "tuple": (1, "a", None, (2.5, ())),
+            "empty": [{}, [], {"a": {}}, [[]], {"b": {"c": []}}],
+            "text": ["\u00fc\u221e\u2014 \U0001d70b", 'say "hi" \\ back\n\t\x00'],
+            "floats": [math.nan, math.inf, -math.inf, -0.0, 0.1, 1e300, 1e-7],
+            "scalars": [True, False, None, 0, -12, 2**80],
+            "keys": {7: "int", 2.5: "float", True: "bool", None: "null",
+                     math.inf: "inf", "s": "str"},
+        }
+        assert cli._dumps(payload) == json_text(payload)
+        assert cli._dumps([]) == "[]" and cli._dumps("\u00e9") == '"\\u00e9"'
+
+    @pytest.mark.parametrize(
+        "payload",
+        [[Unsupported()], {"a": {"b": Unsupported()}}, {(1, 2): 3}, Unsupported()],
+    )
+    def test_unsupported_is_a_type_error(self, payload):
+        with pytest.raises(TypeError) as ours:
+            cli._dumps(payload)
+        with pytest.raises(TypeError) as theirs:
+            json_text(payload)
+        assert str(ours.value) == str(theirs.value)
 
 
 def test_one_process_runs_commands_in_turn(capsys):

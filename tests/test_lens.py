@@ -1,6 +1,7 @@
 """Lens quotients, rho sums, and the counting arithmetic."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from rhoforge.lens import (
     rho_atiyah_bott,
     rho_exact,
     rho_lower_bound_check,
+    rho_polynomial,
     thm13_lower,
 )
 
@@ -180,6 +182,70 @@ class TestRho:
         assert abs(rho_atiyah_bott(LensSpec(3, 4)) - 2 * c**4) < 1e-15
 
 
+def newton_rho(n, d):
+    """rho(N, d) from the per-N integer recurrence of Newton's identities.
+
+    The power sums of the roots cot(pi k / N) are P_k / N^k, with
+    P_k = -2k E_k N^(k-1) - sum_{0<j<k} E_j P_{k-j} N^(j-1) and
+    E_j = (-1)^j C(N, 2j+1); the odd ones vanish.
+    """
+    if d % 2:
+        return Fraction(0)
+    half = d // 2
+    e = [(-1) ** j * math.comb(n, 2 * j + 1) for j in range(half + 1)]
+    p = [n - 1]
+    for k in range(1, half + 1):
+        acc = 2 * k * e[k] * n ** (k - 1)
+        for j in range(1, k):
+            acc += e[j] * p[k - j] * n ** (j - 1)
+        p.append(-acc)
+    return Fraction(p[half], n**half)
+
+
+class TestRhoPolynomial:
+    def test_matches_the_newton_recurrence(self):
+        for d in range(2, 31, 2):
+            for n in range(2, 301):
+                assert rho_exact(LensSpec(n, d)) == newton_rho(n, d), (n, d)
+
+    def test_odd_d_is_the_zero_polynomial(self):
+        for d in range(1, 31, 2):
+            assert rho_polynomial(d) == ((0,), 1)
+            for n in (2, 3, 4, 17, 300):
+                assert rho_exact(LensSpec(n, d)) == 0 == newton_rho(n, d)
+
+    def test_leading_coefficient_is_bernoulli(self):
+        sympy = pytest.importorskip("sympy")
+        for d in range(2, 31, 2):
+            coeffs, den = rho_polynomial(d)
+            assert len(coeffs) == d + 1
+            b = sympy.bernoulli(d)
+            bernoulli = abs(Fraction(int(b.p), int(b.q)))
+            assert Fraction(coeffs[-1], den) == (
+                2**d * bernoulli / math.factorial(d)
+            ), d
+        assert Fraction(rho_polynomial(6)[0][-1], rho_polynomial(6)[1]) == (
+            Fraction(2, 945)
+        )
+
+    def test_lowest_terms(self):
+        for d in range(2, 31, 2):
+            coeffs, den = rho_polynomial(d)
+            assert den > 0 and math.gcd(den, *coeffs) == 1
+
+    def test_derivation_is_cheap(self):
+        # a sweep pays this once per d
+        rho_polynomial.cache_clear()
+        for d in range(2, 41, 2):
+            start = time.perf_counter()
+            rho_polynomial(d)
+            assert time.perf_counter() - start < 0.05, d
+
+    def test_d_below_one_rejected(self):
+        with pytest.raises(LensError):
+            rho_polynomial(0)
+
+
 class TestLowerBound:
     def test_four_two_holds(self):
         r = rho_lower_bound_check(LensSpec(4, 2))
@@ -222,6 +288,24 @@ class TestLowerBound:
         # rho = 0 for odd d, which no bracket can lift over N^d
         odd = rho_lower_bound_check(LensSpec(4, 3))
         assert odd.status == "out_of_hypothesis" and not odd.holds
+
+    def test_decision_matches_the_rational_comparison(self):
+        lo, hi = lens.PI_BRACKET
+        for d in (2, 3, 4, 6, 8, 30):
+            for n in range(2, 200):
+                rho = newton_rho(n, d)
+                r = rho_lower_bound_check(LensSpec(n, d))
+                assert r.holds == (n**d < rho * lo**d), (n, d)
+                fails = n**d >= rho * hi**d
+                assert (r.status == "undecided") == (not r.holds and not fails)
+                assert r.rho == float(rho)
+
+    def test_rebound_bracket_takes_effect_and_is_undone(self, monkeypatch):
+        assert rho_lower_bound_check(LensSpec(4, 2)).status == "ok"
+        monkeypatch.setattr(lens, "PI_BRACKET", (Fraction(1), Fraction(4)))
+        assert rho_lower_bound_check(LensSpec(4, 2)).status == "undecided"
+        monkeypatch.undo()
+        assert rho_lower_bound_check(LensSpec(4, 2)).status == "ok"
 
     def test_overflow_is_an_overflow_error(self):
         with pytest.raises(OverflowError):

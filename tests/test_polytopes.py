@@ -1,6 +1,9 @@
+import time
+from collections import deque
+
 import pytest
 
-from rhoforge.bar import BarChain, hom_to_bar
+from rhoforge.bar import BarChain, gen_boundary, hom_to_bar
 from rhoforge.groups import FiniteAbelianGroup, cyclic
 from rhoforge.polytopes import (
     ColoredCell,
@@ -156,6 +159,83 @@ def test_assemble_reassembly_oracle():
         assert total == C
         for P in polys:
             assert P.check_coloring()
+
+
+def scan_assembly(C):
+    """The greedy gluing with a scan of every cell per face, as (cells, gluings)."""
+    _, degree, cells = as_cells(C)
+    faces = [gen_boundary(cell.gen) for cell in cells]
+
+    def ind(c, i):
+        return cells[c].sign * faces[c][i][1]
+
+    used = [False] * len(cells)
+    out = []
+    for seed in range(len(cells)):
+        if used[seed]:
+            continue
+        used[seed] = True
+        members, local, gluings = [seed], {seed: 0}, []
+        queue = deque((seed, i) for i in range(degree + 1))
+        while queue:
+            c, i = queue.popleft()
+            fg, fs = faces[c][i][0], ind(c, i)
+            hit = next(
+                (
+                    (d, j)
+                    for d in range(len(cells))
+                    if not used[d]
+                    for j in range(degree + 1)
+                    if faces[d][j][0] == fg and ind(d, j) == -fs
+                ),
+                None,
+            )
+            if hit is None:
+                continue
+            d, j = hit
+            used[d] = True
+            local[d] = len(members)
+            members.append(d)
+            gluings.append(((local[c], i), (local[d], j)))
+            queue.extend((d, jj) for jj in range(degree + 1) if jj != j)
+        out.append((tuple(cells[m] for m in members), tuple(gluings)))
+    return out
+
+
+def assembly_cases():
+    a, b, c, d = z2_4_generators()
+    for gens in [(a, b, c, d), (a, a, b, b), (a, b, a, b)]:
+        yield octagon_cells(*gens)
+        yield octagon_cells(*gens) + octagon_cells(a, a, b, b)
+    for n in (2, 3, 4, 5):
+        g = cyclic(n).element([1])
+        yield octagon_cells(g, g, g, g)
+        yield 3 * octagon_chain(g, g, g, g)
+    g = cyclic(3).element([1])
+    for k in (2, 5, 20):
+        yield octagon_cells(g, g, g, g) * k
+    G = cyclic(4)
+    g, h = G.element([1]), G.element([2])
+    yield octagon_cells(g, h, g, h) * 3 + octagon_cells(g, g, g, g) * 2
+
+
+def test_assemble_matches_the_scan():
+    for C in assembly_cases():
+        polys = assemble_polytopes(C)
+        assert [(P.cells, P.gluings) for P in polys] == scan_assembly(C)
+
+
+def test_assemble_is_linear_in_the_cells():
+    # the Z/3 octagon 320 times; a scan of every cell per face took 0.3 s
+    g = cyclic(3).element([1])
+    cells = octagon_cells(g, g, g, g) * 320
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        polys = assemble_polytopes(cells)
+        best = min(best, time.perf_counter() - start)
+    assert sum(len(P.cells) for P in polys) == 1920
+    assert best < 0.05
 
 
 def test_assemble_rejects_non_cycle():
