@@ -16,6 +16,7 @@ without changing homology; :meth:`BarChain.normalize` does that.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Mapping, Sequence
 
 from .groups import FiniteAbelianGroup, GroupElement, GroupMismatchError, as_int
@@ -45,6 +46,39 @@ def gen_boundary(gen: Gen) -> list[tuple[Gen, int]]:
     return entries
 
 
+def _sum_terms(
+    group: FiniteAbelianGroup,
+    degree: int,
+    pairs: Iterable[tuple[Sequence[GroupElement], int]],
+) -> dict[Gen, int]:
+    """Sum ``(generator, coefficient)`` pairs: the one place terms are checked.
+
+    Each coefficient goes through ``int()``, and generators whose sum is 0
+    are dropped.  Each distinct generator's length and group are checked
+    once, whatever its sum, so no malformed generator passes by cancelling.
+    """
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    summed: dict[Gen, int] = {}
+    for gen, coef in pairs:
+        gen = tuple(gen)
+        summed[gen] = summed.get(gen, 0) + int(coef)
+    clean: dict[Gen, int] = {}
+    for gen, coef in summed.items():
+        if len(gen) != degree:
+            raise ValueError(
+                f"generator {gen!r} has length {len(gen)}, expected {degree}"
+            )
+        for el in gen:
+            if not isinstance(el, GroupElement) or el.group is not group:
+                raise GroupMismatchError(
+                    f"generator entry {el!r} is not in {group!r}"
+                )
+        if coef:
+            clean[gen] = coef
+    return clean
+
+
 class BarChain:
     """An integer chain in a fixed degree.
 
@@ -70,39 +104,26 @@ class BarChain:
         group: FiniteAbelianGroup,
         degree: int,
         terms: Mapping[Gen, int] | None = None,
-        _validate: bool = True,
     ):
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
         self.group = group
         self.degree = degree
-        clean: dict[Gen, int] = {}
-        if terms:
-            for gen, coef in terms.items():
-                if not coef:
-                    continue
-                if _validate:
-                    gen = tuple(gen)
-                    if len(gen) != degree:
-                        raise ValueError(
-                            f"generator {gen!r} has length {len(gen)}, "
-                            f"expected {degree}"
-                        )
-                    for el in gen:
-                        if not isinstance(el, GroupElement) or el.group is not group:
-                            raise GroupMismatchError(
-                                f"generator entry {el!r} is not in {group!r}"
-                            )
-                clean[gen] = clean.get(gen, 0) + int(coef)
-                if not clean[gen]:
-                    del clean[gen]
-        self.terms = clean
+        self.terms = _sum_terms(group, degree, terms.items() if terms else ())
+
+    @classmethod
+    def _wrap(
+        cls, group: FiniteAbelianGroup, degree: int, terms: dict[Gen, int]
+    ) -> "BarChain":
+        """A chain around a dict that already has tuple keys and nonzero
+        int coefficients, as chain arithmetic builds it; nothing is checked."""
+        chain = object.__new__(cls)
+        chain.group, chain.degree, chain.terms = group, degree, terms
+        return chain
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, group: FiniteAbelianGroup, degree: int) -> "BarChain":
-        return cls(group, degree, None, _validate=False)
+        return cls(group, degree)
 
     @classmethod
     def single(
@@ -128,11 +149,7 @@ class BarChain:
         >>> BarChain.from_terms(G, 1, [((g,), 2), ((g * g,), 1), ((g,), -2)])
         BarChain(degree=1, terms={((2,),): 1})
         """
-        out: dict[Gen, int] = {}
-        for gen, coef in pairs:
-            gen = tuple(gen)
-            out[gen] = out.get(gen, 0) + coef
-        return cls(group, degree, out)
+        return cls._wrap(group, degree, _sum_terms(group, degree, pairs))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -153,27 +170,22 @@ class BarChain:
                 out[gen] = c
             elif gen in out:
                 del out[gen]
-        return BarChain(self.group, self.degree, out, _validate=False)
+        return BarChain._wrap(self.group, self.degree, out)
 
     def __sub__(self, other: "BarChain") -> "BarChain":
         return self + (-other)
 
     def __neg__(self) -> "BarChain":
-        return BarChain(
-            self.group,
-            self.degree,
-            {g: -c for g, c in self.terms.items()},
-            _validate=False,
+        return BarChain._wrap(
+            self.group, self.degree, {g: -c for g, c in self.terms.items()}
         )
 
     def __rmul__(self, k: int) -> "BarChain":
+        k = operator.index(k)
         if not k:
             return BarChain.zero(self.group, self.degree)
-        return BarChain(
-            self.group,
-            self.degree,
-            {g: k * c for g, c in self.terms.items()},
-            _validate=False,
+        return BarChain._wrap(
+            self.group, self.degree, {g: k * c for g, c in self.terms.items()}
         )
 
     def __eq__(self, other: object) -> bool:
@@ -208,7 +220,7 @@ class BarChain:
                     out[face] = c
                 elif face in out:
                     del out[face]
-        return BarChain(self.group, self.degree - 1, out, _validate=False)
+        return BarChain._wrap(self.group, self.degree - 1, out)
 
     def is_cycle(self) -> bool:
         return self.boundary().normalize().is_zero()
@@ -217,7 +229,7 @@ class BarChain:
         """Drop degenerate generators (those containing the identity)."""
         e = self.group.identity
         out = {g: c for g, c in self.terms.items() if e not in g}
-        return BarChain(self.group, self.degree, out, _validate=False)
+        return BarChain._wrap(self.group, self.degree, out)
 
     # -- size measures ------------------------------------------------
 
@@ -255,14 +267,11 @@ class BarChain:
     @classmethod
     def from_json(cls, group: FiniteAbelianGroup, data: dict) -> "BarChain":
         degree = as_int(data["degree"], "degree")
-        terms: dict[Gen, int] = {}
-        for entry in data["terms"]:
-            gen = tuple(group.element(r) for r in entry["gen"])
-            if len(gen) != degree:
-                raise ValueError("generator length does not match degree")
-            coef = as_int(entry["coef"], "coef")
-            terms[gen] = terms.get(gen, 0) + coef
-        return cls(group, degree, terms)
+        pairs = (
+            (tuple(map(group.element, entry["gen"])), as_int(entry["coef"], "coef"))
+            for entry in data["terms"]
+        )
+        return cls.from_terms(group, degree, pairs)
 
     def __repr__(self) -> str:
         parts = {

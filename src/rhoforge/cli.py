@@ -291,6 +291,8 @@ def _load_cycle(args):
     Either form needs degree >= 1, and explicit cells must be nonempty
     and of one degree; a file that breaks this is a usage error.
     """
+    if args.octagon and args.cycle:
+        raise UsageError("pass either --cycle or --octagon, not both")
     if args.octagon:
         g, inputs = _octagon(args)
         return octagon_cells(g, g, g, g), inputs
@@ -426,6 +428,8 @@ def _cmd_bound_chain(args):
 
 
 def _cmd_verify_polytope(args):
+    if args.octagon and args.polytope:
+        raise UsageError("pass either --polytope or --octagon, not both")
     if args.octagon:
         g, inputs = _octagon(args)
         P = octagon_polytope(g, g, g, g)

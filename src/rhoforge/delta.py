@@ -725,25 +725,6 @@ class FreeAction:
                         )
 
 
-def orbit_action(
-    group: FiniteAbelianGroup,
-    generator_perms: Sequence[Sequence[int]],
-) -> FreeAction:
-    """Action of a cyclic group from the permutation of one generator."""
-    if len(group.moduli) != 1:
-        raise DeltaComplexError("orbit_action wants a cyclic group")
-    n = group.moduli[0]
-    base = [tuple(p) for p in generator_perms]
-    perms = {}
-    current = [tuple(range(len(p))) for p in base]
-    for k in range(n):
-        perms[group.element([k])] = tuple(current)
-        current = [
-            tuple(b[c] for c in cur) for b, cur in zip(base, current)
-        ]
-    return FreeAction(group, perms)
-
-
 def quotient(K: DeltaComplex, action: FreeAction) -> DeltaComplex:
     """Quotient by a free cell action; orbits keep their smallest member."""
     action.validate(K)

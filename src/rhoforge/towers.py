@@ -13,10 +13,11 @@ end, and endows it once; that labeling travels with the tower.
 A bounding chain needs only the tower's labeled cells, and those follow
 from P itself: under the identity endowment every copy of the tower is P
 labeled by one translation, the product of the pairs' crossing
-holonomies raised to the copy's coordinates.  ``tower_labeled_cells``
-gives that chain as P's labeled cells once per distinct translation,
-each sign scaled by how many copies share it, so the bounding path never
-builds the tower.
+holonomies raised to the copy's coordinates.  The translations run over
+the holonomy subgroup H those crossings generate, each hit by |G|^s/|H|
+of the |G|^s copies, so ``tower_labeled_cells`` gives that chain as P's
+labeled cells once per element of H, each sign times |G|^s/|H|, and the
+bounding path never builds the tower.
 
 The cylinder turns a labeled signed cell into a degree n+1 prism chain
 joining it to its fully degenerate shadow.  It is linear, so the signs of
@@ -132,27 +133,6 @@ def _covering_step(
     return cells * height, new_gluings, new_classes
 
 
-def covering(
-    P: ColoredPolytope,
-    pair: tuple[FaceRef, FaceRef],
-    height: int | None = None,
-) -> ColoredPolytope:
-    """Covering of P with respect to one boundary pair.
-
-    ``height`` defaults to the group order.  The result's chain is
-    height times P's chain, and all other boundary pairs appear height
-    times over.
-    """
-    if height is None:
-        height = P.group.order
-    if pair not in P.boundary_pairs():
-        raise ValueError(f"{pair} is not a boundary pair of the polytope")
-    cells, gluings, _ = _covering_step(
-        list(P.cells), list(P.gluings), [(pair,)], 0, height
-    )
-    return ColoredPolytope(P.group, P.degree, cells, gluings)
-
-
 @dataclass(frozen=True)
 class Tower:
     """A finished tower of coverings.
@@ -254,13 +234,13 @@ def tower_labeled_cells(
 
     P is endowed once with identity base labels L.  Pair r crosses from
     its plus face to its minus face with holonomy hol_r = L(minus vertex)
-    * L(plus vertex)^-1, the same at every face vertex; the tower's copy
-    (j_1..j_s) is P labeled by t * L with t = hol_1^j_1 ... hol_s^j_s, and
-    hol_r^|G| = e is the dangling-label fact ``tower`` verifies.  Both are
-    checked here, and a failure raises ColoringError.  The multiplicity
-    of t counts its copies, the convolution over the pairs of the powers
-    hol_r^0..hol_r^(|G|-1).  Only the distinct translations are built, and
-    they count against the cell cap as the tower's cells.
+    * L(plus vertex)^-1, read at the first face vertex; the tower's copy
+    (j_1..j_s) is P labeled by t * L with t = hol_1^j_1 ... hol_s^j_s.
+    Those t run over the holonomy subgroup H = <hol_1, ..., hol_s>, each
+    hit by |G|^s / |H| copies, so the cells are P's labeled cells once per
+    element of H, each sign times |G|^s / |H|.  H's elements count against
+    the cell cap as the tower's cells.  ``bounding_chain`` verifies the
+    chain it builds from these cells exactly.
 
     >>> from rhoforge.groups import cyclic
     >>> from rhoforge.polytopes import octagon_polytope
@@ -279,38 +259,24 @@ def tower_labeled_cells(
     e, order = P.group.identity, P.group.order
     pairs = tuple(P.boundary_pairs())
     labeling = P.endow(e)
-    shifts = {e: 1}
-    for r, (plus, minus) in enumerate(pairs):
-        crossings = {
-            lm * ~lp
-            for lp, lm in zip(
-                _face_labels(P, labeling, plus), _face_labels(P, labeling, minus)
-            )
-        }
-        if len(crossings) != 1:
-            raise ColoringError(
-                f"pair {r} has no single crossing holonomy; coloring bug"
-            )
-        (hol,) = crossings
-        if hol**order != e:
-            raise ColoringError(
-                f"dangling labels of pair {r} disagree; coloring bug"
-            )
+    subgroup = {e: None}  # a dict, not a set: its order is the cells' order
+    for plus, minus in pairs:
+        hol = (
+            _face_labels(P, labeling, minus)[0]
+            * ~_face_labels(P, labeling, plus)[0]
+        )
         powers = [hol**j for j in range(order)]
-        convolved: dict[GroupElement, int] = {}
-        for t, count in shifts.items():
-            for h in powers:
-                k = t * h
-                convolved[k] = convolved.get(k, 0) + count
-        shifts = convolved
-    require_cells(len(shifts) * len(P.cells), "tower")
+        subgroup = dict.fromkeys(t * h for t in subgroup for h in powers)
+    require_cells(len(subgroup) * len(P.cells), "tower")
+    copies = order ** len(pairs)
+    count = copies // len(subgroup)
     base = polytope_labeled_cells(P, labeling)
     cells = [
         (tuple(t * label for label in labels), sign * count)
-        for t, count in shifts.items()
+        for t in subgroup
         for labels, sign in base
     ]
-    return order ** len(pairs), pairs, cells
+    return copies, pairs, cells
 
 
 # -- simplicial cylinders ---------------------------------------------
@@ -382,49 +348,12 @@ def cylinder(cells: LabeledCells) -> CylinderResult:
     return CylinderResult(chain=chain, top=top, bottom=bottom)
 
 
-def cell_face_labels(
-    labels: Sequence[GroupElement], i: int
-) -> tuple[GroupElement, ...]:
-    """Labels inherited by face i: drop the i-th vertex."""
-    return tuple(labels[:i]) + tuple(labels[i + 1 :])
-
-
-def cylinder_boundary_defect(cells: LabeledCells) -> BarChain:
-    """d(Cyl(P)) - (P - E - Cyl(dP with inherited labels)); zero when the
-    prism identity holds.  Exposed so tests can assert exactness."""
-    res = cylinder(cells)
-    faces = (
-        (cell_face_labels(labels, i), sign if i % 2 == 0 else -sign)
-        for labels, sign in cells
-        for i in range(len(labels))
-    )
-    face_cylinders = BarChain.from_terms(
-        res.top.group, res.top.degree, _cylinder_terms(faces)
-    )
-    return res.chain.boundary() - (res.top - res.bottom - face_cylinders)
-
-
 def polytope_labeled_cells(
     P: ColoredPolytope, labeling: VertexLabeling
 ) -> list[tuple[tuple[GroupElement, ...], int]]:
     return [
         (labeling.cell_labels(c), P.cells[c].sign) for c in range(len(P.cells))
     ]
-
-
-def boundary_cylinder_sum(P: ColoredPolytope, labeling: VertexLabeling) -> BarChain:
-    """Sum of face cylinders, the correction term of the prism identity.
-
-    Each face of a labeled n-cell inherits n vertex labels, so its
-    cylinder lives in degree n.  Over a full tower this sum vanishes
-    identically: glued faces cancel in pairs because they share vertex
-    classes, and dangling pairs cancel because their labels agree.
-    """
-    faces = (
-        (cell_face_labels(labeling.cell_labels(c), i), P.induced_sign(c, i))
-        for c, i in P.unglued_faces()
-    )
-    return BarChain.from_terms(P.group, P.degree, _cylinder_terms(faces))
 
 
 # -- the bounding chain -----------------------------------------------
@@ -476,7 +405,7 @@ def bounding_chain(C: CellsInput) -> BoundingResult:
 
     Pipeline: assemble the cycle's cells into polytopes, which is the
     check that C is a cycle; take each one's tower labeled chain from
-    copy translations (``tower_labeled_cells``, which builds no tower);
+    its holonomy subgroup (``tower_labeled_cells``, which builds no tower);
     scale each chain's signs by N / copies, with N = lcm of the tower
     copy counts; take one cylinder of the concatenated chain, equal
     labeled cells summed first.  A chain C expands to its complexity in
@@ -492,14 +421,8 @@ def bounding_chain(C: CellsInput) -> BoundingResult:
     cycle_chain = BarChain.from_terms(
         group, degree, ((cell.gen, cell.sign) for cell in cells)
     )
-    e = group.identity
     sign_total = sum(cell.sign for cell in cells)
-    shadow = BarChain(
-        group,
-        degree,
-        {(e,) * degree: sign_total} if sign_total else {},
-        _validate=False,
-    )
+    shadow = BarChain(group, degree, {(group.identity,) * degree: sign_total})
     if not cells:
         return BoundingResult(
             u=BarChain.zero(group, degree + 1),

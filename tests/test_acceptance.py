@@ -41,12 +41,14 @@ from rhoforge.polytopes import (
 from rhoforge.smith import bareiss_determinant
 from rhoforge.towers import (
     bounding_chain,
-    boundary_cylinder_sum,
     catalan_number,
-    covering,
-    cylinder_boundary_defect,
     lemma_bound,
     tower,
+)
+from test_towers import (
+    boundary_cylinder_sum,
+    covering,
+    cylinder_boundary_defect,
 )
 
 SEED = 0

@@ -174,6 +174,58 @@ def test_from_terms_validates():
         BarChain.from_terms(G, 2, [((g,), 1)])
     with pytest.raises(GroupMismatchError):
         BarChain.from_terms(G, 1, [((H.element([1]),), 1)])
+    # coefficients go through int() one by one; a generator is checked
+    # even when its coefficients cancel
+    assert BarChain(G, 1, {(g,): 0.5}).is_zero()
+    assert BarChain.from_terms(G, 1, [([g], 2.5), ((g,), 0.5)]).terms == {(g,): 2}
+    with pytest.raises(ValueError):
+        BarChain.from_terms(G, 1, [((g, g), 1), ((g, g), -1)])
+    data = {"degree": 1, "terms": [{"gen": [[1], [1]], "coef": c} for c in (1, -1)]}
+    with pytest.raises(ValueError):
+        BarChain.from_json(G, data)
+
+
+def test_arithmetic_results_are_clean_seeded():
+    # chain arithmetic wraps the dict it builds without a second pass, so
+    # every result must already have tuple keys and nonzero int values,
+    # and equal the checked sum of its raw pairs
+    rng = random.Random(16)
+    for G in [cyclic(2), cyclic(5), FiniteAbelianGroup([2, 3])]:
+        e = G.identity
+        for degree in range(0, 4):
+            for _ in range(10):
+                x = random_chain(G, degree, rng)
+                y = random_chain(G, degree, rng)
+                k = rng.randint(-3, 3)
+                cases = [
+                    (x + y, degree, [*x.terms.items(), *y.terms.items()]),
+                    (
+                        x - y,
+                        degree,
+                        [*x.terms.items(), *((g, -c) for g, c in y.terms.items())],
+                    ),
+                    (-x, degree, [(g, -c) for g, c in x.terms.items()]),
+                    (k * x, degree, [(g, k * c) for g, c in x.terms.items()]),
+                    (
+                        x.boundary(),
+                        max(degree - 1, 0),
+                        [
+                            (face, s * c)
+                            for g, c in x.terms.items()
+                            for face, s in (gen_boundary(g) if degree else [])
+                        ],
+                    ),
+                    (
+                        x.normalize(),
+                        degree,
+                        [(g, c) for g, c in x.terms.items() if e not in g],
+                    ),
+                ]
+                for result, d, raw in cases:
+                    for gen, coef in result.terms.items():
+                        assert type(gen) is tuple
+                        assert type(coef) is int and coef != 0
+                    assert result == BarChain.from_terms(G, d, raw)
 
 
 def test_hom_bar_round_trip():

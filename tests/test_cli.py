@@ -485,6 +485,19 @@ class TestMalformedInput:
         err = self.usage_error(capsys, command, "--octagon", "--group", group)
         assert "no moduli" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("bound-chain", "--octagon", "--group", "2", "--cycle"),
+         "pass either --cycle or --octagon, not both"),
+        (("verify-polytope", "--octagon", "--group", "2", "--polytope"),
+         "pass either --polytope or --octagon, not both"),
+        (("homology", "--builtin", "ngon:3", "--complex"),
+         "pass either --complex or --builtin, not both"),
+    ], ids=["cycle", "polytope", "complex"])
+    def test_file_and_builtin_input_together(self, tmp_path, capsys, argv, message):
+        # the file is never read, so a missing one must not pass unseen
+        err = self.usage_error(capsys, *argv, str(tmp_path / "missing.json"))
+        assert message in err
+
     @pytest.mark.parametrize("flag", FILE_FLAGS)
     def test_top_level_not_an_object(self, tmp_path, capsys, flag):
         src = tmp_path / "list.json"

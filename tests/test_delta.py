@@ -19,7 +19,6 @@ from rhoforge.delta import (
     join,
     keyed_complex,
     ngon,
-    orbit_action,
     point,
     prism,
     quotient,
@@ -34,6 +33,22 @@ from rhoforge.smith import (
     smith_normal_form,
 )
 from rhoforge.towers import ResourceCapError
+
+
+def orbit_action(group, generator_perms):
+    """Action of a cyclic group from the permutation of one generator."""
+    if len(group.moduli) != 1:
+        raise DeltaComplexError("orbit_action wants a cyclic group")
+    n = group.moduli[0]
+    base = [tuple(p) for p in generator_perms]
+    perms = {}
+    current = [tuple(range(len(p))) for p in base]
+    for k in range(n):
+        perms[group.element([k])] = tuple(current)
+        current = [
+            tuple(b[c] for c in cur) for b, cur in zip(base, current)
+        ]
+    return FreeAction(group, perms)
 
 
 def quadratic_validate(action, K):

@@ -19,13 +19,13 @@ from rhoforge.polytopes import (
 )
 from rhoforge.towers import (
     ResourceCapError,
-    boundary_cylinder_sum,
+    _covering_step,
+    _cylinder_terms,
+    _face_labels,
     bounding_chain,
     catalan_number,
     cell_cap,
-    covering,
     cylinder,
-    cylinder_boundary_defect,
     cylinder_cell,
     lemma_bound,
     polytope_labeled_cells,
@@ -33,6 +33,63 @@ from rhoforge.towers import (
     tower,
     tower_labeled_cells,
 )
+
+
+# -- oracles: covering, face labels and prism identities ------------------
+#
+# Only tests use these; ``test_acceptance`` imports them from here.
+
+
+def covering(P, pair, height=None):
+    """Covering of P with respect to one boundary pair.
+
+    ``height`` defaults to the group order.  The result's chain is
+    height times P's chain, and all other boundary pairs appear height
+    times over.
+    """
+    if height is None:
+        height = P.group.order
+    if pair not in P.boundary_pairs():
+        raise ValueError(f"{pair} is not a boundary pair of the polytope")
+    cells, gluings, _ = _covering_step(
+        list(P.cells), list(P.gluings), [(pair,)], 0, height
+    )
+    return ColoredPolytope(P.group, P.degree, cells, gluings)
+
+
+def cell_face_labels(labels, i):
+    """Labels inherited by face i: drop the i-th vertex."""
+    return tuple(labels[:i]) + tuple(labels[i + 1 :])
+
+
+def cylinder_boundary_defect(cells):
+    """d(Cyl(P)) - (P - E - Cyl(dP with inherited labels)); zero when the
+    prism identity holds."""
+    res = cylinder(cells)
+    faces = (
+        (cell_face_labels(labels, i), sign if i % 2 == 0 else -sign)
+        for labels, sign in cells
+        for i in range(len(labels))
+    )
+    face_cylinders = BarChain.from_terms(
+        res.top.group, res.top.degree, _cylinder_terms(faces)
+    )
+    return res.chain.boundary() - (res.top - res.bottom - face_cylinders)
+
+
+def boundary_cylinder_sum(P, labeling):
+    """Sum of face cylinders, the correction term of the prism identity.
+
+    Each face of a labeled n-cell inherits n vertex labels, so its
+    cylinder lives in degree n.  Over a full tower this sum vanishes
+    identically: glued faces cancel in pairs because they share vertex
+    classes, and dangling pairs cancel because their labels agree.
+    """
+    faces = (
+        (cell_face_labels(labeling.cell_labels(c), i), P.induced_sign(c, i))
+        for c, i in P.unglued_faces()
+    )
+    return BarChain.from_terms(P.group, P.degree, _cylinder_terms(faces))
 
 
 def z2_4_octagon():
@@ -287,8 +344,11 @@ class TestBoundingChain:
         # 10 cells and 11 pairs; its tower would have 4^11 * 10 cells
         G = cyclic(4)
         g = G.element([1])
-        res = bounding_chain(boundary_cells((g, g, g, g), (g, g**2, g, g**3)))
+        cells = boundary_cells((g, g, g, g), (g, g**2, g, g**3))
+        res = bounding_chain(cells)
         assert res.multiplicity == 4**11
+        for P in assemble_polytopes(cells):
+            assert tower_labeled_cells(P) == convolved_tower_labeled_cells(P)[:3]
         assert [(p.cells, p.pair_count) for p in res.polytopes] == [(10, 11)]
         assert res.u.boundary() == res.multiplicity * (res.cycle - res.shadow)
 
@@ -502,6 +562,98 @@ def boundary_cells(*gens):
     ]
 
 
+def crossings(P, labeling, plus, minus):
+    """Every L(minus vertex) * L(plus vertex)^-1 over the pair's face."""
+    return {
+        lm * ~lp
+        for lp, lm in zip(
+            _face_labels(P, labeling, plus), _face_labels(P, labeling, minus)
+        )
+    }
+
+
+def convolved_tower_labeled_cells(P):
+    """``tower_labeled_cells`` as it was before the holonomy subgroup:
+    the copy count of every translation, convolved pair by pair over the
+    powers hol^0..hol^(|G|-1) of the pair's one crossing holonomy.
+    Returns (copies, pairs, cells, counts)."""
+    e, order = P.group.identity, P.group.order
+    pairs = tuple(P.boundary_pairs())
+    labeling = P.endow(e)
+    shifts = {e: 1}
+    for plus, minus in pairs:
+        (hol,) = crossings(P, labeling, plus, minus)
+        convolved = {}
+        for t, count in shifts.items():
+            for h in (hol**j for j in range(order)):
+                convolved[t * h] = convolved.get(t * h, 0) + count
+        shifts = convolved
+    base = polytope_labeled_cells(P, labeling)
+    cells = [
+        (tuple(t * label for label in labels), sign * count)
+        for t, count in shifts.items()
+        for labels, sign in base
+    ]
+    return order ** len(pairs), pairs, cells, shifts
+
+
+def generated_subgroup(G, gens):
+    """Closure of ``gens`` under multiplication, as a set."""
+    H = {G.identity}
+    frontier = list(H)
+    while frontier:
+        t = frontier.pop()
+        for g in gens:
+            if t * g not in H:
+                H.add(t * g)
+                frontier.append(t * g)
+    return H
+
+
+THEOREM_GROUPS = [[2], [3], [4], [5], [6], [2, 2], [2, 4], [3, 3]]
+
+
+def test_holonomy_subgroup_replaces_the_copy_convolution():
+    # boundaries of random chains assemble into polytopes on which every
+    # boundary pair crosses by one translation h with h^|G| = e, so the
+    # convolved copy counts are |G|^s / |H| on each element of
+    # H = <hol_1, ..., hol_s> and nothing else
+    rng = random.Random(16)
+    polytopes = proper = 0
+    for moduli in THEOREM_GROUPS:
+        G = FiniteAbelianGroup(moduli)
+        elems = list(G)
+        for length in (3, 4):
+            for _ in range(12):
+                terms = [
+                    (tuple(rng.choice(elems) for _ in range(length)),
+                     rng.choice([-1, 1]))
+                    for _ in range(rng.randint(1, 3))
+                ]
+                cells = [
+                    (face, s * sign)
+                    for gen, sign in terms
+                    for face, s in gen_boundary(gen)
+                ]
+                for P in assemble_polytopes(cells):
+                    polytopes += 1
+                    labeling = P.endow(G.identity)
+                    hols = []
+                    for plus, minus in P.boundary_pairs():
+                        (h,) = crossings(P, labeling, plus, minus)
+                        assert h**G.order == G.identity
+                        hols.append(h)
+                    copies, pairs, labeled, counts = (
+                        convolved_tower_labeled_cells(P)
+                    )
+                    H = generated_subgroup(G, hols)
+                    assert set(counts) == H
+                    proper += 1 < len(H) < G.order
+                    assert set(counts.values()) == {copies // len(H)}
+                    assert tower_labeled_cells(P) == (copies, pairs, labeled)
+    assert polytopes >= 192 and proper > 0
+
+
 def _tower_chain_cases():
     for group, image in GENERATOR_IMAGES:
         G = FiniteAbelianGroup([int(m) for m in group.split(",")])
@@ -533,6 +685,7 @@ def test_tower_labeled_cells_match_built_tower(cells):
             polytope_labeled_cells(t.result, t.labeling)
         )
         assert len(labeled) <= P.group.order * len(P.cells)
+        assert (copies, pairs, labeled) == convolved_tower_labeled_cells(P)[:3]
 
 
 @pytest.mark.parametrize(
@@ -557,6 +710,7 @@ def test_bounding_chain_scales_each_polytope_to_the_common_multiplicity():
     res = bounding_chain(cells)
     polys = assemble_polytopes(cells)
     chains = [tower_labeled_cells(P) for P in polys]
+    assert chains == [convolved_tower_labeled_cells(P)[:3] for P in polys]
     copies = sorted(c for c, _, _ in chains)
     assert len(polys) >= 2 and copies[0] != copies[-1]
     assert [(p.cells, p.pair_count, p.copies) for p in res.polytopes] == [
