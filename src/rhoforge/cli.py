@@ -438,6 +438,8 @@ def _cmd_verify_polytope(args):
             args.polytope, ColoredPolytope.from_json, "polytope file",
             "invalid polytope",
         )
+        if args.group and _parse_group(args.group).moduli != P.group.moduli:
+            raise UsageError("--group disagrees with the polytope file")
         inputs = {"polytope": digest}
     else:
         raise UsageError("need --polytope FILE or --octagon")
@@ -505,7 +507,7 @@ def _cmd_hyperbolize(args):
         "z_table": z_comparison_table(4),
     }
     if n <= 2:
-        K = hyperbolized_sphere(n).complex
+        K = hyperbolized_sphere(n, stage).complex
         H = K.homology()
         f = K.f_vector()
         extra["sphere"] = {
@@ -710,7 +712,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="check coloring and endowment of a colored polytope",
     )
     p.add_argument("--polytope", help="polytope JSON file")
-    p.add_argument("--group", help="group moduli for --octagon")
+    p.add_argument(
+        "--group", help="group moduli for --octagon, or of the --polytope file"
+    )
     p.add_argument("--octagon", action="store_true")
     p.set_defaults(handler=_cmd_verify_polytope)
 
@@ -774,11 +778,18 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         print(f"rhoforge: resource cap exceeded: {exc}", file=sys.stderr)
         return 3
-    if args.report:
-        print(f"{report['status']}: report written to {args.report}")
-    else:
-        print(text)
-    return 0 if report["status"] == "pass" else 1
+    code = 0 if report["status"] == "pass" else 1
+    try:
+        if args.report:
+            print(f"{report['status']}: report written to {args.report}")
+        else:
+            print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (``| head``): stdout goes to devnull, so
+        # the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -4,10 +4,13 @@ Cells of dimension q carry q+1 ordered references to (q-1)-cells,
 repeats allowed; the simplicial identities are checked on construction,
 a level at a time as array comparisons, so every complex produced by
 the builders here (joins, cones, prisms, barycentric subdivisions, free
-quotients) is verified as it is built.  The subset, join and
-subdivision builders list their cells as keys with a face rule on keys,
-and ``keyed_complex`` numbers them; ``prism`` applies its face rule to
-whole blocks of cells by index arithmetic instead.
+quotients) is verified as it is built.  A level may be given as face
+tuples or as an integer array of shape (n, q+1), which is checked as it
+is.  The subset, join and subdivision builders list their cells as keys
+with a face rule on keys, and ``keyed_complex`` numbers them; ``prism``
+applies its face rule to whole blocks of cells by index arithmetic
+instead and hands its arrays over as they are, as ``lens_complex`` and
+the fiber product of ``hyperbolize`` do.
 Integral homology runs through unit reductions of the whole chain
 complex and Smith normal form of the residue; the combinatorial
 torsion runs through the log pseudo-determinants of the boundary Gram
@@ -34,27 +37,61 @@ class DeltaComplexError(ValueError):
     pass
 
 
-def _check_level(q: int, cells: Sequence[Face], below: int) -> None:
-    """Each q-cell has q+1 faces, ints in range(below), the (q-1)-cells.
+def _check_level(
+    q: int, level: Sequence[Sequence[int]] | np.ndarray, below: int
+) -> tuple[tuple[Face, ...], np.ndarray]:
+    """The cells of a level as tuples, and as an int64 array ``(n, q+1)``.
 
-    The level is checked as a whole; only when it fails are its cells
-    scanned in order, for the first bad one to name.
+    Each q-cell has q+1 faces, ints in range(below), the (q-1)-cells.
+    An integer ndarray level is checked as it is, with numpy, and any
+    other level through its tuples; only when the level fails is it
+    scanned a cell at a time, as lists of Python scalars, for the first
+    bad cell to name.
     """
+    if isinstance(level, np.ndarray):
+        if (
+            level.dtype.kind in "iu"
+            and level.ndim == 2
+            and level.shape[1] == q + 1
+            and (not level.size or 0 <= level.min() and level.max() < below)
+        ):
+            array = level.astype(np.int64, copy=False)
+            return tuple(map(tuple, array.tolist())), array
+        level = level.tolist()
+    cells = tuple(map(tuple, level))
     flat = list(chain.from_iterable(cells))
-    if (
+    if not (
         set(map(len, cells)) <= {q + 1}
         and set(map(type, flat)) <= {int}
         and (not flat or 0 <= min(flat) and max(flat) < below)
     ):
-        return
-    for c, cell in enumerate(cells):
-        if len(cell) != q + 1:
+        for c, cell in enumerate(cells):
+            if len(cell) != q + 1:
+                raise DeltaComplexError(
+                    f"{q}-cell {c} has {len(cell)} faces, wants {q + 1}"
+                )
+            if any(type(f) is not int or not 0 <= f < below for f in cell):
+                raise DeltaComplexError(
+                    f"{q}-cell {c} faces {cell!r} are not {q - 1}-cells"
+                )
+    return cells, np.array(flat, dtype=np.int64).reshape(-1, q + 1)
+
+
+def _check_simplicial(arrays: Sequence[np.ndarray]) -> None:
+    """d_i d_j = d_{j-1} d_i for i < j, one array comparison a level.
+
+    ``arrays[q - 1]`` holds the q-cells.  Pairs run j-major, as a
+    per-cell loop over j then i would meet them, so the first failing
+    cell and pair are the ones named.
+    """
+    for q, (lower, cells) in enumerate(zip(arrays, arrays[1:]), 2):
+        j, i = np.array([(j, i) for j in range(1, q + 1) for i in range(j)]).T
+        bad = lower[cells[:, j], i] != lower[cells[:, i], j - 1]
+        if bad.any():
+            c, pair = divmod(int(bad.argmax()), len(j))
             raise DeltaComplexError(
-                f"{q}-cell {c} has {len(cell)} faces, wants {q + 1}"
-            )
-        if any(type(f) is not int or not 0 <= f < below for f in cell):
-            raise DeltaComplexError(
-                f"{q}-cell {c} faces {cell!r} are not {q - 1}-cells"
+                f"simplicial identity fails at {q}-cell {c}, "
+                f"faces ({i[pair]}, {j[pair]})"
             )
 
 
@@ -64,8 +101,11 @@ class DeltaComplex:
     ``faces[q][c]`` is the ordered face tuple of q-cell c (empty for
     vertices), of ints.  ``tags[q][c]`` is an optional provenance token
     attached by the builders; tags never affect equality of structure,
-    they only let later constructions find cells again.  Construction
-    counts the cells against the cell cap before it checks them.
+    they only let later constructions find cells again.  A level of
+    ``faces`` may also be an integer array of shape (n, q+1), as the
+    array builders make; it is checked as it is, and stored as tuples.
+    Construction counts the cells against the cell cap before it checks
+    them.
     """
 
     __slots__ = ("faces", "tags", "_tag_index", "_log_pdets")
@@ -73,7 +113,7 @@ class DeltaComplex:
     def __init__(
         self,
         vertices: int,
-        faces: Sequence[Sequence[Sequence[int]]] = (),
+        faces: Sequence[Sequence[Sequence[int]] | np.ndarray] = (),
         tags: Sequence[Sequence[object]] | None = None,
     ):
         if type(vertices) is not int or vertices < 0:
@@ -81,10 +121,11 @@ class DeltaComplex:
         levels = list(faces)  # read once: ``faces`` may be an iterator
         require_cells(vertices + sum(map(len, levels)), "Delta-complex")
         built: list[tuple[Face, ...]] = [tuple(() for _ in range(vertices))]
+        arrays = []
         for q, level in enumerate(levels, 1):
-            cells = tuple(map(tuple, level))
-            _check_level(q, cells, len(built[q - 1]))
+            cells, array = _check_level(q, level, len(built[q - 1]))
             built.append(cells)
+            arrays.append(array)
         while len(built) > 1 and not built[-1]:
             built.pop()
         self.faces = tuple(built)
@@ -102,29 +143,9 @@ class DeltaComplex:
             ):
                 raise DeltaComplexError("tag shape does not match cells")
             self.tags = tuple(norm[: len(self.faces)])
-        self._check_simplicial()
+        _check_simplicial(arrays)
         self._tag_index: dict[int, dict[object, int]] = {}
         self._log_pdets: dict[int, float] = {}
-
-    def _check_simplicial(self) -> None:
-        """d_i d_j = d_{j-1} d_i for i < j, one array comparison a level.
-
-        Pairs run j-major, as a per-cell loop over j then i would meet
-        them, so the first failing cell and pair are the ones named.
-        """
-        lower = None
-        for q, level in enumerate(self.faces[1:], 1):
-            cells = np.array(level, dtype=np.int64).reshape(-1, q + 1)
-            if q > 1:
-                j, i = np.array([(j, i) for j in range(1, q + 1) for i in range(j)]).T
-                bad = lower[cells[:, j], i] != lower[cells[:, i], j - 1]
-                if bad.any():
-                    c, pair = divmod(int(bad.argmax()), len(j))
-                    raise DeltaComplexError(
-                        f"simplicial identity fails at {q}-cell {c}, "
-                        f"faces ({i[pair]}, {j[pair]})"
-                    )
-            lower = cells
 
     # -- bookkeeping --------------------------------------------------
 
@@ -589,7 +610,7 @@ def prism(K: DeltaComplex, what: str = "prism") -> DeltaComplex:
                     offset, stride, t2 = position(q if k is None else q - 1, rest)
                     out[:, t, i] = offset + over * stride + t2
             blocks[p].append(out.reshape(-1, p + 1))
-    faces = [np.concatenate(level).tolist() for level in blocks[1:]]
+    faces = [np.concatenate(level) for level in blocks[1:]]
     return DeltaComplex(len(tags[0]), faces, tags)
 
 

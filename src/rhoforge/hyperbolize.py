@@ -7,10 +7,10 @@ of the hyperbolization are the reason plain colorings are not enough,
 since the interval direction collapses.
 
 The fiber product pairs a cell with every cell of the colored factor
-whose color span equals its carrier; cell structure and face maps are
-validated on construction, so the classical counts (hexagon, annulus,
-the 288-triangle surface) come out of the machine checked rather than
-assumed.
+whose color span equals its carrier, numbering the pairs by index
+arithmetic; cell structure and face maps are validated on construction,
+so the classical counts (hexagon, annulus, the 288-triangle surface)
+come out of the machine checked rather than assumed.
 """
 
 from __future__ import annotations
@@ -19,14 +19,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .delta import (
     DeltaComplex,
     barycentric,
     boundary_simplex,
-    keyed_complex,
     prism,
     simplex,
 )
+from .towers import require_cells
 
 Carriers = tuple[tuple[frozenset, ...], ...]
 Colors = tuple[tuple[tuple[int, ...], ...], ...]
@@ -183,31 +185,58 @@ def fiber_product(
     span is exactly S; the pair is a copy of the X-cell, and its i-th
     face pairs the i-th face of the X half with the L-face spanned by
     the smaller carrier.  L must be colored; X need not be.  ``what``
-    names the result in a cell-cap error.
+    names the result in a cell-cap error, raised before any face is
+    computed.
+
+    The pairs over one X-cell form a block, in the order of the L-cells
+    of span S, so a pair's index is the block start of its X-cell plus
+    the position of its L-cell among those of span S.  Face i of every
+    pair over sigma lies in the block of face i of sigma; the position
+    there of each L-face is looked up once per L-cell and kept carrier,
+    through ``colored_face``.
     """
     if X.target_dim != L.target_dim:
         raise OverSimplexError("factors live over different simplices")
     if not L.is_colored:
         raise OverSimplexError("right factor must be colored")
     by_span: dict[frozenset, list[int]] = {}
+    position: list[list[int]] = []  # an L-cell's place among its span's
     for q in range(len(L.complex.faces)):
+        level = []
         for c in range(L.complex.n_cells(q)):
-            by_span.setdefault(frozenset(L.colors[q][c]), []).append(c)
+            span = by_span.setdefault(frozenset(L.colors[q][c]), [])
+            level.append(len(span))
+            span.append(c)
+        position.append(level)
 
     dims = len(X.complex.faces)
     cells: list[list[tuple[int, CellRef]]] = [[] for _ in range(dims)]
+    starts: list[list[int]] = []
     for q in range(dims):
-        for sigma in range(X.complex.n_cells(q)):
+        start = [0]
+        for sigma, S in enumerate(X.carriers[q]):
+            cells[q].extend((sigma, (len(S) - 1, tau)) for tau in by_span.get(S, ()))
+            start.append(len(cells[q]))
+        starts.append(start)
+    require_cells(sum(map(len, cells)), what)
+
+    moved: dict[tuple[frozenset, frozenset], np.ndarray] = {}
+    faces = []
+    for q in range(1, dims):
+        out = np.empty((len(cells[q]), q + 1), dtype=np.int64)
+        for sigma, cell in enumerate(X.complex.faces[q]):
             S = X.carriers[q][sigma]
-            for tau in by_span.get(S, []):
-                cells[q].append((sigma, (len(S) - 1, tau)))
-
-    def face(q: int, cell: tuple[int, CellRef], i: int):
-        sigma, (tq, tc) = cell
-        fs = X.complex.faces[q][sigma][i]
-        return fs, colored_face(L, tq, tc, X.carriers[q - 1][fs])
-
-    F = keyed_complex(cells, face, what=what)
+            if S not in by_span:
+                continue
+            rows = slice(starts[q][sigma], starts[q][sigma + 1])
+            for i, fs in enumerate(cell):
+                keep = X.carriers[q - 1][fs]
+                if (S, keep) not in moved:
+                    refs = [colored_face(L, len(S) - 1, t, keep) for t in by_span[S]]
+                    moved[S, keep] = np.array([position[r][c] for r, c in refs])
+                out[rows, i] = starts[q - 1][fs] + moved[S, keep]
+        faces.append(out)
+    F = DeltaComplex(len(cells[0]), faces)
     carriers = tuple(
         tuple(X.carriers[q][sigma] for sigma, _ in cells[q])
         for q in range(dims)
@@ -321,14 +350,23 @@ def hyperbolized_simplex(n: int) -> Hyperbolization:
     return Hyperbolization(n, K, over, K.f_vector())
 
 
-def hyperbolized_sphere(n: int) -> ComplexOverSimplex:
-    """Y^n = X^n fibered with the boundary of the next simplex (n ≤ 2)."""
+def hyperbolized_sphere(
+    n: int, stage: Hyperbolization | None = None
+) -> ComplexOverSimplex:
+    """Y^n = X^n fibered with the boundary of the next simplex (n ≤ 2).
+
+    ``stage`` is X^n when the caller has it already; it is built here
+    otherwise.
+    """
     if n not in (1, 2):
         raise OverSimplexError(
             "spheres stop at n = 2: no over-simplex structure is on "
             "record for X^3"
         )
-    stage = hyperbolized_simplex(n)
+    if stage is None:
+        stage = hyperbolized_simplex(n)
+    elif stage.n != n:
+        raise OverSimplexError(f"Y^{n} needs the stage X^{n}, not X^{stage.n}")
     return williams(
         stage.over, boundary_simplex(n + 1), f"hyperbolized Y{n} sphere"
     )

@@ -111,7 +111,7 @@ def lens_complex(spec: LensSpec) -> DeltaComplex:
             idx %= n
             rows = slice(offset[dims], offset[dims] + len(grid))
             out[rows] = np.einsum("fmp,fp->mf", idx, np.array(weights)) + base
-        faces.append(out.tolist())
+        faces.append(out)
     return DeltaComplex(len(levels[0]), faces, levels)
 
 

@@ -4,7 +4,11 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,6 +207,19 @@ class TestVerifyPolytope:
         src = tmp_path / "p.json"
         src.write_text(json.dumps(P.to_json()))
         assert run("verify-polytope", "--polytope", str(src)) == 0
+
+    def test_group_disagreeing_with_the_file(self, tmp_path, capsys):
+        g = FiniteAbelianGroup([2]).element([1])
+        src = tmp_path / "p2.json"
+        src.write_text(json.dumps(octagon_polytope(g, g, g, g).to_json()))
+        assert run("verify-polytope", "--group", "2", "--polytope", str(src)) == 0
+        capsys.readouterr()
+        assert run("verify-polytope", "--group", "5", "--polytope", str(src)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "rhoforge: --group disagrees with the polytope file\n"
+        )
 
 
 class TestComplexCommands:
@@ -640,6 +657,73 @@ class TestConstantsAndUsage:
         with pytest.raises(SystemExit) as err:
             run()
         assert err.value.code == 2
+
+
+class TestClosedPipe:
+    """A reader that stops early (``| head -1``) ends the run quietly,
+    with the command's own exit code."""
+
+    @pytest.mark.parametrize("d, status", [(6, 1), (2, 0)])
+    def test_rho_sweep_into_head(self, d, status):
+        # the report is over 250 kB, far past a pipe's buffer, so the
+        # write meets a closed pipe
+        argv = ["rho-sweep", "--d", str(d), "--from", "4", "--to", "2000"]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rhoforge.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()  # a no-op once it has exited
+        assert (proc.returncode, err) == (status, b"")
+
+
+def golden_digest(argv, capsys):
+    """sha256 of a command's report without ``elapsed_s``, re-emitted
+    with floats at 9 significant digits: eigenvalue solvers differ in
+    the last bits between LAPACK builds, and the torsion report carries
+    their floats."""
+
+    def rounded(value):
+        if isinstance(value, float):
+            return float(f"{value:.9g}")
+        if isinstance(value, dict):
+            return {k: rounded(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [rounded(v) for v in value]
+        return value
+
+    assert run(*argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["elapsed_s"]
+    return hashlib.sha256(json.dumps(rounded(report), indent=2).encode()).hexdigest()
+
+
+# taken before fiber_product numbered its cells by index arithmetic and
+# before the DeltaComplex constructor took the builders' arrays
+GOLDEN_REPORTS = {
+    ("hyperbolize", "--dim", "1"):
+        "caaf4b8c6efe0f13882d4d6945cc9668c0b09e8979b06b89b85c6a851a8517b4",
+    ("hyperbolize", "--dim", "2"):
+        "ab91a7cb5be474eb8320e771b02aebd6722b57c3b78faf92c4198b78de432d70",
+    ("hyperbolize", "--dim", "3"):
+        "0a76b9a5aed74cbf319356217c245f7ccd53bd5332a52235222426526b90001a",
+    ("homology", "--builtin", "lens:4,4"):
+        "05bed06c17d4904c176c82118ab71965c2523d4559a8e29e7ff425017a04b61c",
+    ("fvector", "--builtin", "lens:8,3"):
+        "1bf9067f72544fa81e4d22a6c58bcbcc5d13df6061c7c84549346268674e4a34",
+    ("torsion", "--builtin", "lens:8,3"):
+        "a32096d8514425f01bae240f990445eeb84ee43bd48dab8f3167ec2f9233ac75",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_REPORTS))
+def test_golden_report(argv, capsys):
+    assert golden_digest(argv, capsys) == GOLDEN_REPORTS[argv]
 
 
 class TestCellCap:

@@ -924,6 +924,48 @@ class TestLevelChecks:
         assert same_outcome(K.n_cells(0), K.faces[1:]) == ("ok", K.faces)
 
 
+class TestArrayLevels:
+    """An integer ndarray level is checked as it is; a bad one gets the
+    message the same level gets as a list."""
+
+    TRIANGLE_EDGES = [(1, 0), (2, 1), (2, 0)]
+
+    @pytest.mark.parametrize("vertices, faces", [
+        (2, [[(1, 0, 0)]]),  # too wide
+        (2, [[(1,)]]),  # too narrow
+        (2, [[(1, 0), (2, 0)]]),  # out of range
+        (0, [[(0, 0)]]),
+        (3, [TRIANGLE_EDGES, [(0, 1, 5)]]),
+        (2, [[(1, 0), (1, -1)]]),  # negative
+        (2, [[(1.0, 0.0)]]),  # float
+        (3, [TRIANGLE_EDGES, [(1.0, 2.0, 0.5)]]),
+        (2, [[(True, False)]]),  # bool
+        (3, [TRIANGLE_EDGES, [(1, 2, 0), (2, 1, 0)]]),  # simplicial identity
+        (4, [*map(list, simplex(3).faces[1:3]), [(3, 3, 1, 1)]]),
+    ])
+    def test_same_message_as_the_list(self, vertices, faces):
+        arrays = [np.array(level) for level in faces]
+        assert [a.tolist() for a in arrays] == [list(map(list, l)) for l in faces]
+        with pytest.raises(DeltaComplexError) as as_list:
+            DeltaComplex(vertices, faces)
+        with pytest.raises(DeltaComplexError) as as_array:
+            DeltaComplex(vertices, arrays)
+        assert str(as_array.value) == str(as_list.value)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    def test_stored_as_tuples_of_ints(self, dtype):
+        K = simplex(3)
+        arrays = [np.array(level, dtype=dtype) for level in K.faces[1:]]
+        L = DeltaComplex(K.n_cells(0), arrays, K.tags)
+        assert L.faces == K.faces
+        entries = {type(f) for level in L.faces[1:] for cell in level for f in cell}
+        assert entries == {int}
+
+    def test_an_empty_level(self):
+        empty = np.empty((0, 2), dtype=np.int64)
+        assert DeltaComplex(3, [empty]).faces == DeltaComplex(3, [[]]).faces
+
+
 class TestBuildersAgainstPerCellRules:
     @pytest.mark.parametrize("name", [
         "empty", "point", "ngon:1", "Y2", "boundary-simplex:3",

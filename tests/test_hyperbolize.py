@@ -6,7 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from rhoforge.delta import DeltaComplex, boundary_simplex, prism, simplex
+from rhoforge import hyperbolize
+from rhoforge.delta import (
+    DeltaComplex,
+    boundary_simplex,
+    keyed_complex,
+    prism,
+    simplex,
+)
 from rhoforge.hyperbolize import (
     ComplexOverSimplex,
     OverSimplexError,
@@ -204,6 +211,112 @@ class TestFiberProduct:
             )
         with pytest.raises(OverSimplexError, match="pair"):
             williams(simplex_over_itself(1), boundary_simplex(3))
+
+
+def keyed_fiber_product(X, L, what="fiber product"):
+    """The former fiber_product, kept as an oracle: the pairs are keys,
+    and every (pair, face) resolves through one ``colored_face`` call."""
+    by_span = {}
+    for q in range(len(L.complex.faces)):
+        for c in range(L.complex.n_cells(q)):
+            by_span.setdefault(frozenset(L.colors[q][c]), []).append(c)
+    dims = len(X.complex.faces)
+    cells = [[] for _ in range(dims)]
+    for q in range(dims):
+        for sigma in range(X.complex.n_cells(q)):
+            S = X.carriers[q][sigma]
+            for tau in by_span.get(S, []):
+                cells[q].append((sigma, (len(S) - 1, tau)))
+
+    def face(q, cell, i):
+        sigma, (tq, tc) = cell
+        fs = X.complex.faces[q][sigma][i]
+        return fs, colored_face(L, tq, tc, X.carriers[q - 1][fs])
+
+    carriers = tuple(tuple(X.carriers[q][s] for s, _ in cells[q]) for q in range(dims))
+    colors = None
+    if X.is_colored:
+        colors = tuple(tuple(X.colors[q][s] for s, _ in cells[q]) for q in range(dims))
+    return ComplexOverSimplex(
+        keyed_complex(cells, face, what=what), X.target_dim, carriers, colors,
+        proj_left=tuple(tuple(s for s, _ in level) for level in cells),
+        proj_right=tuple(tuple(t for _, t in level) for level in cells),
+    )
+
+
+def over_simplex_parts(Y):
+    return (
+        Y.complex.faces, Y.complex.tags, Y.target_dim, Y.carriers, Y.colors,
+        Y.proj_left, Y.proj_right,
+    )
+
+
+class TestFiberProductAgainstKeyedOracle:
+    @pytest.mark.parametrize("name", ["Y1", "Y2", "unit:2", "unit:3"])
+    def test_face_for_face(self, name):
+        X, L = {
+            "Y1": lambda: (
+                simplex_over_itself(1), degree_structure(boundary_simplex(2))
+            ),
+            "Y2": lambda: (
+                hyperbolized_simplex(2).over,
+                degree_structure(boundary_simplex(3)),
+            ),
+            "unit:2": lambda: (
+                simplex_over_itself(2), degree_structure(boundary_simplex(3))
+            ),
+            "unit:3": lambda: (
+                simplex_over_itself(3), degree_structure(boundary_simplex(4))
+            ),
+        }[name]()
+        got, want = fiber_product(X, L), keyed_fiber_product(X, L)
+        assert over_simplex_parts(got) == over_simplex_parts(want)
+
+    def test_x3_build(self, monkeypatch):
+        got = hyperbolized_simplex(3)
+        monkeypatch.setattr(hyperbolize, "fiber_product", keyed_fiber_product)
+        want = hyperbolized_simplex(3)
+        assert got.counts == want.counts
+        assert (got.complex.faces, got.complex.tags) == (
+            want.complex.faces, want.complex.tags,
+        )
+
+    def test_colored_face_once_per_cell_and_kept_carrier(self, monkeypatch):
+        X = hyperbolized_simplex(2).over
+        L = degree_structure(boundary_simplex(3))
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1:])
+            return colored_face(*args)
+
+        monkeypatch.setattr(hyperbolize, "colored_face", counting)
+        F = fiber_product(X, L)
+        assert len(calls) == len(set(calls))
+        # the oracle makes one call per (cell, face): 1,728 for Y2
+        f = F.complex.f_vector()
+        per_face = sum((q + 1) * n for q, n in enumerate(f) if q)
+        assert (per_face, len(calls)) == (1728, 276)
+
+
+class TestStageReuse:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_given_stage_is_not_rebuilt(self, n, monkeypatch):
+        stage = hyperbolized_simplex(n)
+        want = hyperbolized_sphere(n)
+
+        def no_rebuild(m):
+            raise AssertionError("the stage was built again")
+
+        monkeypatch.setattr(hyperbolize, "hyperbolized_simplex", no_rebuild)
+        got = hyperbolized_sphere(n, stage)
+        assert over_simplex_parts(got) == over_simplex_parts(want)
+
+    def test_stage_of_another_dimension_rejected(self):
+        with pytest.raises(
+            OverSimplexError, match=r"^Y\^2 needs the stage X\^2, not X\^1$"
+        ):
+            hyperbolized_sphere(2, hyperbolized_simplex(1))
 
 
 class TestTower:
