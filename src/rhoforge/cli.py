@@ -12,6 +12,11 @@ Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error
 (bad arguments, a malformed or unreadable input file, an unwritable
 output path, a ``rho-sweep`` row whose rho or bound overflows a float),
 3 resource cap exceeded.
+
+The bounding layers (``groups``, ``bar``, ``polytopes``, ``towers``)
+are imported with this module; ``delta``, ``lens`` and ``hyperbolize``
+are imported by the handlers that use them, so ``bound-chain``,
+``verify-polytope`` and ``rho-sweep`` run without loading numpy.
 """
 
 from __future__ import annotations
@@ -27,33 +32,11 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .bar import BarChain
-from .delta import (
-    DeltaComplex,
-    HomologySummary,
-    boundary_simplex,
-    ngon,
-    simplex,
-)
 from .groups import FiniteAbelianGroup
-from .hyperbolize import (
-    hyperbolized_simplex,
-    hyperbolized_sphere,
-    thm12_constant,
-    z_comparison_table,
-    z_formula,
-)
-from .lens import (
-    LensError,
-    LensSpec,
-    divisor_count,
-    homotopy_invariant_count,
-    invariant_count,
-    lens_complex,
-    rho_lower_bound_check,
-)
 from .polytopes import (
     ColoredCell,
     ColoredPolytope,
@@ -64,6 +47,9 @@ from .polytopes import (
     octagon_polytope,
 )
 from .towers import ResourceCapError, bounding_chain, catalan_number, cell_cap
+
+if TYPE_CHECKING:
+    from .delta import DeltaComplex, HomologySummary
 
 
 class UsageError(Exception):
@@ -334,6 +320,9 @@ def _load_cycle(args):
 
 
 def _builtin_complex(spec: str) -> DeltaComplex:
+    from .delta import boundary_simplex, ngon, simplex
+    from .lens import LensError, LensSpec, lens_complex
+
     name, _, rest = spec.partition(":")
     try:
         if name == "ngon":
@@ -362,6 +351,8 @@ def _load_complex(args):
     if args.builtin:
         return _builtin_complex(args.builtin), {"builtin": args.builtin}
     if args.complex:
+        from .delta import DeltaComplex
+
         K, digest = _load_file(
             args.complex, DeltaComplex.from_json, "complex file",
             "invalid complex",
@@ -496,6 +487,12 @@ def _cmd_fvector(args):
 
 
 def _cmd_hyperbolize(args):
+    from .hyperbolize import (
+        hyperbolized_simplex,
+        hyperbolized_sphere,
+        z_comparison_table,
+    )
+
     n = args.dim
     if n not in (1, 2, 3):
         raise UsageError("--dim must be 1, 2, or 3")
@@ -555,6 +552,8 @@ def _cmd_hyperbolize(args):
 
 
 def _cmd_lens(args):
+    from .lens import LensError, LensSpec, lens_complex
+
     try:
         spec = LensSpec(args.n, args.d)
         K = lens_complex(spec)
@@ -591,6 +590,8 @@ def _cmd_lens(args):
 
 
 def _cmd_rho_sweep(args):
+    from .lens import LensError, LensSpec, rho_lower_bound_check
+
     if args.stop < args.start:
         raise UsageError("--to must be at least --from")
     try:
@@ -645,6 +646,9 @@ def _cmd_rho_sweep(args):
 
 
 def _cmd_constants(args):
+    from .hyperbolize import thm12_constant, z_comparison_table, z_formula
+    from .lens import divisor_count, homotopy_invariant_count, invariant_count
+
     catalan = [catalan_number(k) for k in range(1, 6)]
     checks = [
         _check("z-4", z_formula(4) == 1728, value=z_formula(4)),

@@ -19,11 +19,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .delta import DeltaComplex
 from .towers import require_cells
+
+if TYPE_CHECKING:
+    from .delta import DeltaComplex
 
 
 class LensError(ValueError):
@@ -68,6 +69,10 @@ def lens_complex(spec: LensSpec) -> DeltaComplex:
     stated for rotations acting freely on a polygon with at least three
     sides.
     """
+    import numpy as np
+
+    from .delta import DeltaComplex
+
     n, d = spec.n, spec.d
     require_cells(lens_count(spec).total, f"lens complex ({n}, {d})")
     levels: list[list] = [[] for _ in range(2 * d)]
