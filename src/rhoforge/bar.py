@@ -154,8 +154,10 @@ class BarChain:
     # -- arithmetic ---------------------------------------------------
 
     def _compat(self, other: "BarChain") -> None:
-        if self.group is not other.group and self.group != other.group:
-            raise GroupMismatchError("chains over different groups")
+        # as in _sum_terms: elements of two group objects never cancel,
+        # even where the moduli agree
+        if self.group is not other.group:
+            raise GroupMismatchError("chains over different group objects")
         if self.degree != other.degree:
             raise ValueError(
                 f"degree mismatch: {self.degree} vs {other.degree}"
@@ -192,7 +194,7 @@ class BarChain:
         if not isinstance(other, BarChain):
             return NotImplemented
         return (
-            self.group == other.group
+            self.group is other.group
             and self.degree == other.degree
             and self.terms == other.terms
         )
@@ -250,10 +252,9 @@ class BarChain:
     # -- serialization ------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Gen, int]]:
-        """Terms in a canonical order: lexicographic on residue tuples."""
-        return sorted(
-            self.terms.items(), key=lambda item: tuple(e.residues for e in item[0])
-        )
+        """Terms in a canonical order: lexicographic on residue tuples,
+        which is the order of the entries' indices."""
+        return sorted(self.terms.items(), key=lambda item: tuple(map(int, item[0])))
 
     def to_json(self) -> dict:
         return {

@@ -1,26 +1,42 @@
 """Finite abelian groups presented as products of cyclic factors.
 
-A group is specified by its list of moduli ``[m1, ..., mk]`` and its
-elements are residue tuples ``(r1, ..., rk)`` with ``0 <= ri < mi``.
-Elements are interned per group, so equality is pointer equality and
-hashes are precomputed.  This matters: the chain-complex code multiplies
-and compares group elements in very tight loops.
+A group is specified by its list of moduli ``[m1, ..., mk]``; an element
+has residues ``(r1, ..., rk)`` with ``0 <= ri < mi`` and *is* its
+mixed-radix index ``((r1 * m2 + r2) * m3 + ...) * mk + rk``: a
+:class:`GroupElement` is an ``int`` subclass, first residue most
+significant, so the int order is the lexicographic order of residues.
+
+Elements are interned per group object, so equality is identity: an
+element never equals a plain int, nor an element of another group
+object, even one with the same moduli.  The hash is the index's own
+``int`` hash, computed in C and fixed by the element (not by its address
+or ``PYTHONHASHSEED``), which matters because the chain-complex code
+hashes tuples of elements in very tight loops.  For the same reason
+``*`` reads a product memo on the element and ``~`` a cached inverse;
+both are filled from residue arithmetic on first use and hang off the
+elements of one group object, so nothing is shared between groups.
+
+``operator.index`` returns any int subclass as it is, without asking
+``__index__``, so it takes an element for its index; :func:`as_int`
+checks for elements by type and rejects them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from typing import Iterator, Sequence
 
 
 def as_int(value, what: str) -> int:
-    """``value`` as an int; TypeError for floats, booleans and strings.
+    """``value`` as an int; TypeError for floats, booleans, strings and
+    group elements.
 
     Residues, moduli and the integer fields of input files are read
     through it, where ``int()`` would take 1.7, True or "1" for 1.
     """
-    if not isinstance(value, bool):
+    if not isinstance(value, (bool, GroupElement)):
         try:
             return operator.index(value)
         except TypeError:
@@ -32,13 +48,15 @@ class GroupMismatchError(ValueError):
     """Raised when elements of different groups are combined."""
 
 
-class GroupElement:
-    """An element of a :class:`FiniteAbelianGroup`.
+class GroupElement(int):
+    """An element of a :class:`FiniteAbelianGroup`: its mixed-radix index.
 
     Supports ``*`` (group operation), ``~`` (inverse), ``**`` (integer
     powers), equality, hashing, and a total order given by the residue
     tuple.  Instances are interned; do not construct directly, use
-    ``group.element(residues)``.
+    ``group.element(residues)``.  ``bool(e)`` is True for every element,
+    the identity included; the int operators other than these work on
+    the index, not in the group.
 
     >>> G = FiniteAbelianGroup([2, 3])
     >>> a = G.element([1, 2])
@@ -48,35 +66,49 @@ class GroupElement:
     True
     >>> a ** 6 is G.identity
     True
+    >>> int(a), a == 5
+    (5, False)
     """
 
-    __slots__ = ("group", "residues", "_hash")
+    __hash__ = int.__hash__
 
-    def __init__(self, group: "FiniteAbelianGroup", residues: tuple[int, ...]):
+    def __new__(
+        cls, group: "FiniteAbelianGroup", index: int, residues: tuple[int, ...]
+    ) -> "GroupElement":
+        self = super().__new__(cls, index)
         self.group = group
         self.residues = residues
-        self._hash = hash(residues)
+        self._products: dict[GroupElement, GroupElement] = {}
+        self._inverse: GroupElement | None = None
+        return self
 
     def __repr__(self) -> str:
         return f"GroupElement({self.residues!r})"
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __bool__(self) -> bool:
+        return True
 
     def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        return self.group is other.group and self.residues == other.residues
+        return self is other
+
+    def __ne__(self, other: object) -> bool:
+        return self is not other
 
     def __lt__(self, other: "GroupElement") -> bool:
         self._check(other)
-        return self.residues < other.residues
+        return int.__lt__(self, other)
 
     def __le__(self, other: "GroupElement") -> bool:
         self._check(other)
-        return self.residues <= other.residues
+        return int.__le__(self, other)
+
+    def __gt__(self, other: "GroupElement") -> bool:
+        self._check(other)
+        return int.__gt__(self, other)
+
+    def __ge__(self, other: "GroupElement") -> bool:
+        self._check(other)
+        return int.__ge__(self, other)
 
     def _check(self, other: object) -> None:
         if not isinstance(other, GroupElement) or other.group is not self.group:
@@ -85,27 +117,35 @@ class GroupElement:
             )
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        self._check(other)
-        g = self.group
-        moduli = g.moduli
-        a = self.residues
-        b = other.residues
-        return g._intern(
-            tuple((a[i] + b[i]) % moduli[i] for i in range(len(moduli)))
-        )
+        product = self._products.get(other)
+        if product is None:
+            self._check(other)
+            g = self.group
+            product = g._at(
+                tuple(
+                    (a + b) % m
+                    for a, b, m in zip(self.residues, other.residues, g.moduli)
+                )
+            )
+            self._products[other] = other._products[self] = product
+        return product
+
+    # an int on the left would otherwise multiply indices
+    __rmul__ = __mul__
 
     def __invert__(self) -> "GroupElement":
-        g = self.group
-        moduli = g.moduli
-        return g._intern(
-            tuple((-r) % m for r, m in zip(self.residues, moduli))
-        )
+        inverse = self._inverse
+        if inverse is None:
+            g = self.group
+            inverse = self._inverse = g._at(
+                tuple((-r) % m for r, m in zip(self.residues, g.moduli))
+            )
+            inverse._inverse = self
+        return inverse
 
     def __pow__(self, n: int) -> "GroupElement":
         g = self.group
-        return g._intern(
-            tuple((r * n) % m for r, m in zip(self.residues, g.moduli))
-        )
+        return g._at(tuple((r * n) % m for r, m in zip(self.residues, g.moduli)))
 
     @property
     def is_identity(self) -> bool:
@@ -118,13 +158,9 @@ class GroupElement:
         >>> G.element([2, 3]).order()
         2
         """
-        n = 1
-        x = self
-        e = self.group.identity
-        while x is not e:
-            x = x * self
-            n += 1
-        return n
+        return math.lcm(
+            *(m // math.gcd(r, m) for r, m in zip(self.residues, self.group.moduli))
+        )
 
     def to_json(self) -> dict:
         return {"residues": list(self.residues)}
@@ -140,7 +176,7 @@ class FiniteAbelianGroup:
     [(0, 0), (0, 1), (1, 0), (1, 1)]
     """
 
-    __slots__ = ("moduli", "order", "identity", "_cache")
+    __slots__ = ("moduli", "order", "identity", "_elements")
 
     def __init__(self, moduli: Sequence[int]):
         moduli = tuple(as_int(m, "modulus") for m in moduli)
@@ -148,18 +184,18 @@ class FiniteAbelianGroup:
             if m < 1:
                 raise ValueError(f"moduli must be positive, got {m}")
         self.moduli = moduli
-        order = 1
-        for m in moduli:
-            order *= m
-        self.order = order
-        self._cache: dict[tuple[int, ...], GroupElement] = {}
-        self.identity = self._intern((0,) * len(moduli))
+        self.order = math.prod(moduli)
+        self._elements: dict[int, GroupElement] = {}
+        self.identity = self._at((0,) * len(moduli))
 
-    def _intern(self, residues: tuple[int, ...]) -> GroupElement:
-        el = self._cache.get(residues)
+    def _at(self, residues: tuple[int, ...]) -> GroupElement:
+        """The interned element of reduced ``residues``."""
+        index = 0
+        for r, m in zip(residues, self.moduli):
+            index = index * m + r
+        el = self._elements.get(index)
         if el is None:
-            el = GroupElement(self, residues)
-            self._cache[residues] = el
+            el = self._elements[index] = GroupElement(self, index, residues)
         return el
 
     def element(self, residues: Sequence[int]) -> GroupElement:
@@ -169,13 +205,11 @@ class FiniteAbelianGroup:
             raise ValueError(
                 f"expected {len(self.moduli)} residues, got {len(residues)}"
             )
-        return self._intern(
-            tuple(r % m for r, m in zip(residues, self.moduli))
-        )
+        return self._at(tuple(r % m for r, m in zip(residues, self.moduli)))
 
     def __iter__(self) -> Iterator[GroupElement]:
         for combo in itertools.product(*(range(m) for m in self.moduli)):
-            yield self._intern(combo)
+            yield self._at(combo)
 
     def __repr__(self) -> str:
         return f"FiniteAbelianGroup({list(self.moduli)!r})"
@@ -190,12 +224,7 @@ class FiniteAbelianGroup:
 
     def exponent(self) -> int:
         """lcm of the moduli: every element to this power is identity."""
-        import math
-
-        out = 1
-        for m in self.moduli:
-            out = math.lcm(out, m)
-        return out
+        return math.lcm(*self.moduli)
 
     def to_json(self) -> dict:
         return {"moduli": list(self.moduli)}

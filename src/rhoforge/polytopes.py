@@ -54,8 +54,9 @@ class ColoredCell:
             raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
 
 
-def _gen_key(gen: Gen) -> tuple:
-    return tuple(e.residues for e in gen)
+def _gen_key(gen: Gen) -> tuple[int, ...]:
+    """The entries' indices, which order as their residue tuples do."""
+    return tuple(map(int, gen))
 
 
 class ColoredPolytope:
@@ -242,8 +243,6 @@ class ColoredPolytope:
         labels: list[GroupElement | None] = [None] * self.vertex_count
         queue: list[int] = []
         done = bytearray(sweep)
-        # label * entry products; a tower repeats a few of them many times
-        products: dict[tuple[GroupElement, GroupElement], GroupElement] = {}
 
         def settle(x: int, label: GroupElement, t: int) -> None:
             labels[x] = label
@@ -272,9 +271,7 @@ class ColoredPolytope:
             if lu is None:
                 settle(u, lv * ~g, t)
                 continue
-            step = products.get((lu, g))
-            if step is None:
-                step = products[(lu, g)] = lu * g
+            step = lu * g
             if lv is None:
                 settle(v, step, t)
             elif step != lv:
@@ -444,7 +441,9 @@ def as_cells(C: CellsInput) -> tuple[FiniteAbelianGroup, int, list[ColoredCell]]
     return group, degree, cells
 
 
-def assemble_polytopes(C: CellsInput) -> list[ColoredPolytope]:
+def assemble_polytopes(
+    C: CellsInput, *, chain: BarChain | None = None
+) -> list[ColoredPolytope]:
     """Glue a cycle's cells into polytopes, greedily and deterministically.
 
     Cells are taken in canonical order.  A polytope grows from a seed
@@ -460,12 +459,21 @@ def assemble_polytopes(C: CellsInput) -> list[ColoredPolytope]:
     In degree 1 the faces are points and no gluing is performed; each
     cell becomes its own polytope and pairing is left to the boundary.
 
+    A caller that has normalised C with :func:`as_cells` and summed its
+    cells already passes that cell list as C and the sum as ``chain``;
+    C is then taken as it is, with the group and degree of ``chain``.
+
     Raises NotACycleError unless the total chain boundary is exactly 0.
     """
-    group, degree, cells = as_cells(C)
+    if chain is None:
+        group, degree, cells = as_cells(C)
+        chain = BarChain.from_terms(
+            group, degree, ((c.gen, c.sign) for c in cells)
+        )
+    else:
+        group, degree, cells = chain.group, chain.degree, C
     if not cells:
         return []
-    chain = BarChain.from_terms(group, degree, ((c.gen, c.sign) for c in cells))
     if not chain.boundary().is_zero():
         raise NotACycleError("input chain has nonzero boundary")
     if degree == 1:

@@ -294,19 +294,25 @@ class CylinderResult:
 LabeledCells = Sequence[tuple[Sequence[GroupElement], int]]
 
 
-def _cylinder_terms(cells: LabeledCells) -> Iterator[tuple[Gen, int]]:
-    """Signed prism generators of every (vertex labels, sign) cell.
+def _prism_terms(
+    labels: Sequence[GroupElement], q: Gen, sign: int
+) -> Iterator[tuple[Gen, int]]:
+    """Signed prism generators of one cell, given q = hom_to_bar(labels).
 
-    Term i of labels (h_0, ..., h_n) is (e,)*i + (h_i,) + q[i:] with
-    q = hom_to_bar(labels), so a cell costs n multiplications.
+    Term i of labels (h_0, ..., h_n) is (e,)*i + (h_i,) + q[i:].
     """
+    if not labels:
+        raise ValueError("labels must cover at least one vertex")
+    e = labels[0].group.identity
+    for i in range(len(labels)):
+        yield (e,) * i + (labels[i],) + q[i:], sign if i % 2 == 0 else -sign
+
+
+def _cylinder_terms(cells: LabeledCells) -> Iterator[tuple[Gen, int]]:
+    """Signed prism generators of every (vertex labels, sign) cell; a
+    cell costs the n multiplications of its ``hom_to_bar``."""
     for labels, sign in cells:
-        if not labels:
-            raise ValueError("labels must cover at least one vertex")
-        e = labels[0].group.identity
-        q = hom_to_bar(labels)
-        for i in range(len(labels)):
-            yield (e,) * i + (labels[i],) + q[i:], sign if i % 2 == 0 else -sign
+        yield from _prism_terms(labels, hom_to_bar(labels), sign)
 
 
 def cylinder_cell(labels: Sequence[GroupElement], sign: int = 1) -> BarChain:
@@ -338,11 +344,18 @@ def cylinder(cells: LabeledCells) -> CylinderResult:
         raise ValueError("empty labeled chain")
     first = next(iter(summed))
     group, n = first[0].group, len(first) - 1
-    distinct = [(labels, sign) for labels, sign in summed.items() if sign]
-    chain = BarChain.from_terms(group, n + 1, _cylinder_terms(distinct))
-    top = BarChain.from_terms(
-        group, n, ((hom_to_bar(labels), sign) for labels, sign in distinct)
+    # each distinct cell's generator serves its prism and the top chain
+    distinct = [
+        (labels, hom_to_bar(labels), sign)
+        for labels, sign in summed.items()
+        if sign
+    ]
+    chain = BarChain.from_terms(
+        group,
+        n + 1,
+        (term for cell in distinct for term in _prism_terms(*cell)),
     )
+    top = BarChain.from_terms(group, n, ((q, sign) for _, q, sign in distinct))
     bottom_coef = sum(summed.values())
     bottom = BarChain(group, n, {(group.identity,) * n: bottom_coef})
     return CylinderResult(chain=chain, top=top, bottom=bottom)
@@ -434,7 +447,7 @@ def bounding_chain(C: CellsInput) -> BoundingResult:
             complexity=0,
         )
 
-    polys = assemble_polytopes(cells)
+    polys = assemble_polytopes(cells, chain=cycle_chain)
     chains = [tower_labeled_cells(P) for P in polys]
     multiplicity = math.lcm(*(copies for copies, _, _ in chains))
     scaled = [

@@ -145,6 +145,23 @@ def test_validation():
         x + y
 
 
+def test_chains_combine_only_over_one_group_object():
+    # equal moduli, distinct group objects: their elements never cancel,
+    # so a sum would hold terms that print alike and stay apart
+    G, H = cyclic(3), cyclic(3)
+    g, h = G.element([1]), H.element([1])
+    c = BarChain(G, 2, {(g, g): 1, (g, g * g): -2})
+    d = -BarChain(H, 2, {(h, h): 1, (h, h * h): -2})
+    assert G == H and repr(c) == repr(-d)
+    assert c != -d
+    assert c == -BarChain(G, 2, {(g, g): -1, (g, g * g): 2})
+    with pytest.raises(GroupMismatchError):
+        c + d
+    with pytest.raises(GroupMismatchError):
+        c - d
+    assert (c - c).is_zero()
+
+
 def test_from_terms_matches_repeated_addition_seeded():
     rng = random.Random(7)
     for G in [cyclic(2), cyclic(5), FiniteAbelianGroup([2, 3])]:
