@@ -42,7 +42,7 @@ from .polytopes import (
     ColoredPolytope,
     ColoringError,
     NotACycleError,
-    as_cells,
+    decomposition_degree,
     octagon_cells,
     octagon_polytope,
 )
@@ -303,7 +303,8 @@ def _load_cycle(args):
                 )
                 for entry in data["cells"]
             ]
-            _, degree, _ = as_cells(payload)
+            # bounding_chain sorts the cells; only their degree is read here
+            degree = decomposition_degree(payload)
         elif "terms" in data:
             payload = BarChain.from_json(group, data)
             degree = payload.degree

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -253,18 +253,22 @@ class DeltaComplex:
         The chain complex, augmented by one (-1)-cell under every
         vertex, is cut down by unit reductions over all degrees at
         once, so each cell is eliminated once rather than as a column
-        of d_q and again as a row of d_{q+1}.  Smith normal form then
-        runs once per degree on the residue; the augmentation makes
-        the residue's b_0 the reduced one, so 1 is added back.
+        of d_q and again as a row of d_{q+1}.  The reduction reads each
+        cell's faces with alternating signs straight from ``faces``; no
+        boundary matrix is built.  Smith normal form then runs once per
+        degree on the residue; the augmentation makes the residue's b_0
+        the reduced one, so 1 is added back.
         """
         if self.dim < 0:
             return HomologySummary((), ())
         sizes = [1, *self.f_vector(), 0]
-        augmentation = {(0, v): 1 for v in range(self.n_cells(0))}
-        boundaries = chain(
-            [{}, augmentation],
-            map(self.boundary_matrix, range(1, self.dim + 2)),
-        )
+        # alternating signs, enough for the widest cell
+        signs = (1, -1) * (self.dim // 2 + 1)
+        boundaries = [
+            (),
+            [((0, 1),)] * self.n_cells(0),
+            *(map(zip, level, repeat(signs)) for level in self.faces[1:]),
+        ]
         sizes, boundaries = reduce_chain_complex(sizes, boundaries)
         snf = [smith_normal_form(m) for m in boundaries[1:]]
         degrees = range(self.dim + 1)

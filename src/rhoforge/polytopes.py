@@ -402,6 +402,20 @@ class VertexLabeling:
 CellsInput = Union[BarChain, Sequence[ColoredCell], Sequence[tuple[Gen, int]]]
 
 
+def decomposition_degree(cells: Sequence[ColoredCell]) -> int:
+    """The common degree of an explicit decomposition, read without
+    sorting it: there is a cell, every cell has it, and it is >= 1."""
+    degrees = {len(cell.gen) for cell in cells}
+    if not degrees:
+        raise ValueError("empty decomposition: degree unknown")
+    if len(degrees) != 1:
+        raise ValueError("mixed degrees in decomposition")
+    (degree,) = degrees
+    if degree == 0:
+        raise ValueError("degree must be >= 1")
+    return degree
+
+
 def as_cells(C: CellsInput) -> tuple[FiniteAbelianGroup, int, list[ColoredCell]]:
     """Normalize a chain or explicit decomposition to a sorted cell list.
 
@@ -417,22 +431,14 @@ def as_cells(C: CellsInput) -> tuple[FiniteAbelianGroup, int, list[ColoredCell]]
             s = 1 if coef > 0 else -1
             cells.extend(ColoredCell(gen, s) for _ in range(abs(coef)))
     else:
-        items = list(C)
-        if not items:
-            raise ValueError("empty decomposition: degree unknown")
         norm = []
-        for item in items:
+        for item in C:
             if isinstance(item, ColoredCell):
                 norm.append(item)
             else:
                 gen, sign = item
                 norm.append(ColoredCell(tuple(gen), int(sign)))
-        degrees = {len(c.gen) for c in norm}
-        if len(degrees) != 1:
-            raise ValueError("mixed degrees in decomposition")
-        degree = degrees.pop()
-        if degree == 0:
-            raise ValueError("degree must be >= 1")
+        degree = decomposition_degree(norm)
         group = norm[0].gen[0].group
         cells = norm
     cells.sort(key=lambda cell: (_gen_key(cell.gen), cell.sign))

@@ -2,17 +2,21 @@
 form (with the rank), determinant.
 
 Everything here is over the integers with arbitrary precision, so ranks
-and torsion coefficients are exact.  Matrices are sparse: a mapping
-``(row, col) -> value``, absent entries zero.
+and torsion coefficients are exact.  Matrices are sparse.
+``smith_normal_form`` takes a mapping ``(row, col) -> value``, absent
+entries zero.  ``reduce_chain_complex`` takes each boundary map by
+column, the ``(row, coefficient)`` pairs of each cell, which it reads
+straight into the per-cell maps it works on, and gives its residue
+back as mappings.
 
 Unit pivots come from one place.  ``reduce_chain_complex`` removes
 pairs of cells joined by a ±1 coefficient over all degrees at once, so
 homology eliminates each cell once rather than as a column of d_q and
-again as a row of d_{q+1}.  Smith normal form runs the same reduction on
-its matrix as a two-level complex, counts each pair as an invariant
-factor 1, and eliminates the residue with the Markowitz pivot (smallest
-absolute value, then least fill), which still takes a ±1 entry first
-when elimination creates one.
+again as a row of d_{q+1}.  Smith normal form groups its entries by
+column and runs the same reduction on them as a two-level complex,
+counts each pair as an invariant factor 1, and eliminates the residue
+with the Markowitz pivot (smallest absolute value, then least fill),
+which still takes a ±1 entry first when elimination creates one.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 
@@ -68,9 +73,10 @@ def smith_normal_form(entries: Mapping[tuple[int, int], int]) -> SmithResult:
 
     Zero entries in the mapping are ignored; absent entries are zero.
     The shape is irrelevant beyond the support, so it is not passed.
-    Rows and columns of the support are numbered densely and reduced as
-    a two-level chain complex; each reduction pair is a unit pivot, so
-    an invariant factor 1.  The residue is eliminated with the Markowitz
+    Rows and columns of the support are numbered densely, and the
+    entries, grouped by column, are reduced as a two-level chain
+    complex; each reduction pair is a unit pivot, so an invariant
+    factor 1.  The residue is eliminated with the Markowitz
     pivot, the entry of least absolute value and then least fill, so a
     unit the reduction left or a gcd step made still goes first.
 
@@ -88,9 +94,11 @@ def smith_normal_form(entries: Mapping[tuple[int, int], int]) -> SmithResult:
     support = {key: int(v) for key, v in entries.items() if v}
     row_of = {r: i for i, r in enumerate(sorted({r for r, _ in support}))}
     col_of = {c: j for j, c in enumerate(sorted({c for _, c in support}))}
+    columns: list[list[tuple[int, int]]] = [[] for _ in col_of]
+    for (r, c), v in support.items():
+        columns[col_of[c]].append((row_of[r], v))
     (n_rows, _), (_, residue) = reduce_chain_complex(
-        [len(row_of), len(col_of)],
-        [{}, {(row_of[r], col_of[c]): v for (r, c), v in support.items()}],
+        [len(row_of), len(col_of)], [(), columns]
     )
     diag = [1] * (len(row_of) - n_rows)
     rows, cols = _build_sparse(residue)
@@ -164,15 +172,20 @@ def smith_normal_form(entries: Mapping[tuple[int, int], int]) -> SmithResult:
 
 def reduce_chain_complex(
     sizes: Sequence[int],
-    boundaries: Iterable[Mapping[tuple[int, int], int]],
+    boundaries: Iterable[Iterable[Iterable[tuple[int, int]]]],
 ) -> tuple[list[int], list[dict[tuple[int, int], int]]]:
     """A smaller chain complex with the same integral homology.
 
-    ``sizes[q]`` counts the q-cells and the q-th of ``boundaries``
-    holds d_q, rows indexed by (q-1)-cells and columns by q-cells; the
-    0-th is ignored.  Each is read once, in order, so they may come
-    from a generator.  Returns the residue in the same form,
-    cells renumbered in their old order within each level.
+    ``sizes[q]`` counts the q-cells, and the q-th of ``boundaries``
+    lists d_q by column: for each q-cell in order, its ``(row,
+    coefficient)`` pairs, rows indexing the (q-1)-cells.  Repeated rows
+    are summed and rows that sum to zero dropped, so a Delta-complex
+    cell can be given as its faces with alternating signs.  The 0-th
+    level is ignored, and levels past the last given have no boundary.
+    Everything is read once, in order, so levels and listings may be
+    iterators.  Returns the residue with each d_q as a sparse matrix
+    ``(row, col) -> value``, cells renumbered in their old order within
+    each level.
 
     A cell a with a face b of coefficient ±1 is a reduction pair: a and
     b go, and every other coface c of b becomes
@@ -187,14 +200,14 @@ def reduce_chain_complex(
     any residue, and on every complex the tests and the benchmark build
     the residue is as small as the homology allows.
 
-    A circle as one vertex and one loop, and a 2-cell glued to a circle
-    of two edges, which collapses to a point:
+    A circle as one vertex and one loop, whose two ends cancel; and a
+    2-cell glued to a circle of two edges, which collapses to a point:
 
-    >>> reduce_chain_complex([1, 1], [{}, {}])
+    >>> reduce_chain_complex([1, 1], [[], [[(0, 1), (0, -1)]]])
     ([1, 1], [{}, {}])
     >>> reduce_chain_complex(
-    ...     [2, 2, 1], [{}, {(0, 0): -1, (1, 0): 1, (0, 1): -1, (1, 1): 1},
-    ...                 {(0, 0): 1, (1, 0): -1}])
+    ...     [2, 2, 1], [[], [[(0, -1), (1, 1)], [(0, -1), (1, 1)]],
+    ...                 [[(0, 1), (1, -1)]]])
     ([1, 0, 0], [{}, {}, {}])
     """
     start = [0]
@@ -205,28 +218,38 @@ def reduce_chain_complex(
     bd: list[dict[int, int]] = [{} for _ in ids]
     # coboundaries are dicts used as ordered sets, which are smaller
     cobd: list[dict[int, None]] = [{} for _ in ids]
-    for q, entries in enumerate(boundaries):
+    for q, level in enumerate(boundaries):
         if not q:
             continue
-        lo, hi = start[q - 1], start[q]
-        for (r, c), v in entries.items():
-            if v:
-                a, b = ids[hi + c], ids[lo + r]
-                bd[a][b] = v
-                cobd[b][a] = None
-        del entries  # freed before the next matrix is built
+        below = ids[start[q - 1] : start[q]]
+        for a, listing in zip(ids[start[q] : start[q + 1]], level):
+            da = bd[a]
+            for r, v in listing:
+                b = below[r]
+                if b in da:
+                    v += da[b]
+                    if v:
+                        da[b] = v
+                    else:
+                        del da[b]
+                        del cobd[b][a]
+                elif v:
+                    da[b] = v
+                    cobd[b][a] = None
     alive = [True] * len(ids)
     # candidates by length only; the unit coefficient is checked on pop
     coreducible = deque(a for a, da in enumerate(bd) if len(da) == 1)
     free = deque(b for b, cb in enumerate(cobd) if len(cb) == 1)
+    push_coreducible = coreducible.append
+    push_free = free.append
 
     def pair(a: int, b: int) -> None:
         da = bd[a]
         u = da.pop(b)
         alive[a] = alive[b] = False
-        for c in cobd[b]:
-            if c == a:
-                continue
+        cb = cobd[b]
+        del cb[a]
+        for c in cb:
             dc = bd[c]
             k = dc.pop(b) * u
             for f, v in da.items():
@@ -240,26 +263,30 @@ def reduce_chain_complex(
                 else:
                     dc[f] = old - k * v
             if len(dc) == 1:
-                coreducible.append(c)
-        for g in bd[b]:
+                push_coreducible(c)
+        db = bd[b]
+        for g in db:
             cg = cobd[g]
             del cg[b]
             if len(cg) == 1:
-                free.append(g)
+                push_free(g)
         for f in da:
             cf = cobd[f]
             del cf[a]
             if len(cf) == 1:
-                free.append(f)
-        for c in cobd[a]:
+                push_free(f)
+        ca = cobd[a]
+        for c in ca:
             dc = bd[c]
             del dc[a]
             if len(dc) == 1:
-                coreducible.append(c)
+                push_coreducible(c)
         # a dead cell has no boundary and no coboundary, so it is never
         # taken from a queue again
-        for cells in (da, bd[b], cobd[a], cobd[b]):
-            cells.clear()
+        da.clear()
+        db.clear()
+        ca.clear()
+        cb.clear()
 
     def drain() -> None:
         while coreducible or free:
@@ -280,23 +307,30 @@ def reduce_chain_complex(
 
     drain()
     for q in reversed(range(1, len(sizes))):
+        span = slice(start[q], start[q + 1])
         cells = sorted(
-            (a for a in range(start[q], start[q + 1]) if alive[a]),
-            key=lambda a: len(bd[a]),
+            compress(ids[span], alive[span]), key=lambda a: len(bd[a])
         )
         for a in cells:
             if not alive[a]:
                 continue
-            units = [f for f, v in bd[a].items() if v == 1 or v == -1]
-            if units:
-                pair(a, min(units, key=lambda f: len(cobd[f])))
+            # the first unit face of shortest coboundary
+            face = None
+            for f, v in bd[a].items():
+                if v == 1 or v == -1:
+                    n = len(cobd[f])
+                    if face is None or n < shortest:
+                        face, shortest = f, n
+            if face is not None:
+                pair(a, face)
                 drain()
 
     res_sizes: list[int] = []
     res_bds: list[dict[tuple[int, int], int]] = []
     local: dict[int, int] = {}
     for q in range(len(sizes)):
-        cells = [a for a in range(start[q], start[q + 1]) if alive[a]]
+        span = slice(start[q], start[q + 1])
+        cells = list(compress(ids[span], alive[span]))
         local.update(zip(cells, range(len(cells))))
         res_sizes.append(len(cells))
         res_bds.append(

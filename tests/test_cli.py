@@ -13,11 +13,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rhoforge import cli, lens
+from rhoforge import cli, lens, towers
 from rhoforge.cli import main
 from rhoforge.delta import DeltaComplex
 from rhoforge.groups import FiniteAbelianGroup
-from rhoforge.polytopes import octagon_cells, octagon_chain, octagon_polytope
+from rhoforge.polytopes import (
+    as_cells,
+    octagon_cells,
+    octagon_chain,
+    octagon_polytope,
+)
 
 
 def run(*argv):
@@ -117,6 +122,30 @@ class TestBoundChain:
         rc = run("bound-chain", "--cycle", str(src), "--report", str(out))
         assert rc == 0
         assert load(out)["bounding"]["multiplicity"] == 81
+
+    def test_cycle_file_cells_are_sorted_once(self, tmp_path, monkeypatch):
+        # loading reads the degree only; bounding_chain normalises the cells
+        G = FiniteAbelianGroup([3])
+        g = G.element([1])
+        payload = {
+            "group": G.to_json(),
+            "cells": [
+                {"gen": [list(e.residues) for e in cell.gen], "sign": cell.sign}
+                for cell in octagon_cells(g, g, g, g)
+            ],
+        }
+        src = tmp_path / "cycle.json"
+        src.write_text(json.dumps(payload))
+        calls = []
+
+        def counted(C):
+            calls.append(len(C))
+            return as_cells(C)
+
+        monkeypatch.setattr(towers, "as_cells", counted)
+        monkeypatch.setattr(cli, "as_cells", counted, raising=False)
+        assert run("bound-chain", "--cycle", str(src)) == 0
+        assert calls == [6]
 
     def test_collapsed_terms_input(self, tmp_path, capsys):
         payload = {

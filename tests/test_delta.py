@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import math
 import random
+from collections import deque
 from itertools import combinations, product
 
 import numpy as np
@@ -627,6 +629,138 @@ def rp2():
     return DeltaComplex(2, [[(0, 0), (0, 0), (0, 1)], [(0, 1, 0), (1, 2, 2)]])
 
 
+def dict_reduce_chain_complex(sizes, boundaries):
+    """reduce_chain_complex as it was when each d_q came in as a
+    ``(row, col) -> value`` dict, kept as the oracle for the residue:
+    the input is re-keyed into per-cell maps, then paired in the same
+    order as the library's."""
+    start = [0]
+    for n in sizes:
+        start.append(start[-1] + n)
+    ids = list(range(start[-1]))
+    bd = [{} for _ in ids]
+    cobd = [{} for _ in ids]
+    for q, entries in enumerate(boundaries):
+        if not q:
+            continue
+        lo, hi = start[q - 1], start[q]
+        for (r, c), v in entries.items():
+            if v:
+                a, b = ids[hi + c], ids[lo + r]
+                bd[a][b] = v
+                cobd[b][a] = None
+    alive = [True] * len(ids)
+    coreducible = deque(a for a, da in enumerate(bd) if len(da) == 1)
+    free = deque(b for b, cb in enumerate(cobd) if len(cb) == 1)
+
+    def pair(a, b):
+        da = bd[a]
+        u = da.pop(b)
+        alive[a] = alive[b] = False
+        for c in cobd[b]:
+            if c == a:
+                continue
+            dc = bd[c]
+            k = dc.pop(b) * u
+            for f, v in da.items():
+                old = dc.get(f)
+                if old is None:
+                    dc[f] = -k * v
+                    cobd[f][c] = None
+                elif old == k * v:
+                    del dc[f]
+                    del cobd[f][c]
+                else:
+                    dc[f] = old - k * v
+            if len(dc) == 1:
+                coreducible.append(c)
+        for g in bd[b]:
+            cg = cobd[g]
+            del cg[b]
+            if len(cg) == 1:
+                free.append(g)
+        for f in da:
+            cf = cobd[f]
+            del cf[a]
+            if len(cf) == 1:
+                free.append(f)
+        for c in cobd[a]:
+            dc = bd[c]
+            del dc[a]
+            if len(dc) == 1:
+                coreducible.append(c)
+        for cells in (da, bd[b], cobd[a], cobd[b]):
+            cells.clear()
+
+    def drain():
+        while coreducible or free:
+            if coreducible:
+                a = coreducible.popleft()
+                da = bd[a]
+                if len(da) == 1:
+                    ((b, v),) = da.items()
+                    if v == 1 or v == -1:
+                        pair(a, b)
+            else:
+                b = free.popleft()
+                if len(cobd[b]) == 1:
+                    (a,) = cobd[b]
+                    v = bd[a][b]
+                    if v == 1 or v == -1:
+                        pair(a, b)
+
+    drain()
+    for q in reversed(range(1, len(sizes))):
+        cells = sorted(
+            (a for a in range(start[q], start[q + 1]) if alive[a]),
+            key=lambda a: len(bd[a]),
+        )
+        for a in cells:
+            if not alive[a]:
+                continue
+            units = [f for f, v in bd[a].items() if v == 1 or v == -1]
+            if units:
+                pair(a, min(units, key=lambda f: len(cobd[f])))
+                drain()
+
+    res_sizes, res_bds, local = [], [], {}
+    for q in range(len(sizes)):
+        cells = [a for a in range(start[q], start[q + 1]) if alive[a]]
+        local.update(zip(cells, range(len(cells))))
+        res_sizes.append(len(cells))
+        res_bds.append(
+            {(local[f], local[a]): v for a in cells for f, v in bd[a].items()}
+        )
+    return res_sizes, res_bds
+
+
+def dict_residue(K):
+    """The residue of the augmented complex from the (row, col) front
+    end: each d_q built by ``boundary_matrix``, then re-keyed."""
+    sizes = [1, *K.f_vector(), 0]
+    augmentation = {(0, v): 1 for v in range(K.n_cells(0))}
+    boundaries = [{}, augmentation]
+    boundaries += map(K.boundary_matrix, range(1, K.dim + 2))
+    return dict_reduce_chain_complex(sizes, boundaries)
+
+
+def face_listings(K):
+    """Each d_q of K by column: a cell's faces with alternating signs."""
+    return [
+        [],
+        *(
+            [[(f, (-1) ** i) for i, f in enumerate(cell)] for cell in level]
+            for level in K.faces[1:]
+        ),
+    ]
+
+
+def ordered(residue):
+    """A residue with the insertion order of its maps made visible."""
+    sizes, boundaries = residue
+    return sizes, [list(m.items()) for m in boundaries]
+
+
 # Complexes on which homology() is checked against the per-degree SNF
 # oracle: every builder, lens spaces, hyperbolized spheres and the edge
 # cases of the reduction.
@@ -688,7 +822,7 @@ class TestHomologyByReduction:
     def test_non_unit_pair_is_skipped(self):
         K = rp2()
         sizes, boundaries = reduce_chain_complex(
-            [*K.f_vector()], [{}, K.boundary_matrix(1), K.boundary_matrix(2)]
+            [*K.f_vector()], face_listings(K)
         )
         # t1 and e1, then e2 and a vertex, go; 2 e0 stays for the SNF
         assert sizes == [1, 1, 1]
@@ -730,6 +864,75 @@ class TestHomologyByReduction:
             assert K.relabeled(perms).homology() == expected[name]
 
         check()
+
+
+@functools.cache
+def residue_complex(name):
+    """The complexes whose residue is checked against the dict front end."""
+    if name == "X3":
+        return hyperbolized_simplex(3).complex
+    if name.startswith("X3-relabeled:"):
+        seed = int(name.partition(":")[2])
+        return shuffled(residue_complex("X3"), random.Random(seed))
+    if name == "lens:5,2":
+        return lens_complex(LensSpec(5, 2))
+    return HOMOLOGY_ZOO[name]()
+
+
+RESIDUE_CASES = [
+    "X3", "X3-relabeled:1", "X3-relabeled:2", "Y2",
+    "lens:4,4", "lens:8,3", "lens:5,2",
+    *(
+        name for name in HOMOLOGY_ZOO
+        if name not in ("Y2", "lens:4,4", "lens:8,3")
+    ),
+]
+
+
+class TestResidueFromFaces:
+    """homology() feeds the reduction each cell's faces with alternating
+    signs; the residue must be the one the (row, col) dicts gave."""
+
+    @pytest.mark.parametrize("name", RESIDUE_CASES)
+    def test_same_residue_as_the_dict_front_end(self, name, monkeypatch):
+        K = residue_complex(name)
+        seen = []
+
+        def record(sizes, boundaries):
+            seen.append(reduce_chain_complex(sizes, boundaries))
+            return seen[-1]
+
+        monkeypatch.setattr(delta, "reduce_chain_complex", record)
+        H = K.homology()
+        if K.dim < 0:
+            assert seen == []
+            return
+        (residue,) = seen
+        assert ordered(residue) == ordered(dict_residue(K))
+        assert H == snf_homology(K)
+
+    @pytest.mark.parametrize(
+        "name, betti, torsion",
+        [
+            ("X3", (1, 46, 1, 0), ((), (), (), ())),
+            (
+                "lens:4,4",
+                (1, 0, 0, 0, 0, 0, 0, 1),
+                ((), (4,), (), (4,), (), (4,), (), ()),
+            ),
+        ],
+    )
+    def test_no_boundary_matrix_is_built(
+        self, name, betti, torsion, monkeypatch
+    ):
+        K = residue_complex(name)
+
+        def refuse(self, q):
+            raise AssertionError("homology() built a boundary matrix")
+
+        monkeypatch.setattr(DeltaComplex, "boundary_matrix", refuse)
+        H = K.homology()
+        assert (H.betti, H.torsion) == (betti, torsion)
 
 
 # -- whole-level construction against the per-cell rules -----------------

@@ -240,7 +240,10 @@ class TestSmithNormalForm:
             m = [[rng.choice([0, 0, 1, -1, 2, -2, 3]) for _ in range(c)]
                  for _ in range(r)]
             entries = matrix_entries(m)
-            _, (_, residue) = smith.reduce_chain_complex([r, c], [{}, entries])
+            columns = [[] for _ in range(c)]
+            for (i, j), v in entries.items():
+                columns[j].append((i, v))
+            _, (_, residue) = smith.reduce_chain_complex([r, c], [[], columns])
             if any(abs(v) == 1 for v in residue.values()):
                 found += 1
                 res = smith_normal_form(entries)
