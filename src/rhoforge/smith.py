@@ -15,13 +15,13 @@ homology eliminates each cell once rather than as a column of d_q and
 again as a row of d_{q+1}.  Smith normal form groups its entries by
 column and runs the same reduction on them as a two-level complex,
 counts each pair as an invariant factor 1, and eliminates the residue
-with the Markowitz pivot (smallest absolute value, then least fill),
-which still takes a ±1 entry first when elimination creates one.
+densely: homology hands it residues as small as the homology allows.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress
@@ -44,43 +44,50 @@ class SmithResult:
         return tuple(d for d in self.invariant_factors if d > 1)
 
 
-def _build_sparse(entries: Mapping[tuple[int, int], int]):
-    """Row dicts and column sets of a matrix with no zero entries."""
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
-    for (r, c), v in entries.items():
-        rows.setdefault(r, {})[c] = v
-        cols.setdefault(c, set()).add(r)
-    return rows, cols
-
-
-def _markowitz_pivot(rows, cols):
-    """Entry of least (|v|, row length * column length) over the matrix."""
-    best = None
-    best_key = None
-    for r, rowd in rows.items():
-        rl = len(rowd)
-        for c, v in rowd.items():
-            key = (abs(v), rl * len(cols[c]))
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (r, c)
-    return best
+def _dense_diagonal(entries: Mapping[tuple[int, int], int]) -> list[int]:
+    """|pivot| of each row and column that dense elimination clears."""
+    rows = sorted({r for r, _ in entries})
+    cols = sorted({c for _, c in entries})
+    m = [[entries.get((r, c), 0) for c in cols] for r in rows]
+    diag: list[int] = []
+    while True:
+        pivots = [(abs(v), i, j) for i, r in enumerate(m) for j, v in enumerate(r) if v]
+        if not pivots:
+            return diag
+        # reduce the column, then the row, of an entry of least |v| mod it
+        _, i, j = min(pivots)
+        top = m[i]
+        p = top[j]
+        for k, row in enumerate(m):
+            if k != i and row[j]:
+                q = row[j] // p
+                m[k] = [a - q * b for a, b in zip(row, top)]
+        for col, v in enumerate(top):
+            if col != j and v:
+                q = v // p
+                for row in m:
+                    row[col] -= q * row[j]
+        # a remainder left is smaller than |p|, so a later round takes it
+        if sum(map(bool, top)) == 1 == sum(bool(row[j]) for row in m):
+            diag.append(abs(p))
+            del m[i]
+            for row in m:
+                del row[j]
 
 
 def smith_normal_form(entries: Mapping[tuple[int, int], int]) -> SmithResult:
     """Invariant factors of the integer matrix with the given entries.
 
-    Zero entries in the mapping are ignored; absent entries are zero.
-    The shape is irrelevant beyond the support, so it is not passed.
-    Rows and columns of the support are numbered densely, and the
-    entries, grouped by column, are reduced as a two-level chain
-    complex; each reduction pair is a unit pivot, so an invariant
-    factor 1.  The residue is eliminated with the Markowitz
-    pivot, the entry of least absolute value and then least fill, so a
-    unit the reduction left or a gcd step made still goes first.
+    Zero entries are ignored and absent ones are zero; a value that
+    ``operator.index`` refuses raises ``TypeError``.  The shape is
+    irrelevant beyond the support, so it is not passed.  The support's
+    rows and columns are numbered densely and its entries, grouped by
+    column, reduced as a two-level chain complex, each pair an
+    invariant factor 1.  The residue is eliminated densely, least
+    absolute value first.  Dense is enough: homology reduces its whole
+    complex first, so the residue is as small as the homology allows.
 
-    One unit pivot, then the residue [-2] by the scan:
+    One unit pivot, then the residue [-2] by elimination:
 
     >>> smith_normal_form({(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): -1})
     SmithResult(rank=2, invariant_factors=(1, 2))
@@ -91,7 +98,14 @@ def smith_normal_form(entries: Mapping[tuple[int, int], int]) -> SmithResult:
     >>> smith_normal_form({})
     SmithResult(rank=0, invariant_factors=())
     """
-    support = {key: int(v) for key, v in entries.items() if v}
+    support: dict[tuple[int, int], int] = {}
+    for key, v in entries.items():
+        try:
+            v = operator.index(v)
+        except TypeError:
+            raise TypeError(f"entry {key}: {v!r} is not an integer") from None
+        if v:
+            support[key] = v
     row_of = {r: i for i, r in enumerate(sorted({r for r, _ in support}))}
     col_of = {c: j for j, c in enumerate(sorted({c for _, c in support}))}
     columns: list[list[tuple[int, int]]] = [[] for _ in col_of]
@@ -100,61 +114,7 @@ def smith_normal_form(entries: Mapping[tuple[int, int], int]) -> SmithResult:
     (n_rows, _), (_, residue) = reduce_chain_complex(
         [len(row_of), len(col_of)], [(), columns]
     )
-    diag = [1] * (len(row_of) - n_rows)
-    rows, cols = _build_sparse(residue)
-
-    while rows:
-        r, c = _markowitz_pivot(rows, cols)
-        while True:
-            v = rows[r][c]
-            # row operations: kill the rest of column c
-            for r2 in list(cols[c]):
-                if r2 == r:
-                    continue
-                v2 = rows[r2][c]
-                q = v2 // v
-                if q:
-                    rowd = rows[r]
-                    row2 = rows[r2]
-                    for cc, vv in rowd.items():
-                        nv = row2.get(cc, 0) - q * vv
-                        if nv:
-                            row2[cc] = nv
-                            cols[cc].add(r2)
-                        elif cc in row2:
-                            del row2[cc]
-                            cols[cc].discard(r2)
-                    if not row2:
-                        del rows[r2]
-            if len(cols[c]) > 1:
-                # a remainder smaller than |v| is sitting in column c
-                r = min(
-                    (r2 for r2 in cols[c] if r2 != r),
-                    key=lambda r2: abs(rows[r2][c]),
-                )
-                continue
-            # column operations: reduce the rest of row r mod v; column c
-            # is clean, so only row r changes
-            v = rows[r][c]
-            rowd = rows[r]
-            for c2 in list(rowd):
-                if c2 == c:
-                    continue
-                rem = rowd[c2] % v
-                if rem:
-                    rowd[c2] = rem
-                else:
-                    del rowd[c2]
-                    cols[c2].discard(r)
-            if len(rowd) == 1:
-                break
-            # gcd not reached yet: restart from the smallest entry
-            c = min((cc for cc in rowd if cc != c), key=lambda cc: abs(rowd[cc]))
-        diag.append(abs(rows[r][c]))
-        del rows[r]
-        cols[c].discard(r)
-        if not cols[c]:
-            del cols[c]
+    diag = [1] * (len(row_of) - n_rows) + _dense_diagonal(residue)
 
     # enforce d1 | d2 | ... with gcd/lcm exchanges
     changed = True

@@ -79,8 +79,10 @@ def naive_smith(entries):
     """(rank, invariant factors) by elimination that scans every nonzero
     for each pivot, taking the least (|v|, row length * column length).
 
-    The reference ``smith_normal_form`` is checked against: the same
-    elimination on the whole matrix, without the unit reductions first.
+    The reference ``smith_normal_form`` is checked against: the sparse
+    Markowitz elimination the library itself ran on the residue before
+    it went dense, here on the whole matrix, without the unit reductions
+    first.
     """
     rows, cols = {}, {}
     for (r, c), v in entries.items():
@@ -219,20 +221,22 @@ class TestSmithNormalForm:
             res = smith_normal_form(entries)
             assert (res.rank, res.invariant_factors) == naive_smith(entries)
 
-    def test_markowitz_scan_takes_units_the_reduction_leaves(self, monkeypatch):
-        markowitz = smith._markowitz_pivot
-        scans = []
+    def test_dense_elimination_takes_units_the_reduction_leaves(self, monkeypatch):
+        dense = smith._dense_diagonal
+        residues = []
 
-        def recorded(rows, cols):
-            scans.append(len(rows))
-            return markowitz(rows, cols)
+        def recorded(entries):
+            if entries:
+                residues.append(len(entries))
+            return dense(entries)
 
-        monkeypatch.setattr(smith, "_markowitz_pivot", recorded)
+        monkeypatch.setattr(smith, "_dense_diagonal", recorded)
         for entries in boundary_matrices(lens_complex(LensSpec(4, 4))):
             smith_normal_form(entries)
-        # the Z/4 torsion is the residue that reaches the scan
-        assert scans
-        # the single sweep can leave a unit, which the scan must then take
+        # the Z/4 torsion is the residue that reaches the elimination
+        assert residues
+        # the single sweep can leave a unit, which the elimination must
+        # then take
         rng = random.Random(1)
         found = 0
         for _ in range(5000):
@@ -251,12 +255,41 @@ class TestSmithNormalForm:
         assert found >= 50
 
     def test_no_unit_entries(self):
-        # every pivot comes from the Markowitz scan, and gcd steps create
-        # units midway
+        # every pivot comes from the dense elimination, and gcd steps
+        # create units midway
         m = [[6, 10, 0], [4, 0, 15], [0, 9, 12]]
         res = smith_normal_form(matrix_entries(m))
         assert res.invariant_factors == snf_oracle(m)
         assert (res.rank, res.invariant_factors) == naive_smith(matrix_entries(m))
+
+    def test_matches_oracles_without_unit_entries(self):
+        # no unit for the reduction to pair, so the dense elimination
+        # does all the work
+        rng = random.Random(23)
+        for _ in range(400):
+            r, c = rng.randint(1, 8), rng.randint(1, 8)
+            m = [[rng.choice([0, 0, 2, -2, 3, -3, 4, 6, -9, 10]) for _ in range(c)]
+                 for _ in range(r)]
+            entries = matrix_entries(m)
+            res = smith_normal_form(entries)
+            assert (res.rank, res.invariant_factors) == naive_smith(entries)
+            if r <= 4 and c <= 4:
+                assert res.invariant_factors == snf_oracle(m)
+
+    def test_only_the_support_is_laid_out(self):
+        # a dense layout over the row and column labels could not be built
+        res = smith_normal_form({(10**9, 3): 6, (5, 10**12): 4})
+        assert res.invariant_factors == (2, 12)
+
+    @pytest.mark.parametrize("value", [2.5, 0.5, 0.0, "3", None])
+    def test_non_integer_entry_is_refused(self, value):
+        with pytest.raises(TypeError, match=r"entry \(1, 2\)"):
+            smith_normal_form({(0, 0): 2, (1, 2): value})
+
+    def test_integer_like_entries_are_read(self):
+        np = pytest.importorskip("numpy")
+        entries = {(0, 0): np.int64(4), (1, 1): True, (2, 2): np.int8(0)}
+        assert smith_normal_form(entries).invariant_factors == (1, 4)
 
     def test_matches_sympy_on_random_matrices(self):
         hypothesis = pytest.importorskip("hypothesis")
