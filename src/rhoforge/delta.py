@@ -14,7 +14,9 @@ the fiber product of ``hyperbolize`` do.
 Integral homology runs through unit reductions of the whole chain
 complex and Smith normal form of the residue; the combinatorial
 torsion runs through the log pseudo-determinants of the boundary Gram
-matrices, which give the Laplacian ones.
+matrices, which give the Laplacian ones.  The Gram matrices are summed
+from the face tables, with no dense boundary built; the dense boundary
+and ``laplacian`` stay as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -35,6 +37,25 @@ Face = tuple[int, ...]
 
 class DeltaComplexError(ValueError):
     pass
+
+
+def _refuse_unlisted(q: int, level: object) -> None:
+    """Raise naming level q of ``faces``, or its first cell, if either is
+    not a list; called only once reading the level as lists has failed."""
+    try:
+        len(level)
+        cells = list(level)
+    except TypeError:
+        raise DeltaComplexError(
+            f"level {q} of faces is {level!r}, not a list of {q}-cells"
+        ) from None
+    for c, cell in enumerate(cells):
+        try:
+            iter(cell)
+        except TypeError:
+            raise DeltaComplexError(
+                f"{q}-cell {c} is {cell!r}, not a list of faces"
+            ) from None
 
 
 def _check_level(
@@ -58,7 +79,11 @@ def _check_level(
             array = level.astype(np.int64, copy=False)
             return tuple(map(tuple, array.tolist())), array
         level = level.tolist()
-    cells = tuple(map(tuple, level))
+    try:
+        cells = tuple(map(tuple, level))
+    except TypeError:
+        _refuse_unlisted(q, level)
+        raise
     flat = list(chain.from_iterable(cells))
     if not (
         set(map(len, cells)) <= {q + 1}
@@ -118,8 +143,19 @@ class DeltaComplex:
     ):
         if type(vertices) is not int or vertices < 0:
             raise DeltaComplexError(f"vertex count {vertices!r} is not an int >= 0")
-        levels = list(faces)  # read once: ``faces`` may be an iterator
-        require_cells(vertices + sum(map(len, levels)), "Delta-complex")
+        try:
+            levels = list(faces)  # read once: ``faces`` may be an iterator
+        except TypeError:
+            raise DeltaComplexError(
+                f"faces {faces!r} is not a list of levels"
+            ) from None
+        try:
+            count = sum(map(len, levels))
+        except TypeError:
+            for q, level in enumerate(levels, 1):
+                _refuse_unlisted(q, level)
+            raise
+        require_cells(vertices + count, "Delta-complex")
         built: list[tuple[Face, ...]] = [tuple(() for _ in range(vertices))]
         arrays = []
         for q, level in enumerate(levels, 1):
@@ -299,16 +335,56 @@ class DeltaComplex:
             lap += down.T @ down
         return lap
 
+    def _boundary_gram(self, q: int) -> np.ndarray:
+        """The smaller of d_q d_q^T and d_q^T d_q, summed from ``faces``.
+
+        The i-th face of a q-cell enters d_q with sign (-1)^i.  An entry
+        of d_q d_q^T sums s_i s_j over the (q+1)^2 face pairs (i, j) of
+        every q-cell, at the two faces.  An entry of d_q^T d_q sums it
+        over the pairs of incidences that share a (q-1)-cell, at the two
+        q-cells; a stable argsort of the face column groups them.  One
+        ``np.bincount`` sums either.  The entries are small integers,
+        exact in float64, so the matrix is the dense product of
+        ``_dense_boundary`` bit for bit, with no m x n boundary laid out
+        and no matrix product run.
+        """
+        rows, cols = self.n_cells(q - 1), self.n_cells(q)
+        size = min(rows, cols)
+        if not size:
+            return np.zeros((size, size))
+        faces = np.array(self.faces[q], dtype=np.int64)
+        signs = 1.0 - 2.0 * (np.arange(q + 1) % 2)
+        if rows <= cols:
+            index = faces[:, :, None] * size + faces[:, None, :]
+            weights = np.broadcast_to(np.outer(signs, signs), index.shape)
+        else:
+            flat = faces.ravel()
+            order = np.argsort(flat, kind="stable")
+            cells, signs = order // (q + 1), signs[order % (q + 1)]
+            starts = np.flatnonzero(np.diff(flat[order], prepend=-1))
+            groups = np.diff(starts, append=order.size)
+            # incidence p pairs with each of the width[p] incidences of
+            # its group, listed from the group's start
+            width = np.repeat(groups, groups)
+            left = np.repeat(np.arange(order.size), width)
+            shift = np.cumsum(width) - width - np.repeat(starts, groups)
+            right = np.arange(left.size) - np.repeat(shift, width)
+            index = cells[left] * size + cells[right]
+            weights = signs[left] * signs[right]
+        gram = np.bincount(index.ravel(), weights.ravel(), minlength=size * size)
+        return gram.reshape(size, size)
+
     def _log_boundary_pdet(self, q: int) -> float:
         """log pdet(d_q d_q^T), cached; 0 where d_q is empty or zero.
 
         d_q d_q^T and d_q^T d_q share their nonzero spectrum, so the
-        smaller of the two is solved.  Zero means anything below 1e-9
+        smaller of the two is solved, as ``_boundary_gram`` sums it from
+        the face table; the dense ``_dense_boundary`` and ``laplacian``
+        stay as the tests' oracle.  Zero means anything below 1e-9
         times that Gram matrix's spectral radius.
         """
         if q not in self._log_pdets:
-            d = self._dense_boundary(q)
-            gram = d @ d.T if d.shape[0] <= d.shape[1] else d.T @ d
+            gram = self._boundary_gram(q)
             total = 0.0
             if gram.size:
                 eigs = np.linalg.eigvalsh(gram)

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .towers import require_cells
 
@@ -283,8 +283,7 @@ PI_BRACKET = (
 )
 
 
-@dataclass(frozen=True)
-class RhoBoundResult:
+class RhoBoundResult(NamedTuple):
     """Outcome of the (N/pi)^d < rho comparison.
 
     Truthiness is the comparison itself, decided exactly: rho is the
@@ -294,7 +293,9 @@ class RhoBoundResult:
     False), else it records whether the pair (N, d) sits inside the
     hypothesis of the stated bound (d even, N >= 4): "ok" or
     "out_of_hypothesis".  ``rho`` is the correctly rounded float and
-    ``bound`` the float (N/pi)^d, for reports.
+    ``bound`` the float (N/pi)^d, for reports.  It is a named tuple,
+    cheap to build once per sweep row, so it compares equal to the plain
+    tuple of its fields.
     """
 
     spec: LensSpec

@@ -618,6 +618,17 @@ class TestMalformedInput:
         err = self.usage_error(capsys, "fvector", "--complex", str(src))
         assert "invalid complex" in err
 
+    @pytest.mark.parametrize("faces, message", [
+        (5, "faces 5 is not a list of levels"),
+        ([[0, 1]], "1-cell 0 is 0, not a list of faces"),
+        ([[[0, 1]], 7], "level 2 of faces is 7, not a list of 2-cells"),
+    ])
+    def test_faces_not_lists_of_lists(self, tmp_path, capsys, faces, message):
+        src = tmp_path / "k.json"
+        src.write_text(json.dumps({"vertices": 2, "faces": faces}))
+        err = self.usage_error(capsys, "homology", "--complex", str(src))
+        assert err == f"rhoforge: invalid complex: {message}\n"
+
     def test_non_integer_vertices(self, tmp_path, capsys):
         src = tmp_path / "k.json"
         src.write_text(json.dumps({"vertices": "two", "faces": []}))
@@ -755,11 +766,21 @@ GOLDEN_REPORTS = {
         "1bf9067f72544fa81e4d22a6c58bcbcc5d13df6061c7c84549346268674e4a34",
     ("torsion", "--builtin", "lens:8,3"):
         "a32096d8514425f01bae240f990445eeb84ee43bd48dab8f3167ec2f9233ac75",
+    # these two taken before the boundary Gram matrices were summed from
+    # the face tables; y2.json has more 1-cells than 2-cells, so its d_2
+    # Gram is the d^T d one
+    ("torsion", "--complex", "bench/data/y2.json"):
+        "cac04fec0ff0772de5fbfe48e25be051938910f7b3f40d9279bb0c6cd4765d0e",
+    # exit 1: the benchmark's sweep, failing at N = 4 and 5
+    ("rho-sweep", "--d", "6", "--from", "4", "--to", "2000"):
+        "949f8e22ddc9fc7ace40286179948f7e8188bc7c9494ff95f28e55fd50758452",
 }
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN_REPORTS))
-def test_golden_report(argv, capsys):
+def test_golden_report(argv, capsys, monkeypatch):
+    # file arguments are relative to the repository root
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
     assert golden_digest(argv, capsys) == GOLDEN_REPORTS[argv]
 
 

@@ -610,6 +610,72 @@ class TestLaplacianTorsion:
             [K.laplacian_pseudodet(q) for q in range(K.dim + 1)]
 
 
+# The torsion zoo, the lens space whose pseudodeterminants overflow, and
+# two complexes with repeated faces: a face pair that cancels in d_q
+# must cancel in its Gram matrix too.
+GRAM_ZOO = {
+    **TORSION_ZOO,
+    "lens:4,4": lambda: lens_complex(LensSpec(4, 4)),
+    "rp2": lambda: rp2(),
+    "dunce-hat": lambda: DeltaComplex(1, [[(0, 0)], [(0, 0, 0)]]),
+}
+
+
+def dense_gram(K, q):
+    """The smaller boundary Gram matrix as the dense product."""
+    d = K._dense_boundary(q)
+    return d @ d.T if d.shape[0] <= d.shape[1] else d.T @ d
+
+
+class TestBoundaryGram:
+    @pytest.mark.parametrize("name", GRAM_ZOO)
+    def test_equals_the_dense_product(self, name):
+        K = GRAM_ZOO[name]()
+        for q in range(K.dim + 2):
+            gram = K._boundary_gram(q)
+            assert gram.dtype == np.float64
+            assert np.array_equal(gram, dense_gram(K, q)), q
+
+    @pytest.mark.parametrize("name, degrees, rows_at_most_cols", [
+        ("lens:4,4", range(1, 6), True),
+        ("lens:8,3", (4, 5), False),
+        ("Y2", (2,), False),
+        ("rp2", (1,), True),
+        ("rp2", (2,), False),
+        ("dunce-hat", (2,), True),
+    ])
+    def test_both_products_are_covered(self, name, degrees, rows_at_most_cols):
+        K = GRAM_ZOO[name]()
+        for q in degrees:
+            assert (K.n_cells(q - 1) <= K.n_cells(q)) == rows_at_most_cols, q
+            assert K._boundary_gram(q).any(), q
+
+    def test_repeated_faces_cancel(self):
+        # d t1 = e1 for rp2's t1 = (e1, e2, e2); the dunce hat's loop has
+        # zero boundary and its triangle (0, 0, 0) boundary e0
+        assert rp2()._boundary_gram(2).tolist() == [[5.0, -1.0], [-1.0, 1.0]]
+        hat = GRAM_ZOO["dunce-hat"]()
+        assert hat._boundary_gram(1).tolist() == [[0.0]]
+        assert hat._boundary_gram(2).tolist() == [[1.0]]
+
+    @pytest.mark.parametrize("name", ["lens:8,3", "Y2"])
+    def test_torsion_never_reads_the_dense_boundary(self, name, monkeypatch):
+        K = TORSION_ZOO[name]()
+        logs = [oracle_log_pdet(K, q) for q in range(K.dim + 1)]
+
+        def refuse(self, q):
+            raise AssertionError("the dense boundary was built")
+
+        monkeypatch.setattr(DeltaComplex, "_dense_boundary", refuse)
+        K = TORSION_ZOO[name]()
+        for q, log_pdet in enumerate(logs):
+            assert K.laplacian_pseudodet(q) == pytest.approx(
+                math.exp(log_pdet), rel=1e-9
+            )
+        old = sum((-1) ** (q + 1) * q * logs[q] for q in range(1, K.dim + 1))
+        assert K.laplacian_torsion() == pytest.approx(math.exp(old), rel=1e-9)
+
+
 def snf_homology(K):
     """homology() as it was before reductions, kept as the oracle: one
     Smith normal form per full boundary matrix."""
@@ -1068,6 +1134,20 @@ class TestLevelChecks:
         K = DeltaComplex(2, (level for level in [[(1, 0)]]))
         assert K.f_vector() == (2, 1)
         assert K.faces == edge_complex().faces
+
+    @pytest.mark.parametrize("faces, message", [
+        (5, "faces 5 is not a list of levels"),
+        (None, "faces None is not a list of levels"),
+        ([[0, 1]], "1-cell 0 is 0, not a list of faces"),
+        ([[(1, 0)], 7], "level 2 of faces is 7, not a list of 2-cells"),
+        ([[(1, 0)], [(0, 0, 0), None]], "2-cell 1 is None, not a list of faces"),
+        ([np.array(5)], "level 1 of faces is array(5), not a list of 1-cells"),
+        ([np.array([1, 0])], "1-cell 0 is 1, not a list of faces"),
+    ])
+    def test_unlisted_level_or_cell_is_named(self, faces, message):
+        with pytest.raises(DeltaComplexError) as err:
+            DeltaComplex(2, faces)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("vertices, faces", [
         (2, [[(1, 0, 0)]]),

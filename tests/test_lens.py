@@ -311,6 +311,24 @@ class TestLowerBound:
         with pytest.raises(OverflowError):
             rho_lower_bound_check(LensSpec(1990, 120))
 
+    def test_result_fields_truth_and_immutability(self):
+        r = rho_lower_bound_check(LensSpec(5, 6))
+        assert lens.RhoBoundResult._fields == (
+            "spec", "rho", "bound", "holds", "status"
+        )
+        assert r == (LensSpec(5, 6), 13.6, (5 / math.pi) ** 6, False, "ok")
+        assert repr(r) == (
+            "RhoBoundResult(spec=LensSpec(n=5, d=6), rho=13.6, "
+            f"bound={(5 / math.pi) ** 6!r}, holds=False, status='ok')"
+        )
+        # a nonempty tuple would be true; truth is ``holds``
+        assert not r and bool(rho_lower_bound_check(LensSpec(4, 2)))
+        with pytest.raises(AttributeError):
+            r.holds = True
+        with pytest.raises(TypeError):
+            r[3] = True
+        assert hash(r) == hash(tuple(r))
+
     def test_thm13_lower(self):
         assert thm13_lower(LensSpec(7, 3), 2) == 98
         assert thm13_lower(LensSpec(5, 1), 3.5) == 3.5
