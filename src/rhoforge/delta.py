@@ -6,16 +6,17 @@ a level at a time as array comparisons, so every complex produced by
 the builders here (joins, cones, prisms, barycentric subdivisions, free
 quotients) is verified as it is built.  A level may be given as face
 tuples or as an integer array of shape (n, q+1), which is checked as it
-is.  The subset, join and subdivision builders list their cells as keys
-with a face rule on keys, and ``keyed_complex`` numbers them; ``prism``
-applies its face rule to whole blocks of cells by index arithmetic
-instead and hands its arrays over as they are, as ``lens_complex`` and
-the fiber product of ``hyperbolize`` do.
+is and copied; the int64 array the check makes of each level is kept,
+read-only, beside the tuples.  The subset, join and subdivision
+builders list their cells as keys with a face rule on keys, and
+``keyed_complex`` numbers them; ``prism`` applies its face rule to whole
+blocks of cells by index arithmetic instead and hands its arrays over,
+as ``lens_complex`` and the fiber product of ``hyperbolize`` do.
 Integral homology runs through unit reductions of the whole chain
 complex and Smith normal form of the residue; the combinatorial
 torsion runs through the log pseudo-determinants of the boundary Gram
 matrices, which give the Laplacian ones.  The Gram matrices are summed
-from the face tables, with no dense boundary built; the dense boundary
+from the kept face arrays, with no dense boundary built; the dense boundary
 and ``laplacian`` stay as the tests' oracle.
 """
 
@@ -61,11 +62,13 @@ def _refuse_unlisted(q: int, level: object) -> None:
 def _check_level(
     q: int, level: Sequence[Sequence[int]] | np.ndarray, below: int
 ) -> tuple[tuple[Face, ...], np.ndarray]:
-    """The cells of a level as tuples, and as an int64 array ``(n, q+1)``.
+    """The cells of a level as tuples, and as an int64 array ``(n, q+1)``
+    of its own.
 
     Each q-cell has q+1 faces, ints in range(below), the (q-1)-cells.
-    An integer ndarray level is checked as it is, with numpy, and any
-    other level through its tuples; only when the level fails is it
+    An integer ndarray level is checked as it is, with numpy, and copied,
+    so the caller's later writes do not reach the complex; any other
+    level is checked through its tuples.  Only when the level fails is it
     scanned a cell at a time, as lists of Python scalars, for the first
     bad cell to name.
     """
@@ -76,7 +79,7 @@ def _check_level(
             and level.shape[1] == q + 1
             and (not level.size or 0 <= level.min() and level.max() < below)
         ):
-            array = level.astype(np.int64, copy=False)
+            array = level.astype(np.int64)
             return tuple(map(tuple, array.tolist())), array
         level = level.tolist()
     try:
@@ -129,11 +132,13 @@ class DeltaComplex:
     they only let later constructions find cells again.  A level of
     ``faces`` may also be an integer array of shape (n, q+1), as the
     array builders make; it is checked as it is, and stored as tuples.
-    Construction counts the cells against the cell cap before it checks
-    them.
+    The int64 arrays the check builds are kept too, read-only, as
+    ``_face_arrays[q]`` (shape (n, q+1), and (n, 0) for the vertices),
+    for the numpy readers of the face tables.  Construction counts the
+    cells against the cell cap before it checks them.
     """
 
-    __slots__ = ("faces", "tags", "_tag_index", "_log_pdets")
+    __slots__ = ("faces", "tags", "_face_arrays", "_tag_index", "_log_pdets")
 
     def __init__(
         self,
@@ -157,13 +162,14 @@ class DeltaComplex:
             raise
         require_cells(vertices + count, "Delta-complex")
         built: list[tuple[Face, ...]] = [tuple(() for _ in range(vertices))]
-        arrays = []
+        arrays = [np.empty((vertices, 0), dtype=np.int64)]
         for q, level in enumerate(levels, 1):
             cells, array = _check_level(q, level, len(built[q - 1]))
             built.append(cells)
             arrays.append(array)
         while len(built) > 1 and not built[-1]:
             built.pop()
+            arrays.pop()
         self.faces = tuple(built)
         if tags is None:
             self.tags = tuple(
@@ -179,7 +185,10 @@ class DeltaComplex:
             ):
                 raise DeltaComplexError("tag shape does not match cells")
             self.tags = tuple(norm[: len(self.faces)])
-        _check_simplicial(arrays)
+        _check_simplicial(arrays[1:])
+        for array in arrays:
+            array.flags.writeable = False
+        self._face_arrays = tuple(arrays)
         self._tag_index: dict[int, dict[object, int]] = {}
         self._log_pdets: dict[int, float] = {}
 
@@ -319,7 +328,7 @@ class DeltaComplex:
     def _dense_boundary(self, q: int) -> np.ndarray:
         mat = np.zeros((self.n_cells(q - 1), self.n_cells(q)))
         if 1 <= q < len(self.faces):
-            rows = np.array(self.faces[q])
+            rows = self._face_arrays[q]
             cols = np.arange(len(rows))[:, None]
             np.add.at(mat, (rows, cols), (-1.0) ** np.arange(q + 1))
         return mat
@@ -336,7 +345,7 @@ class DeltaComplex:
         return lap
 
     def _boundary_gram(self, q: int) -> np.ndarray:
-        """The smaller of d_q d_q^T and d_q^T d_q, summed from ``faces``.
+        """The smaller of d_q d_q^T and d_q^T d_q, summed from the face array.
 
         The i-th face of a q-cell enters d_q with sign (-1)^i.  An entry
         of d_q d_q^T sums s_i s_j over the (q+1)^2 face pairs (i, j) of
@@ -352,7 +361,7 @@ class DeltaComplex:
         size = min(rows, cols)
         if not size:
             return np.zeros((size, size))
-        faces = np.array(self.faces[q], dtype=np.int64)
+        faces = self._face_arrays[q]
         signs = 1.0 - 2.0 * (np.arange(q + 1) % 2)
         if rows <= cols:
             index = faces[:, :, None] * size + faces[:, None, :]
@@ -677,7 +686,7 @@ def prism(K: DeltaComplex, what: str = "prism") -> DeltaComplex:
     tags: list[list] = [[] for _ in range(K.dim + 2)]
     for q in range(K.dim + 1):
         cells = np.arange(n[q])
-        below = np.array(K.faces[q], dtype=np.int64)
+        below = K._face_arrays[q]
         for p, block in zip((q, q + 1), chains[q]):
             tags[p].extend(("prism", q, c, ch) for c in range(n[q]) for ch in block)
             if p == 0:

@@ -676,6 +676,34 @@ class TestBoundaryGram:
         assert K.laplacian_torsion() == pytest.approx(math.exp(old), rel=1e-9)
 
 
+class TestFaceArrays:
+    @pytest.mark.parametrize("name", TORSION_ZOO)
+    def test_each_level_is_its_faces_read_only(self, name):
+        K = TORSION_ZOO[name]()
+        assert len(K._face_arrays) == len(K.faces)
+        for q, array in enumerate(K._face_arrays):
+            assert array.dtype == np.int64
+            # a vertex has no faces
+            assert array.shape == (K.n_cells(q), q + 1 if q else 0)
+            if q:
+                assert np.array_equal(array, np.array(K.faces[q])), q
+            assert not array.flags.writeable, q
+            with pytest.raises(ValueError):
+                array[...] = 0
+
+    def test_a_callers_array_is_copied(self):
+        edges = np.array([[1, 0], [2, 1], [0, 2]], dtype=np.int64)
+        K = DeltaComplex(3, [edges])
+        edges[:] = 0
+        assert edges.flags.writeable
+        assert K._face_arrays[1].tolist() == [[1, 0], [2, 1], [0, 2]]
+        assert K.faces[1] == ((1, 0), (2, 1), (0, 2))
+
+    def test_trailing_empty_levels_are_dropped(self):
+        K = DeltaComplex(2, [[(1, 0)], [], []])
+        assert [a.shape for a in K._face_arrays] == [(2, 0), (1, 2)]
+
+
 def snf_homology(K):
     """homology() as it was before reductions, kept as the oracle: one
     Smith normal form per full boundary matrix."""
