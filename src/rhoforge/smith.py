@@ -10,19 +10,19 @@ straight into the per-cell maps it works on, and gives its residue
 back as mappings.
 
 Unit pivots come from one place.  ``reduce_chain_complex`` removes
-pairs of cells joined by a ±1 coefficient over all degrees at once, so
-homology eliminates each cell once rather than as a column of d_q and
-again as a row of d_{q+1}.  Smith normal form groups its entries by
-column and runs the same reduction on them as a two-level complex,
-counts each pair as an invariant factor 1, and eliminates the residue
-densely: homology hands it residues as small as the homology allows.
+pairs of cells joined by a ±1 coefficient over all degrees at once, in
+one sweep from the top level down, so homology eliminates each cell
+once rather than as a column of d_q and again as a row of d_{q+1}.
+Smith normal form groups its entries by column and runs the same
+reduction on them as a two-level complex, counts each pair as an
+invariant factor 1, and eliminates the residue densely: homology hands
+it residues as small as the homology allows.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections import deque
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
@@ -150,15 +150,12 @@ def reduce_chain_complex(
     A cell a with a face b of coefficient ±1 is a reduction pair: a and
     b go, and every other coface c of b becomes
     c - <dc, b> <da, b> da, which leaves the homology, torsion included,
-    unchanged (Kaczynski-Mrozek-Slusarek 1998).  Two kinds cost no fill
-    and are drained first from queues: coreductions, where da = ±b
-    (Mrozek-Batko 2009), and free faces, where a is the only coface of
-    b.  When both queues are empty, the levels are swept once from the
-    top down, each in order of boundary length, pairing a cell with its
-    unit face of shortest coboundary and draining the queues after each
-    pair.  What is left is the residue.  Smith normal form is exact on
-    any residue, and on every complex the tests and the benchmark build
-    the residue is as small as the homology allows.
+    unchanged (Kaczynski-Mrozek-Slusarek 1998).  Pairing has one rule:
+    the levels are swept once from the top down, each in order of
+    boundary length, and each cell is paired with its unit face of
+    shortest coboundary.  What is left is the residue.  Smith normal
+    form is exact on any residue, and on every complex the tests and
+    the benchmark build the residue is as small as the homology allows.
 
     A circle as one vertex and one loop, whose two ends cancel; and a
     2-cell glued to a circle of two edges, which collapses to a point:
@@ -197,11 +194,6 @@ def reduce_chain_complex(
                     da[b] = v
                     cobd[b][a] = None
     alive = [True] * len(ids)
-    # candidates by length only; the unit coefficient is checked on pop
-    coreducible = deque(a for a, da in enumerate(bd) if len(da) == 1)
-    free = deque(b for b, cb in enumerate(cobd) if len(cb) == 1)
-    push_coreducible = coreducible.append
-    push_free = free.append
 
     def pair(a: int, b: int) -> None:
         da = bd[a]
@@ -222,58 +214,27 @@ def reduce_chain_complex(
                     del cobd[f][c]
                 else:
                     dc[f] = old - k * v
-            if len(dc) == 1:
-                push_coreducible(c)
         db = bd[b]
         for g in db:
-            cg = cobd[g]
-            del cg[b]
-            if len(cg) == 1:
-                push_free(g)
+            del cobd[g][b]
         for f in da:
-            cf = cobd[f]
-            del cf[a]
-            if len(cf) == 1:
-                push_free(f)
+            del cobd[f][a]
         ca = cobd[a]
         for c in ca:
-            dc = bd[c]
-            del dc[a]
-            if len(dc) == 1:
-                push_coreducible(c)
-        # a dead cell has no boundary and no coboundary, so it is never
-        # taken from a queue again
+            del bd[c][a]
+        # free the dead cells' maps
         da.clear()
         db.clear()
         ca.clear()
         cb.clear()
 
-    def drain() -> None:
-        while coreducible or free:
-            if coreducible:
-                a = coreducible.popleft()
-                da = bd[a]
-                if len(da) == 1:
-                    ((b, v),) = da.items()
-                    if v == 1 or v == -1:
-                        pair(a, b)
-            else:
-                b = free.popleft()
-                if len(cobd[b]) == 1:
-                    (a,) = cobd[b]
-                    v = bd[a][b]
-                    if v == 1 or v == -1:
-                        pair(a, b)
-
-    drain()
+    # each cell here lives to its turn: its cofaces' level was swept first
     for q in reversed(range(1, len(sizes))):
         span = slice(start[q], start[q + 1])
         cells = sorted(
             compress(ids[span], alive[span]), key=lambda a: len(bd[a])
         )
         for a in cells:
-            if not alive[a]:
-                continue
             # the first unit face of shortest coboundary
             face = None
             for f, v in bd[a].items():
@@ -283,7 +244,6 @@ def reduce_chain_complex(
                         face, shortest = f, n
             if face is not None:
                 pair(a, face)
-                drain()
 
     res_sizes: list[int] = []
     res_bds: list[dict[tuple[int, int], int]] = []

@@ -725,9 +725,10 @@ def rp2():
 
 def dict_reduce_chain_complex(sizes, boundaries):
     """reduce_chain_complex as it was when each d_q came in as a
-    ``(row, col) -> value`` dict, kept as the oracle for the residue:
-    the input is re-keyed into per-cell maps, then paired in the same
-    order as the library's."""
+    ``(row, col) -> value`` dict and pairs also came from queues, kept
+    as the oracle for the residue: the input is re-keyed into per-cell
+    maps, and coreductions and free faces are drained from two queues
+    before the library's top-down sweep and after each of its pairs."""
     start = [0]
     for n in sizes:
         start.append(start[-1] + n)
@@ -960,27 +961,56 @@ class TestHomologyByReduction:
         check()
 
 
+RESIDUE_BUILDS = {
+    "X3": lambda: hyperbolized_simplex(3).complex,
+    "lens:5,2": lambda: lens_complex(LensSpec(5, 2)),
+    "lens:5,4": lambda: lens_complex(LensSpec(5, 4)),
+    "barycentric-lens:4,2": lambda: barycentric(
+        lens_complex(LensSpec(4, 2))
+    ),
+    "prism-lens:5,2": lambda: prism(lens_complex(LensSpec(5, 2))),
+    "join-ngon:5-lens:3,2": lambda: join(
+        ngon(5), lens_complex(LensSpec(3, 2))
+    ),
+}
+
+
 @functools.cache
 def residue_complex(name):
-    """The complexes whose residue is checked against the dict front end."""
-    if name == "X3":
-        return hyperbolized_simplex(3).complex
-    if name.startswith("X3-relabeled:"):
-        seed = int(name.partition(":")[2])
-        return shuffled(residue_complex("X3"), random.Random(seed))
-    if name == "lens:5,2":
-        return lens_complex(LensSpec(5, 2))
+    """The complexes whose residue is checked against the dict front end;
+    ``<base>-relabeled:<seed>`` is a base complex shuffled by that seed."""
+    base, _, seed = name.partition("-relabeled:")
+    if seed:
+        return shuffled(residue_complex(base), random.Random(int(seed)))
+    if name in RESIDUE_BUILDS:
+        return RESIDUE_BUILDS[name]()
     return HOMOLOGY_ZOO[name]()
 
 
 RESIDUE_CASES = [
-    "X3", "X3-relabeled:1", "X3-relabeled:2", "Y2",
-    "lens:4,4", "lens:8,3", "lens:5,2",
+    "X3", *(f"X3-relabeled:{seed}" for seed in range(1, 7)),
+    "Y2", *(f"Y2-relabeled:{seed}" for seed in range(3, 7)),
+    "lens:4,4", "lens:8,3",
+    *(name for name in RESIDUE_BUILDS if name != "X3"),
     *(
         name for name in HOMOLOGY_ZOO
         if name not in ("Y2", "lens:4,4", "lens:8,3")
     ),
 ]
+
+
+def recorded_residue(K, monkeypatch):
+    """K's homology and the residue its reduction left, or None."""
+    seen = []
+
+    def record(sizes, boundaries):
+        seen.append(reduce_chain_complex(sizes, boundaries))
+        return seen[-1]
+
+    monkeypatch.setattr(delta, "reduce_chain_complex", record)
+    H = K.homology()
+    assert len(seen) == (K.dim >= 0)
+    return H, (seen[0] if seen else None)
 
 
 class TestResidueFromFaces:
@@ -990,20 +1020,25 @@ class TestResidueFromFaces:
     @pytest.mark.parametrize("name", RESIDUE_CASES)
     def test_same_residue_as_the_dict_front_end(self, name, monkeypatch):
         K = residue_complex(name)
-        seen = []
-
-        def record(sizes, boundaries):
-            seen.append(reduce_chain_complex(sizes, boundaries))
-            return seen[-1]
-
-        monkeypatch.setattr(delta, "reduce_chain_complex", record)
-        H = K.homology()
-        if K.dim < 0:
-            assert seen == []
+        H, residue = recorded_residue(K, monkeypatch)
+        if residue is None:
             return
-        (residue,) = seen
         assert ordered(residue) == ordered(dict_residue(K))
         assert H == snf_homology(K)
+
+    @pytest.mark.parametrize("name", RESIDUE_CASES)
+    def test_residue_is_as_small_as_the_homology_allows(
+        self, name, monkeypatch
+    ):
+        # each free summand of the reduced homology needs one cell, and
+        # each torsion coefficient a cell and its boundary
+        K = residue_complex(name)
+        H, residue = recorded_residue(K, monkeypatch)
+        if residue is None:
+            return
+        sizes, _ = residue
+        torsion = sum(map(len, H.torsion))
+        assert sum(sizes) == sum(H.betti) - 1 + 2 * torsion
 
     @pytest.mark.parametrize(
         "name, betti, torsion",
