@@ -3,9 +3,11 @@ towers, triangulated complexes, hyperbolized fibrations, and lens-space
 trigonometric invariants.
 
 Every public name is resolved on first use (PEP 562): ``import
-rhoforge`` loads no submodule, and ``rhoforge.bounding_chain`` imports
-``rhoforge.towers`` and nothing else, so the bounding path never loads
-numpy, which only ``delta``, ``lens_complex`` and ``hyperbolize`` need.
+rhoforge`` loads no submodule, and a name loads its own submodule and
+what that imports.  ``rhoforge.bounding_chain`` loads ``towers`` with
+the ``groups``, ``bar``, ``polytopes`` and ``cap`` layers under it and
+never numpy, which only ``delta``, ``lens_complex`` and ``hyperbolize``
+need; ``rhoforge.ResourceCapError`` loads ``cap`` alone.
 """
 
 import importlib
@@ -25,11 +27,11 @@ _EXPORTS = {
             "PolytopeError VertexLabeling assemble_polytopes octagon_cells "
             "octagon_chain octagon_polytope",
         ),
+        ("cap", "ResourceCapError"),
         (
             "towers",
-            "BoundingResult ResourceCapError Tower bounding_chain "
-            "catalan_number cylinder cylinder_cell lemma_bound thm11_constant "
-            "tower",
+            "BoundingResult Tower bounding_chain catalan_number cylinder "
+            "cylinder_cell lemma_bound thm11_constant tower",
         ),
         (
             "delta",

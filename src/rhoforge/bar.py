@@ -19,9 +19,39 @@ from __future__ import annotations
 import operator
 from typing import Iterable, Mapping, Sequence
 
-from .groups import FiniteAbelianGroup, GroupElement, GroupMismatchError, as_int
+from .groups import (
+    FiniteAbelianGroup,
+    GroupElement,
+    GroupMismatchError,
+    as_int,
+    refuse_unlisted,
+)
 
 Gen = tuple[GroupElement, ...]
+
+
+def refuse_malformed_gens(entries, field: str, key: str) -> None:
+    """Raise TypeError naming the first part of ``entries`` that is not
+    in the shape of a JSON list of {"gen": [residues, ...], key: ...}.
+
+    ``field`` is the entries' own key in the file, "cells" or "terms".
+    Readers call it only once reading the entries has failed; if it
+    finds nothing wrong with their shape, the reader's error stands.
+    """
+    item = field[:-1]
+    refuse_unlisted(entries, field, f"{item}s")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise TypeError(
+                f'{item} {i} is {entry!r}, not an object with "gen" and '
+                f'"{key}"'
+            ) from None
+        gen = entry.get("gen", [])
+        refuse_unlisted(gen, f"gen of {item} {i}", "group elements")
+        for j, residues in enumerate(gen):
+            refuse_unlisted(
+                residues, f"element {j} of gen of {item} {i}", "residues"
+            )
 
 
 def gen_boundary(gen: Gen) -> list[tuple[Gen, int]]:
@@ -268,11 +298,16 @@ class BarChain:
     @classmethod
     def from_json(cls, group: FiniteAbelianGroup, data: dict) -> "BarChain":
         degree = as_int(data["degree"], "degree")
-        pairs = (
-            (tuple(map(group.element, entry["gen"])), as_int(entry["coef"], "coef"))
-            for entry in data["terms"]
-        )
-        return cls.from_terms(group, degree, pairs)
+        terms = data["terms"]
+        try:
+            pairs = (
+                (tuple(map(group.element, entry["gen"])), as_int(entry["coef"], "coef"))
+                for entry in terms
+            )
+            return cls.from_terms(group, degree, pairs)
+        except TypeError:
+            refuse_malformed_gens(terms, "terms", "coef")
+            raise
 
     def __repr__(self) -> str:
         parts = {

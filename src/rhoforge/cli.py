@@ -13,10 +13,17 @@ Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error
 output path, a ``rho-sweep`` row whose rho or bound overflows a float),
 3 resource cap exceeded.
 
-The bounding layers (``groups``, ``bar``, ``polytopes``, ``towers``)
-are imported with this module; ``delta``, ``lens`` and ``hyperbolize``
-are imported by the handlers that use them, so ``bound-chain``,
-``verify-polytope`` and ``rho-sweep`` run without loading numpy.
+Importing this module loads only the cell cap (``cap``) of the package.
+Every layer is imported by the handlers that use it: the bounding
+layers (``groups``, ``bar``, ``polytopes``, ``towers``) by
+``bound-chain``, ``verify-polytope`` and ``constants``, and ``delta``,
+``lens`` and ``hyperbolize`` by the commands that build complexes or
+sweep rho.  So ``bound-chain``, ``verify-polytope`` and ``rho-sweep``
+run without loading numpy, and no command that loads numpy compiles or
+runs the bounding stack, ``constants`` aside (it needs
+``catalan_number``).  Those imports name the package absolutely: inside
+a function a relative import looks up ``__spec__.parent``, a Python
+property, on every call, which doubles its cost of about a microsecond.
 
 ``main`` runs each command, from its handler to the report write, with
 the cyclic garbage collector paused, then restores the collector's state
@@ -32,7 +39,6 @@ not touch the collector.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import gc
 import hashlib
@@ -40,27 +46,15 @@ import io
 import json
 import os
 import sys
-import tempfile
 import time
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .bar import BarChain
-from .groups import FiniteAbelianGroup
-from .polytopes import (
-    ColoredCell,
-    ColoredPolytope,
-    ColoringError,
-    NotACycleError,
-    decomposition_degree,
-    octagon_cells,
-    octagon_polytope,
-)
-from .towers import ResourceCapError, bounding_chain, catalan_number, cell_cap
+from .cap import ResourceCapError, cell_cap
 
 if TYPE_CHECKING:
     from .delta import DeltaComplex, HomologySummary
+    from .groups import FiniteAbelianGroup
 
 
 class UsageError(Exception):
@@ -71,6 +65,8 @@ class UsageError(Exception):
 
 
 def _jsonable(obj):
+    from fractions import Fraction
+
     if isinstance(obj, Fraction):
         return (
             int(obj)
@@ -190,6 +186,8 @@ def _atomic_write(path: str, text: str) -> None:
     A path that cannot be written is a usage error naming ``path`` and
     the reason, never the temporary file; no temporary file is left.
     """
+    import tempfile
+
     target = os.path.abspath(path)
     tmp = None
     try:
@@ -264,6 +262,8 @@ def _load_file(path: str, build, missing: str, invalid: str):
 
 
 def _parse_group(text: str) -> FiniteAbelianGroup:
+    from rhoforge.groups import FiniteAbelianGroup
+
     try:
         moduli = [int(p) for p in text.split(",") if p.strip()]
         if not moduli:
@@ -274,8 +274,16 @@ def _parse_group(text: str) -> FiniteAbelianGroup:
 
 
 def _group_from_field(field) -> FiniteAbelianGroup:
+    """A cycle file's group: a list of moduli, or ``{"moduli": [...]}``."""
+    from rhoforge.groups import FiniteAbelianGroup
+
     if isinstance(field, list):
         return FiniteAbelianGroup(field)
+    if not isinstance(field, dict):
+        raise TypeError(
+            f'group is {field!r}, not a list of moduli or an object with '
+            '"moduli"'
+        )
     return FiniteAbelianGroup.from_json(field)
 
 
@@ -300,6 +308,8 @@ def _load_cycle(args):
     if args.octagon and args.cycle:
         raise UsageError("pass either --cycle or --octagon, not both")
     if args.octagon:
+        from rhoforge.polytopes import octagon_cells
+
         g, inputs = _octagon(args)
         return octagon_cells(g, g, g, g), inputs
     if not args.cycle:
@@ -307,6 +317,9 @@ def _load_cycle(args):
     flag_group = _parse_group(args.group) if args.group else None
 
     def build(data):
+        from rhoforge.bar import BarChain
+        from rhoforge.polytopes import cells_from_json, decomposition_degree
+
         if "group" in data:
             group = _group_from_field(data["group"])
             if flag_group is not None and group.moduli != flag_group.moduli:
@@ -316,13 +329,7 @@ def _load_cycle(args):
         else:
             raise UsageError("cycle file has no group; pass --group")
         if "cells" in data:
-            payload = [
-                ColoredCell(
-                    tuple(group.element(r) for r in entry["gen"]),
-                    entry["sign"],
-                )
-                for entry in data["cells"]
-            ]
+            payload = cells_from_json(group, data["cells"])
             # bounding_chain sorts the cells; only their degree is read here
             degree = decomposition_degree(payload)
         elif "terms" in data:
@@ -341,8 +348,7 @@ def _load_cycle(args):
 
 
 def _builtin_complex(spec: str) -> DeltaComplex:
-    from .delta import boundary_simplex, ngon, simplex
-    from .lens import LensError, LensSpec, lens_complex
+    from rhoforge.delta import boundary_simplex, ngon, simplex
 
     name, _, rest = spec.partition(":")
     try:
@@ -353,12 +359,14 @@ def _builtin_complex(spec: str) -> DeltaComplex:
         if name == "boundary-simplex":
             return boundary_simplex(int(rest))
         if name == "lens":
+            from rhoforge.lens import LensSpec, lens_complex
+
             parts = rest.split(",")
             if len(parts) != 2:
                 raise UsageError(f"bad builtin {spec!r}: lens needs N,D")
             n, d = map(int, parts)
             return lens_complex(LensSpec(n, d))
-    except (ValueError, LensError) as exc:
+    except ValueError as exc:  # LensError included
         raise UsageError(f"bad builtin {spec!r}: {exc}") from None
     raise UsageError(
         f"unknown builtin {name!r}; use ngon:N, simplex:N, "
@@ -372,7 +380,7 @@ def _load_complex(args):
     if args.builtin:
         return _builtin_complex(args.builtin), {"builtin": args.builtin}
     if args.complex:
-        from .delta import DeltaComplex
+        from rhoforge.delta import DeltaComplex
 
         K, digest = _load_file(
             args.complex, DeltaComplex.from_json, "complex file",
@@ -394,6 +402,9 @@ def _homology_payload(H: HomologySummary) -> dict:
 
 
 def _cmd_bound_chain(args):
+    from rhoforge.polytopes import ColoringError, NotACycleError
+    from rhoforge.towers import bounding_chain
+
     payload, inputs = _load_cycle(args)
     checks = []
     extra = {}
@@ -440,6 +451,12 @@ def _cmd_bound_chain(args):
 
 
 def _cmd_verify_polytope(args):
+    from rhoforge.polytopes import (
+        ColoredPolytope,
+        NotACycleError,
+        octagon_polytope,
+    )
+
     if args.octagon and args.polytope:
         raise UsageError("pass either --polytope or --octagon, not both")
     if args.octagon:
@@ -508,7 +525,7 @@ def _cmd_fvector(args):
 
 
 def _cmd_hyperbolize(args):
-    from .hyperbolize import (
+    from rhoforge.hyperbolize import (
         hyperbolized_simplex,
         hyperbolized_sphere,
         z_comparison_table,
@@ -573,7 +590,7 @@ def _cmd_hyperbolize(args):
 
 
 def _cmd_lens(args):
-    from .lens import LensError, LensSpec, lens_complex
+    from rhoforge.lens import LensError, LensSpec, lens_complex
 
     try:
         spec = LensSpec(args.n, args.d)
@@ -611,7 +628,7 @@ def _cmd_lens(args):
 
 
 def _cmd_rho_sweep(args):
-    from .lens import LensError, LensSpec, rho_lower_bound_check
+    from rhoforge.lens import LensError, LensSpec, rho_lower_bound_check
 
     if args.stop < args.start:
         raise UsageError("--to must be at least --from")
@@ -648,6 +665,8 @@ def _cmd_rho_sweep(args):
         )
     ]
     if args.csv:
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["N", "rho", "lower_bound", "pass"])
@@ -667,8 +686,17 @@ def _cmd_rho_sweep(args):
 
 
 def _cmd_constants(args):
-    from .hyperbolize import thm12_constant, z_comparison_table, z_formula
-    from .lens import divisor_count, homotopy_invariant_count, invariant_count
+    from rhoforge.hyperbolize import (
+        thm12_constant,
+        z_comparison_table,
+        z_formula,
+    )
+    from rhoforge.lens import (
+        divisor_count,
+        homotopy_invariant_count,
+        invariant_count,
+    )
+    from rhoforge.towers import catalan_number
 
     catalan = [catalan_number(k) for k in range(1, 6)]
     checks = [

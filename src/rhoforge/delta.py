@@ -25,13 +25,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .groups import FiniteAbelianGroup, GroupElement
+from .cap import require_cells
 from .smith import reduce_chain_complex, smith_normal_form
-from .towers import require_cells
+
+if TYPE_CHECKING:
+    from .groups import FiniteAbelianGroup, GroupElement
 
 Face = tuple[int, ...]
 

@@ -44,6 +44,18 @@ def as_int(value, what: str) -> int:
     raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
+def refuse_unlisted(value, what: str, of: str) -> None:
+    """Raise TypeError "<what> is <value>, not a list of <of>" unless
+    ``value`` is a list or tuple.
+
+    Readers of input files call it only once reading a field has failed,
+    to name the field that is not a list, so well-formed input pays
+    nothing for it.
+    """
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{what} is {value!r}, not a list of {of}") from None
+
+
 class GroupMismatchError(ValueError):
     """Raised when elements of different groups are combined."""
 
@@ -231,7 +243,15 @@ class FiniteAbelianGroup:
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteAbelianGroup":
-        return cls(data["moduli"])
+        try:
+            return cls(data["moduli"])
+        except TypeError:
+            if not isinstance(data, dict):
+                raise TypeError(
+                    f'group is {data!r}, not an object with "moduli"'
+                ) from None
+            refuse_unlisted(data["moduli"], "moduli", "integers")
+            raise
 
     def element_from_json(self, data: dict) -> GroupElement:
         return self.element(data["residues"])

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .cap import require_cells
 from .delta import (
     DeltaComplex,
     barycentric,
@@ -28,7 +29,6 @@ from .delta import (
     prism,
     simplex,
 )
-from .towers import require_cells
 
 Carriers = tuple[tuple[frozenset, ...], ...]
 Colors = tuple[tuple[tuple[int, ...], ...], ...]

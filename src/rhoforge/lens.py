@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product
 from typing import TYPE_CHECKING, NamedTuple
 
-from .towers import require_cells
+from .cap import require_cells
 
 if TYPE_CHECKING:
     from .delta import DeltaComplex

@@ -20,8 +20,15 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
-from .bar import BarChain, Gen, bar_to_hom, gen_boundary, hom_to_bar
-from .groups import FiniteAbelianGroup, GroupElement, as_int
+from .bar import (
+    BarChain,
+    Gen,
+    bar_to_hom,
+    gen_boundary,
+    hom_to_bar,
+    refuse_malformed_gens,
+)
+from .groups import FiniteAbelianGroup, GroupElement, as_int, refuse_unlisted
 
 FaceRef = tuple[int, int]  # (cell index, face index)
 
@@ -52,6 +59,41 @@ class ColoredCell:
     def __post_init__(self):
         if type(self.sign) is not int or self.sign not in (-1, 1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
+
+
+def cells_from_json(group: FiniteAbelianGroup, entries) -> list[ColoredCell]:
+    """Cells from their JSON form, a list of {"gen": [residues, ...],
+    "sign": +1 or -1}; a malformed entry is a TypeError naming it."""
+    try:
+        return [
+            ColoredCell(
+                tuple(group.element(r) for r in entry["gen"]), entry["sign"]
+            )
+            for entry in entries
+        ]
+    except TypeError:
+        refuse_malformed_gens(entries, "cells", "sign")
+        raise
+
+
+def _refuse_malformed_gluings(gluings) -> None:
+    """Raise naming the first gluing, or face reference of one, that is
+    not a pair; called only once reading ``gluings`` has failed."""
+    refuse_unlisted(gluings, "gluings", "face pairs")
+
+    def is_pair(value) -> bool:
+        return isinstance(value, (list, tuple)) and len(value) == 2
+
+    for k, pair in enumerate(gluings):
+        if not is_pair(pair):
+            raise TypeError(
+                f"gluing {k} is {pair!r}, not a pair of face references"
+            ) from None
+        for j, ref in enumerate(pair):
+            if not is_pair(ref):
+                raise TypeError(
+                    f"face {j} of gluing {k} is {ref!r}, not [cell, face]"
+                ) from None
 
 
 def _gen_key(gen: Gen) -> tuple[int, ...]:
@@ -347,17 +389,17 @@ class ColoredPolytope:
     @classmethod
     def from_json(cls, data: dict) -> "ColoredPolytope":
         group = FiniteAbelianGroup.from_json(data["group"])
-        cells = [
-            ColoredCell(
-                tuple(group.element(r) for r in entry["gen"]), entry["sign"]
-            )
-            for entry in data["cells"]
-        ]
-        gluings = [
-            tuple(tuple(as_int(x, "face reference") for x in ref) for ref in pair)
-            for pair in data.get("gluings", [])
-        ]
-        return cls(group, as_int(data["degree"], "degree"), cells, gluings)
+        cells = cells_from_json(group, data["cells"])
+        raw = data.get("gluings", [])
+        try:
+            gluings = [
+                tuple(tuple(as_int(x, "face reference") for x in ref) for ref in pair)
+                for pair in raw
+            ]
+            return cls(group, as_int(data["degree"], "degree"), cells, gluings)
+        except (TypeError, ValueError):
+            _refuse_malformed_gluings(raw)
+            raise
 
     def __repr__(self) -> str:
         return (

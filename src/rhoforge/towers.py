@@ -31,11 +31,12 @@ the one check that the input is a cycle.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence, Union
 
 from .bar import BarChain, Gen, hom_to_bar
+# its builders raise ResourceCapError, through require_cells, over the cap
+from .cap import ResourceCapError, require_cells
 from .groups import FiniteAbelianGroup, GroupElement
 from .polytopes import (
     CellsInput,
@@ -47,33 +48,6 @@ from .polytopes import (
     as_cells,
     assemble_polytopes,
 )
-
-DEFAULT_CELL_CAP = 10_000_000
-
-
-class ResourceCapError(RuntimeError):
-    """A construction would exceed the configured cell cap."""
-
-
-def cell_cap() -> int:
-    """Cap on constructed cells; override with env RHOFORGE_CELL_CAP."""
-    raw = os.environ.get("RHOFORGE_CELL_CAP")
-    if raw is None:
-        return DEFAULT_CELL_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(
-            f"RHOFORGE_CELL_CAP must be an integer, got {raw!r}"
-        ) from None
-
-
-def require_cells(count: int, what: str) -> None:
-    """Raise ResourceCapError if ``what`` needs more than cell_cap() cells."""
-    cap = cell_cap()
-    if count > cap:
-        raise ResourceCapError(f"{what} needs {count} cells, cap is {cap}")
-
 
 PairClass = tuple[tuple[FaceRef, FaceRef], ...]  # (plus, minus) members
 

@@ -687,6 +687,56 @@ class TestMalformedInput:
         err = self.usage_error(capsys, *argv, str(src))
         assert err.startswith(f"rhoforge: {prefix}: ")
 
+    # a field of the wrong JSON type is named, with what it should be
+    CYCLE = {"group": [2], "cells": [{"gen": [[1], [1]], "sign": 1}]}
+    TERMS = {"group": [3], "degree": 1, "terms": [{"gen": [[1]], "coef": 1}]}
+
+    @pytest.mark.parametrize("base, field, value, message", [
+        (CYCLE, "group", "3",
+         "group is '3', not a list of moduli or an object with \"moduli\""),
+        (CYCLE, "group", {"moduli": 3}, "moduli is 3, not a list of integers"),
+        (CYCLE, "cells", {"a": 1}, "cells is {'a': 1}, not a list of cells"),
+        (CYCLE, "cells", [[1, 2]],
+         'cell 0 is [1, 2], not an object with "gen" and "sign"'),
+        (CYCLE, "cells", [{"gen": 5, "sign": 1}],
+         "gen of cell 0 is 5, not a list of group elements"),
+        (CYCLE, "cells", [{"gen": [[1], 1], "sign": 1}],
+         "element 1 of gen of cell 0 is 1, not a list of residues"),
+        (TERMS, "terms", [[1]],
+         'term 0 is [1], not an object with "gen" and "coef"'),
+        (TERMS, "terms", 5, "terms is 5, not a list of terms"),
+        (TERMS, "terms", [{"gen": [1], "coef": 1}],
+         "element 0 of gen of term 0 is 1, not a list of residues"),
+    ], ids=["group-string", "moduli-int", "cells-object", "cell-list",
+            "gen-int", "element-int", "term-list", "terms-int",
+            "term-element-int"])
+    def test_cycle_field_type(self, tmp_path, capsys, base, field, value,
+                              message):
+        src = tmp_path / "cycle.json"
+        src.write_text(json.dumps({**base, field: value}))
+        err = self.usage_error(capsys, "bound-chain", "--cycle", str(src))
+        assert err == f"rhoforge: bad cycle file entry: {message}\n"
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("group", [3], 'group is [3], not an object with "moduli"'),
+        ("cells", [1], 'cell 0 is 1, not an object with "gen" and "sign"'),
+        ("cells", 5, "cells is 5, not a list of cells"),
+        ("gluings", 5, "gluings is 5, not a list of face pairs"),
+        ("gluings", [[[0, 1]]],
+         "gluing 0 is [[0, 1]], not a pair of face references"),
+        ("gluings", [[0, 1]], "face 0 of gluing 0 is 0, not [cell, face]"),
+        ("gluings", [[[0, 1], [1, 2, 0]]],
+         "face 1 of gluing 0 is [1, 2, 0], not [cell, face]"),
+    ], ids=["group-list", "cell-int", "cells-int", "gluings-int",
+            "gluing-single", "face-int", "face-triple"])
+    def test_polytope_field_type(self, tmp_path, capsys, field, value, message):
+        g = FiniteAbelianGroup([3]).element([1])
+        data = {**octagon_polytope(g, g, g, g).to_json(), field: value}
+        src = tmp_path / "p.json"
+        src.write_text(json.dumps(data))
+        err = self.usage_error(capsys, "verify-polytope", "--polytope", str(src))
+        assert err == f"rhoforge: invalid polytope: {message}\n"
+
     def test_rho_sweep_d0(self, capsys):
         err = self.usage_error(capsys, "rho-sweep", "--d", "0")
         assert "d must be at least 1" in err

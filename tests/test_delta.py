@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from rhoforge import delta
+from rhoforge.cap import ResourceCapError
 from rhoforge.delta import (
     DeltaComplex,
     DeltaComplexError,
@@ -34,7 +35,6 @@ from rhoforge.smith import (
     reduce_chain_complex,
     smith_normal_form,
 )
-from rhoforge.towers import ResourceCapError
 
 
 def orbit_action(group, generator_perms):

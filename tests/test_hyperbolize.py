@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from rhoforge import hyperbolize
+from rhoforge.cap import ResourceCapError
 from rhoforge.delta import (
     DeltaComplex,
     boundary_simplex,
@@ -31,7 +32,6 @@ from rhoforge.hyperbolize import (
     z_comparison_table,
     z_formula,
 )
-from rhoforge.towers import ResourceCapError
 
 
 def top_cells_onto_target(X):

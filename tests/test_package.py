@@ -14,7 +14,7 @@ import rhoforge
 from rhoforge.cli import main
 
 # the root's exports, in order, as they stood when every one was imported
-# eagerly
+# eagerly, but for ResourceCapError, which moved from towers to cap
 EXPORTS = [
     "FiniteAbelianGroup", "GroupElement", "GroupMismatchError", "cyclic",
     "BarChain", "bar_to_hom", "gen_boundary", "hom_to_bar",
@@ -22,9 +22,9 @@ EXPORTS = [
     "ColoredCell", "ColoredPolytope", "ColoringError", "NotACycleError",
     "PolytopeError", "VertexLabeling", "assemble_polytopes", "octagon_cells",
     "octagon_chain", "octagon_polytope",
-    "BoundingResult", "ResourceCapError", "Tower", "bounding_chain",
-    "catalan_number", "cylinder", "cylinder_cell", "lemma_bound",
-    "thm11_constant", "tower",
+    "ResourceCapError",
+    "BoundingResult", "Tower", "bounding_chain", "catalan_number",
+    "cylinder", "cylinder_cell", "lemma_bound", "thm11_constant", "tower",
     "DeltaComplex", "DeltaComplexError", "FreeAction", "HomologySummary",
     "barycentric", "boundary_simplex", "circle", "cone", "join",
     "keyed_complex", "ngon", "point", "prism", "quotient", "simplex",
@@ -97,6 +97,17 @@ print(json.dumps({"codes": codes, "loaded": loaded, "homology": [code, report],
 """
 
 
+def fresh(script, *args, **env):
+    """Run ``script`` in a new interpreter that imports the package from
+    this checkout; its completed process."""
+    src = str(Path(rhoforge.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src, **env),
+    )
+
+
 def test_bounding_commands_start_without_numpy(tmp_path, capsys):
     # the octagon decomposition over Z/2, as explicit cells
     cycle = tmp_path / "octagon-2.json"
@@ -108,12 +119,7 @@ def test_bounding_commands_start_without_numpy(tmp_path, capsys):
             {"gen": [[0], [1]], "sign": -1}, {"gen": [[1], [0]], "sign": 1},
         ],
     }))
-    src = str(Path(rhoforge.__file__).parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", STARTUP, str(cycle)],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=src),
-    )
+    proc = fresh(STARTUP, str(cycle))
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     # rho-sweep --d 6 exits 1: its bound fails at N = 4 and 5
@@ -126,3 +132,94 @@ def test_bounding_commands_start_without_numpy(tmp_path, capsys):
     assert report == expected
     assert report["homology"]["torsion"][1] == [4]
     assert out["numpy_after"]
+
+
+BOUNDING_LAYERS = (
+    "rhoforge.bar", "rhoforge.groups", "rhoforge.polytopes", "rhoforge.towers",
+)
+NUMPY_COMMANDS = [
+    ["homology", "--builtin", "lens:4,4"],
+    ["torsion", "--builtin", "lens:3,2"],
+    ["fvector", "--builtin", "ngon:5"],
+    ["lens", "--N", "5", "--d", "2"],
+    ["rho-sweep", "--d", "6", "--from", "4", "--to", "50"],
+    ["hyperbolize", "--dim", "2"],
+]
+
+# One interpreter imports the CLI module, records what that loaded, then
+# runs every command that needs numpy and records the layers loaded
+# after them.
+NUMPY_STARTUP = """
+import contextlib, io, json, sys
+import rhoforge.cli
+
+package = sorted(m for m in sys.modules if m.split(".")[0] == "rhoforge")
+stdlib = sorted(m for m in ("numpy", "fractions", "csv") if m in sys.modules)
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = rhoforge.cli.main(argv)
+    runs.append([code, json.loads(out.getvalue())])
+print(json.dumps({"package": package, "stdlib": stdlib, "runs": runs,
+                  "loaded": [m for m in json.loads(sys.argv[2])
+                             if m in sys.modules]}))
+"""
+
+
+def test_numpy_commands_load_no_bounding_layer(capsys):
+    proc = fresh(
+        NUMPY_STARTUP, json.dumps(NUMPY_COMMANDS), json.dumps(BOUNDING_LAYERS)
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["package"] == ["rhoforge", "rhoforge.cap", "rhoforge.cli"]
+    assert out["stdlib"] == []
+    assert out["loaded"] == []
+    for argv, (code, report) in zip(NUMPY_COMMANDS, out["runs"]):
+        assert main(argv) == code, argv
+        expected = json.loads(capsys.readouterr().out)
+        del report["elapsed_s"], expected["elapsed_s"]
+        assert report == expected, argv
+    # rho-sweep --d 6 exits 1: its bound fails at N = 4 and 5
+    assert [code for code, _ in out["runs"]] == [0, 0, 0, 0, 1, 0]
+
+
+SIMPLE_BUILTINS = """
+import contextlib, io, sys
+from rhoforge.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["fvector", "--builtin", "ngon:5"]),
+             main(["homology", "--builtin", "boundary-simplex:3"])]
+print(codes, sorted(m for m in ("rhoforge.lens", "fractions") if m in sys.modules))
+"""
+
+
+def test_simple_builtins_load_no_lens_layer():
+    # only lens:N,D builtins need the lens layer, and with it fractions
+    proc = fresh(SIMPLE_BUILTINS)
+    assert proc.stdout == "[0, 0] []\n", proc.stderr
+
+
+CAPPED = """
+import sys
+from rhoforge.cli import main
+
+code = main(["lens", "--N", "20", "--d", "3"])
+print(code, "rhoforge.towers" in sys.modules)
+"""
+
+
+def test_cap_is_one_class_everywhere():
+    from rhoforge import cap, towers
+
+    assert rhoforge.ResourceCapError is cap.ResourceCapError
+    assert cap.ResourceCapError is towers.ResourceCapError
+    # the lens builder raises the class the CLI catches, without towers
+    proc = fresh(CAPPED, RHOFORGE_CELL_CAP="1000")
+    assert proc.stdout == "3 False\n"
+    assert proc.stderr == (
+        "rhoforge: resource cap exceeded: lens complex (20, 3) needs 3446 "
+        "cells, cap is 1000\n"
+    )

@@ -138,14 +138,24 @@ def commands(tmp_path):
     # level 1 is not a list: an invalid complex, and exit 2
     malformed = tmp_path / "malformed.json"
     malformed.write_text(json.dumps({"vertices": 2, "faces": [[], 5]}))
+    # a cell that is not an object, and a gluing that is not a pair: the
+    # readers' failure paths name them, and exit 2
+    bad_cells = tmp_path / "bad-cells.json"
+    bad_cells.write_text(json.dumps({"group": [3], "cells": [[1, 2]]}))
+    bad_gluings = tmp_path / "bad-gluings.json"
+    bad_gluings.write_text(json.dumps(
+        {**octagon_polytope(g2, g2, g2, g2).to_json(), "gluings": [[0, 1]]}
+    ))
     report = str(tmp_path / "report.json")
     return [
         (["bound-chain", "--octagon", "--group", "2", "--report", report], 0),
         (["bound-chain", "--octagon", "--group", "3,3"], 0),
         (["bound-chain", "--cycle", str(cells)], 0),
         (["bound-chain", "--cycle", str(terms)], 0),
+        (["bound-chain", "--cycle", str(bad_cells)], 2),
         (["verify-polytope", "--octagon", "--group", "5"], 0),
         (["verify-polytope", "--polytope", str(polytope)], 0),
+        (["verify-polytope", "--polytope", str(bad_gluings)], 2),
         (["homology", "--builtin", "ngon:6"], 0),
         (["homology", "--builtin", "lens:4,4"], 0),
         (["homology", "--complex", str(DATA / "x3.json")], 0),

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from rhoforge.bar import BarChain, gen_boundary, hom_to_bar
+from rhoforge.cap import ResourceCapError, cell_cap
 from rhoforge.groups import FiniteAbelianGroup, cyclic
 from rhoforge.polytopes import (
     ColoredCell,
@@ -18,13 +19,11 @@ from rhoforge.polytopes import (
     octagon_polytope,
 )
 from rhoforge.towers import (
-    ResourceCapError,
     _covering_step,
     _cylinder_terms,
     _face_labels,
     bounding_chain,
     catalan_number,
-    cell_cap,
     cylinder,
     cylinder_cell,
     lemma_bound,
