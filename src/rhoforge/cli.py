@@ -25,6 +25,13 @@ runs the bounding stack, ``constants`` aside (it needs
 a function a relative import looks up ``__spec__.parent``, a Python
 property, on every call, which doubles its cost of about a microsecond.
 
+Reports are emitted as ``json.dumps(report, indent=2)`` would write
+them, by ``_dumps``: a table of flat rows (``rho-sweep``'s 1,997 at the
+benchmark's size) in one call of json's C encoder, anything else value
+by value.  A sweep with fewer rows than ``rho_polynomial``'s d + 1 nodes
+takes each row from its own power sum, so a short sweep at large d
+does not pay for the interpolation.
+
 ``main`` runs each command, from its handler to the report write, with
 the cyclic garbage collector paused, then restores the collector's state
 whether the command returned or raised; the result is printed after.  A
@@ -117,6 +124,31 @@ def _key_text(key) -> str:
     )
 
 
+_FLAT = frozenset(_SCALAR_TEXT)
+_ROW_TYPES = frozenset((dict, list, tuple))
+
+
+def _table_brackets(rows) -> str | None:
+    """The brackets of the rows if ``rows`` is a table, else None.
+
+    A table's rows are all non-empty dicts, or all non-empty lists or
+    tuples, of exact type, and hold only scalars of exact ``_FLAT``
+    types: such a row has no bracket outside its strings, and json
+    never writes a raw newline inside a string.
+    """
+    kinds = set(map(type, rows))
+    if kinds == {dict}:
+        brackets, cells = "{}", map(dict.values, rows)
+    elif kinds <= {list, tuple}:
+        brackets, cells = "[]", rows
+    else:
+        return None
+    for row in cells:
+        if not row or not _FLAT.issuperset(map(type, row)):
+            return None
+    return brackets
+
+
 def _emit(obj, indent: str, out: list) -> None:
     """Append the text of ``obj``, nested at ``indent``, to ``out``."""
     text = _SCALAR_TEXT.get(type(obj))
@@ -144,6 +176,23 @@ def _emit(obj, indent: str, out: list) -> None:
             out.append("[]")
             return
         inner = indent + "  "
+        if type(obj) in (list, tuple) and type(obj[0]) in _ROW_TYPES:
+            brackets = _table_brackets(obj)
+        else:
+            brackets = None
+        if brackets is not None:
+            # one C-encoder call; its only raw newlines are the separators
+            cell = inner + "  "
+            opening, closing = brackets
+            text = json.dumps(obj, check_circular=False,
+                              separators=(",\n" + cell, ": "))
+            out.append("[\n" + inner + opening + "\n" + cell)
+            out.append(text[2:-2].replace(
+                closing + ",\n" + cell + opening,
+                "\n" + inner + closing + ",\n" + inner + opening + "\n" + cell,
+            ))
+            out.append("\n" + inner + closing + "\n" + indent + "]")
+            return
         sep = ",\n" + inner
         lead = "[\n" + inner
         for value in obj:
@@ -174,6 +223,11 @@ def _dumps(payload) -> str:
     dict, list or tuple, str, int and float, so the order of the tests
     does not matter.  What none of them takes goes through ``_jsonable``.
     Reports are trees, so there is no circular-reference check.
+
+    A table (see ``_table_brackets``), the rho-sweep's rows or a level of
+    face lists, is one call of json's C encoder with the cell indentation
+    in its item separator; its rows are then opened by one replacement
+    of the row boundary, and appended as one piece.
     """
     out: list[str] = []
     _emit(payload, "", out)
@@ -638,9 +692,11 @@ def _cmd_rho_sweep(args):
         raise UsageError(str(exc)) from None
     rows = []
     gated_failures = []
+    # fewer rows than rho_polynomial's d + 1 nodes: each by its power sum
+    by_power_sum = args.stop - args.start + 1 < args.d + 1
     for n in range(args.start, args.stop + 1):
         try:
-            res = rho_lower_bound_check(LensSpec(n, args.d))
+            res = rho_lower_bound_check(LensSpec(n, args.d), by_power_sum)
         except OverflowError:
             raise UsageError(
                 f"rho or (N/pi)^d at (N, d) = ({n}, {args.d}) does not "

@@ -62,9 +62,14 @@ def lens_complex(spec: LensSpec) -> DeltaComplex:
     the indices after the first read as a mixed-radix number in base N.
     Face i drops vertex i of the concatenated vertex list (edge k keeps
     k+1 at position 0, k at position 1) and rotates the first index back
-    to 0.  That rule is applied to a pattern's whole grid of indices at
-    once, and the result read back as block offset plus mixed-radix
-    position.  The ``lens_count`` total, ((2N+1)^d - 1) / N, is checked
+    to 0.  That rule is applied to whole grids of indices at once, and
+    the result read back as block offset plus mixed-radix position.  The
+    patterns of one dimension q with the same p share the grid
+    ``np.indices((1,) + (N,) * (p - 1))`` and have q + 1 faces each, so
+    each such group stacks its per-pattern step, first-slot, weight and
+    offset tables and runs one einsum, its rows scattered to the
+    patterns' blocks: at d = 4, 13 groups in place of 76 patterns with
+    faces.  The ``lens_count`` total, ((2N+1)^d - 1) / N, is checked
     against the cell cap first.  Requires N >= 3; the construction is
     stated for rotations acting freely on a polygon with at least three
     sides.
@@ -76,7 +81,8 @@ def lens_complex(spec: LensSpec) -> DeltaComplex:
     n, d = spec.n, spec.d
     require_cells(lens_count(spec).total, f"lens complex ({n}, {d})")
     levels: list[list] = [[] for _ in range(2 * d)]
-    patterns: list[list[tuple[int, ...]]] = [[] for _ in range(2 * d)]
+    # per level q, the patterns by their count p of present polygons
+    groups: list[dict[int, list]] = [{} for _ in range(2 * d)]
     offset: dict[tuple[int, ...], int] = {}
     # rev = dims[::-1] runs in lex order, so each level comes out sorted
     for rev in product((-1, 0, 1), repeat=d):
@@ -84,7 +90,7 @@ def lens_complex(spec: LensSpec) -> DeltaComplex:
         if present:
             dims = rev[::-1]
             q = sum(dims) + d - 1
-            patterns[q].append(dims)
+            groups[q].setdefault(present, []).append(dims)
             offset[dims] = len(levels[q])
             levels[q].extend(
                 (dims, (0,) + rest)
@@ -93,29 +99,40 @@ def lens_complex(spec: LensSpec) -> DeltaComplex:
     faces = []
     for q in range(1, 2 * d):
         out = np.empty((len(levels[q]), q + 1), dtype=np.int64)
-        for dims in patterns[q]:
-            slots = [t for t, dt in enumerate(dims) if dt >= 0]
-            p = len(slots)
+        for p, group in groups[q].items():
             grid = np.indices((1,) + (n,) * (p - 1)).reshape(p, -1).T
-            # per face: the step on slot j, the slot that becomes first,
-            # the mixed-radix weights of the slots left, the block offset
+            # per pattern and face: the step on slot j, the slot that
+            # becomes first, the mixed-radix weights of the slots left,
+            # the block offset of the face's pattern
             step, first, weights, base = [], [], [], []
-            for j, t in enumerate(slots):
-                kept = [s for s in range(p) if s != j or dims[t]]
-                w = [0] * p
-                for r, s in enumerate(reversed(kept[1:])):
-                    w[s] = n**r
-                face = offset[dims[:t] + (dims[t] - 1,) + dims[t + 1 :]]
-                for v in range(dims[t] + 1):
-                    step.append([1 - v if s == j and dims[t] else 0 for s in range(p)])
-                    first.append(kept[0])
-                    weights.append(w)
-                    base.append(face)
-            idx = grid + np.array(step)[:, None, :]
-            idx -= idx[np.arange(len(first)), :, first][:, :, None]
+            for dims in group:
+                slots = [t for t, dt in enumerate(dims) if dt >= 0]
+                for j, t in enumerate(slots):
+                    kept = [s for s in range(p) if s != j or dims[t]]
+                    w = [0] * p
+                    for r, s in enumerate(reversed(kept[1:])):
+                        w[s] = n**r
+                    face = offset[dims[:t] + (dims[t] - 1,) + dims[t + 1 :]]
+                    for v in range(dims[t] + 1):
+                        step.append(
+                            [1 - v if s == j and dims[t] else 0 for s in range(p)]
+                        )
+                        first.append(kept[0])
+                        weights.append(w)
+                        base.append(face)
+            shape = (len(group), q + 1)
+            # idx[g, f, m]: the indices of face f of cell m of pattern g
+            idx = grid + np.array(step).reshape(shape + (1, p))
+            idx -= np.take_along_axis(
+                idx, np.array(first).reshape(shape + (1, 1)), axis=3
+            )
             idx %= n
-            rows = slice(offset[dims], offset[dims] + len(grid))
-            out[rows] = np.einsum("fmp,fp->mf", idx, np.array(weights)) + base
+            cells = np.einsum(
+                "gfmp,gfp->gmf", idx, np.array(weights).reshape(shape + (p,))
+            )
+            cells += np.array(base).reshape(shape)[:, None, :]
+            rows = np.add.outer([offset[dims] for dims in group], range(len(grid)))
+            out[rows.ravel()] = cells.reshape(-1, q + 1)
         faces.append(out)
     return DeltaComplex(len(levels[0]), faces, levels)
 
@@ -330,7 +347,12 @@ def _pi_powers(d: int) -> tuple[int, int, int, int]:
     return cached[1]
 
 
-def rho_lower_bound_check(spec: LensSpec) -> RhoBoundResult:
+_tuple_new = tuple.__new__
+
+
+def rho_lower_bound_check(
+    spec: LensSpec, by_power_sum: bool = False
+) -> RhoBoundResult:
     """Decide (N/pi)^d < rho(N, d) in integers.
 
     With rho = A(N) / D from ``rho_polynomial``, pi_lo = a / b and
@@ -339,13 +361,29 @@ def rho_lower_bound_check(spec: LensSpec) -> RhoBoundResult:
     integer changes neither comparison, so nothing is reduced.  Raises
     OverflowError when rho or (N/pi)^d does not fit in a float.
 
+    ``by_power_sum`` takes (A, D) for even d as ``_power_sum(N, d/2)``
+    and N^(d/2) instead, the same rational unreduced, without deriving
+    ``rho_polynomial(d)``: the route for fewer rows than the d + 1
+    interpolation nodes.  ``a / den`` is correctly rounded, as
+    float(Fraction) is, so both routes give the same result.  Called
+    once per sweep row, Horner's rule is inlined and the result built
+    by ``tuple.__new__``, not the named tuple's Python ``__new__``.
+
     >>> r = rho_lower_bound_check(LensSpec(5, 6))
     >>> r.holds, r.status, r.rho
     (False, 'ok', 13.6)
+    >>> rho_lower_bound_check(LensSpec(5, 6), by_power_sum=True) == r
+    True
     """
     n, d = spec.n, spec.d
-    coeffs, den = rho_polynomial(d)
-    a = _horner(coeffs, n)
+    if by_power_sum and d % 2 == 0:
+        half = d // 2
+        a, den = _power_sum(n, half), n**half
+    else:
+        coeffs, den = rho_polynomial(d)
+        a = 0
+        for c in reversed(coeffs):
+            a = a * n + c
     lo_num, lo_den, hi_num, hi_den = _pi_powers(d)
     target = n**d * den
     holds = target * lo_den < a * lo_num
@@ -356,8 +394,9 @@ def rho_lower_bound_check(spec: LensSpec) -> RhoBoundResult:
         status = "ok"
     else:
         status = "out_of_hypothesis"
-    # int true division is correctly rounded, as float(Fraction) is
-    return RhoBoundResult(spec, a / den, (n / math.pi) ** d, holds, status)
+    return _tuple_new(
+        RhoBoundResult, (spec, a / den, (n / math.pi) ** d, holds, status)
+    )
 
 
 def thm13_lower(spec: LensSpec, constant):

@@ -19,6 +19,7 @@ from rhoforge import cli, lens, towers
 from rhoforge.cli import main
 from rhoforge.delta import DeltaComplex
 from rhoforge.groups import FiniteAbelianGroup
+from rhoforge.lens import LensSpec
 from rhoforge.polytopes import (
     as_cells,
     octagon_cells,
@@ -467,6 +468,39 @@ class TestRhoSweep:
         assert report["checks"][0]["values"]["failures"] == [4, 5, 6]
         assert {r["status"] for r in report["rows"]} == {"undecided"}
         assert not any(r["pass"] for r in report["rows"])
+
+    @pytest.mark.parametrize("d", range(2, 13, 2))
+    def test_short_sweeps_take_rows_from_power_sums(self, d, capsys):
+        # d rows are fewer than rho_polynomial's d + 1 nodes; d + 2 are not
+        def rows(stop):
+            run("rho-sweep", "--d", str(d), "--from", "3", "--to", str(stop))
+            report = capsys.readouterr().out
+            return report[report.index('"rows"'):report.index('"elapsed_s"')]
+
+        lens.rho_polynomial.cache_clear()
+        short = rows(2 + d)
+        assert lens.rho_polynomial.cache_info().currsize == 0
+        long = rows(4 + d)
+        assert lens.rho_polynomial.cache_info().currsize == 1
+        # byte for byte: the short rows, up to the last one's closing
+        # brace, open the long rows
+        assert long.startswith(short[: short.rindex("}")])
+        for n in range(2, 60):
+            spec = LensSpec(n, d)
+            assert lens.rho_lower_bound_check(spec, by_power_sum=True) == (
+                lens.rho_lower_bound_check(spec)
+            ), n
+
+    def test_short_sweep_at_large_d(self, capsys):
+        lens.rho_polynomial.cache_clear()
+        assert run("rho-sweep", "--d", "500", "--from", "3", "--to", "5") == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["checks"][0]["values"]["failures"] == [4, 5]
+        assert [r["status"] for r in report["rows"]] == (
+            ["out_of_hypothesis", "ok", "ok"]
+        )
+        assert report["rows"][1]["rho"] == 2.0
+        assert lens.rho_polynomial.cache_info().currsize == 0
 
     def test_overflow_exits_2(self, tmp_path, capsys):
         rep = tmp_path / "rho.json"
@@ -939,9 +973,101 @@ class TestEmitter:
         assert cli._dumps(payload) == json_text(payload)
         assert cli._dumps([]) == "[]" and cli._dumps("\u00e9") == '"\\u00e9"'
 
+    def test_tables_match_json_dumps(self):
+        # generated payloads through the table path and every fallback:
+        # exact-type flat rows, spoiled rows and subclasses
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        class Str(str):
+            pass
+
+        class Int(int):
+            pass
+
+        class Float(float):
+            pass
+
+        class Rows(list):
+            pass
+
+        class Row(dict):
+            pass
+
+        tricky = st.sampled_from(
+            ["},\n", "},\n    {", "],\n  [", "[", "{", "]", "}", "\u00e9\u2014\U0001d70b", ""]
+        )
+        text = st.text(max_size=6) | tricky
+        scalars = (
+            st.none() | st.booleans() | st.integers()
+            | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf])
+            | text
+        )
+        odd = (
+            st.fractions() | text.map(Str) | st.integers().map(Int)
+            | st.floats().map(Float)
+        )
+        keys = text | st.integers() | st.floats() | st.booleans() | st.none()
+        flat_dict = st.dictionaries(keys, scalars, min_size=1, max_size=4)
+        flat_list = st.lists(scalars, min_size=1, max_size=4)
+        flat_row = flat_list | flat_list.map(tuple)
+        tables = (
+            st.lists(flat_dict, min_size=1, max_size=5)
+            | st.lists(flat_row, min_size=1, max_size=5)
+            | st.lists(flat_row, min_size=1, max_size=5).map(tuple)
+        )
+
+        @st.composite
+        def spoiled(draw):
+            """A table with one row empty, of the other kind, given a
+            cell json takes by its ``default`` or by subclass, or made a
+            subclass; or the table itself made a list subclass."""
+            rows = draw(st.lists(flat_dict, min_size=1, max_size=5)
+                        | st.lists(flat_row, min_size=1, max_size=5))
+            i = draw(st.integers(0, len(rows) - 1))
+            row = rows[i]
+            kind = draw(st.sampled_from(
+                ["empty", "other", "odd", "odd key", "subclass", "outer"]
+            ))
+            if kind == "empty":
+                rows[i] = type(row)()
+            elif kind == "other":
+                rows[i] = (
+                    list(row.values()) if isinstance(row, dict)
+                    else dict(enumerate(row))
+                )
+            elif kind == "odd":
+                if isinstance(row, dict):
+                    rows[i] = {**row, draw(text): draw(odd)}
+                else:
+                    rows[i] = type(row)([*row, draw(odd)])
+            elif kind == "odd key" and isinstance(row, dict):
+                rows[i] = {**row, draw(text.map(Str) | st.integers().map(Int)): 0}
+            elif kind == "subclass" and isinstance(row, dict):
+                rows[i] = Row(row)
+            elif kind == "outer":
+                return Rows(rows)
+            return rows
+
+        payloads = st.recursive(
+            scalars | odd | tables | spoiled(),
+            lambda kids: st.lists(kids, max_size=4)
+            | st.lists(kids, max_size=4).map(tuple)
+            | st.dictionaries(keys, kids, max_size=4),
+            max_leaves=24,
+        )
+
+        @hypothesis.settings(max_examples=400, deadline=None)
+        @hypothesis.given(payloads)
+        def check(payload):
+            assert cli._dumps(payload) == json_text(payload)
+
+        check()
+
     @pytest.mark.parametrize(
         "payload",
-        [[Unsupported()], {"a": {"b": Unsupported()}}, {(1, 2): 3}, Unsupported()],
+        [[Unsupported()], {"a": {"b": Unsupported()}}, {(1, 2): 3}, Unsupported(),
+         [{"a": 1}, {(1, 2): 3}]],
     )
     def test_unsupported_is_a_type_error(self, payload):
         with pytest.raises(TypeError) as ours:

@@ -3,10 +3,14 @@
 import math
 import time
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 
 from rhoforge import lens
+from rhoforge.cap import ResourceCapError
+from rhoforge.delta import DeltaComplex
 from rhoforge.lens import (
     LensCount,
     LensError,
@@ -85,6 +89,81 @@ class TestComplex:
             assert H.betti[0] == 1
             assert H.betti[1] == 0
             assert H.torsion[1] == (n,)
+
+
+def pattern_lens_complex(spec):
+    """The lens builder as it was before faces were batched by shape
+    group: the same face rule, one numpy pass per ``dims`` pattern."""
+    n, d = spec.n, spec.d
+    levels = [[] for _ in range(2 * d)]
+    patterns = [[] for _ in range(2 * d)]
+    offset = {}
+    for rev in product((-1, 0, 1), repeat=d):
+        present = d - rev.count(-1)
+        if present:
+            dims = rev[::-1]
+            q = sum(dims) + d - 1
+            patterns[q].append(dims)
+            offset[dims] = len(levels[q])
+            levels[q].extend(
+                (dims, (0,) + rest)
+                for rest in product(range(n), repeat=present - 1)
+            )
+    faces = []
+    for q in range(1, 2 * d):
+        out = np.empty((len(levels[q]), q + 1), dtype=np.int64)
+        for dims in patterns[q]:
+            slots = [t for t, dt in enumerate(dims) if dt >= 0]
+            p = len(slots)
+            grid = np.indices((1,) + (n,) * (p - 1)).reshape(p, -1).T
+            step, first, weights, base = [], [], [], []
+            for j, t in enumerate(slots):
+                kept = [s for s in range(p) if s != j or dims[t]]
+                w = [0] * p
+                for r, s in enumerate(reversed(kept[1:])):
+                    w[s] = n**r
+                face = offset[dims[:t] + (dims[t] - 1,) + dims[t + 1 :]]
+                for v in range(dims[t] + 1):
+                    step.append(
+                        [1 - v if s == j and dims[t] else 0 for s in range(p)]
+                    )
+                    first.append(kept[0])
+                    weights.append(w)
+                    base.append(face)
+            idx = grid + np.array(step)[:, None, :]
+            idx -= idx[np.arange(len(first)), :, first][:, :, None]
+            idx %= n
+            rows = slice(offset[dims], offset[dims] + len(grid))
+            out[rows] = np.einsum("fmp,fp->mf", idx, np.array(weights)) + base
+        faces.append(out)
+    return DeltaComplex(len(levels[0]), faces, levels)
+
+
+class TestBatchedBuilder:
+    """``lens_complex`` against the per-pattern builder it replaced."""
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_equal_to_the_per_pattern_builder(self, n):
+        for d in range(1, 6):
+            spec = LensSpec(n, d)
+            ours, oracle = lens_complex(spec), pattern_lens_complex(spec)
+            assert ours.faces == oracle.faces, (n, d)
+            assert ours.tags == oracle.tags, (n, d)
+            assert len(ours._face_arrays) == len(oracle._face_arrays)
+            for a, b in zip(ours._face_arrays, oracle._face_arrays):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert np.array_equal(a, b), (n, d)
+
+    def test_cap_fires_before_any_array(self, monkeypatch):
+        monkeypatch.setenv("RHOFORGE_CELL_CAP", "100")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an array was built over the cap")
+
+        for name in ("indices", "empty", "array", "einsum"):
+            monkeypatch.setattr(np, name, refuse)
+        with pytest.raises(ResourceCapError, match="needs 266 cells, cap is 100"):
+            lens_complex(LensSpec(5, 3))
 
 
 class TestGrowth:
