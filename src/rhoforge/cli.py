@@ -16,14 +16,16 @@ output path, a ``rho-sweep`` row whose rho or bound overflows a float),
 Importing this module loads only the cell cap (``cap``) of the package.
 Every layer is imported by the handlers that use it: the bounding
 layers (``groups``, ``bar``, ``polytopes``, ``towers``) by
-``bound-chain``, ``verify-polytope`` and ``constants``, and ``delta``,
-``lens`` and ``hyperbolize`` by the commands that build complexes or
-sweep rho.  So ``bound-chain``, ``verify-polytope`` and ``rho-sweep``
-run without loading numpy, and no command that loads numpy compiles or
-runs the bounding stack, ``constants`` aside (it needs
-``catalan_number``).  Those imports name the package absolutely: inside
-a function a relative import looks up ``__spec__.parent``, a Python
-property, on every call, which doubles its cost of about a microsecond.
+``bound-chain``, ``verify-polytope`` and ``constants`` (``towers``
+loads the pure-Python ``smith`` only to count a holonomy subgroup too
+large for the cell cap), and ``delta``, ``lens`` and ``hyperbolize`` by
+the commands that build complexes or sweep rho.  So ``bound-chain``,
+``verify-polytope`` and ``rho-sweep`` run without loading numpy, and no
+command that loads numpy compiles or runs the bounding stack,
+``constants`` aside (it needs ``catalan_number``).  Those imports name
+the package absolutely: inside a function a relative import looks up
+``__spec__.parent``, a Python property, on every call, which doubles its
+cost of about a microsecond.
 
 Reports are emitted as ``json.dumps(report, indent=2)`` would write
 them, by ``_dumps``: a table of flat rows (``rho-sweep``'s 1,997 at the
@@ -507,6 +509,7 @@ def _cmd_bound_chain(args):
 def _cmd_verify_polytope(args):
     from rhoforge.polytopes import (
         ColoredPolytope,
+        ColoringError,
         NotACycleError,
         octagon_polytope,
     )
@@ -526,10 +529,16 @@ def _cmd_verify_polytope(args):
         inputs = {"polytope": digest}
     else:
         raise UsageError("need --polytope FILE or --octagon")
-    checks = [_check("coloring", P.check_coloring())]
-    if checks[0]["status"] == "pass":
+    # one propagation decides the coloring and gives the labeling
+    try:
         labeling = P.endow(P.group.identity)
-        checks.append(_check("endowment-consistent", labeling.check()))
+    except ColoringError:
+        checks = [_check("coloring", False)]
+    else:
+        checks = [
+            _check("coloring", True),
+            _check("endowment-consistent", labeling.check()),
+        ]
     try:
         pairs = P.boundary_pairs()
         checks.append(_check("boundary-pairs", None, count=len(pairs)))

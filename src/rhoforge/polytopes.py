@@ -504,8 +504,16 @@ def assemble_polytopes(
     next unused cell seeds a new one.  The faces are indexed once by face
     generator and induced sign, so no search rescans the cells.
 
+    The same index is the cycle check.  The boundary of the cells' sum is
+    the sum of their faces with induced signs, so its coefficient at a
+    face generator is the count of that generator's +1 faces minus the
+    count of its -1 faces; C is a cycle exactly when every generator has
+    as many of one as of the other.
+
     In degree 1 the faces are points and no gluing is performed; each
     cell becomes its own polytope and pairing is left to the boundary.
+    Every degree-1 chain is a cycle, since the one vertex is the face of
+    each cell twice, with opposite signs.
 
     A caller that has normalised C with :func:`as_cells` and summed its
     cells already passes that cell list as C and the sum as ``chain``;
@@ -515,15 +523,10 @@ def assemble_polytopes(
     """
     if chain is None:
         group, degree, cells = as_cells(C)
-        chain = BarChain.from_terms(
-            group, degree, ((c.gen, c.sign) for c in cells)
-        )
     else:
         group, degree, cells = chain.group, chain.degree, C
     if not cells:
         return []
-    if not chain.boundary().is_zero():
-        raise NotACycleError("input chain has nonzero boundary")
     if degree == 1:
         return [ColoredPolytope(group, 1, [cell]) for cell in cells]
 
@@ -536,6 +539,11 @@ def assemble_polytopes(
     for c, cell in enumerate(cells):
         for i, (fg, s) in enumerate(faces[c]):
             index.setdefault((fg, cell.sign * s), deque()).append((c, i))
+    if any(
+        len(refs) != len(index.get((fg, -s), ()))
+        for (fg, s), refs in index.items()
+    ):
+        raise NotACycleError("input chain has nonzero boundary")
 
     used = [False] * len(cells)
     polytopes = []

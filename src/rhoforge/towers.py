@@ -36,7 +36,7 @@ from typing import Iterator, Sequence, Union
 
 from .bar import BarChain, Gen, hom_to_bar
 # its builders raise ResourceCapError, through require_cells, over the cap
-from .cap import ResourceCapError, require_cells
+from .cap import ResourceCapError, cell_cap, require_cells
 from .groups import FiniteAbelianGroup, GroupElement
 from .polytopes import (
     CellsInput,
@@ -192,6 +192,71 @@ def tower(
     )
 
 
+def _holonomies(
+    P: ColoredPolytope,
+    labeling: VertexLabeling,
+    pairs: Sequence[tuple[FaceRef, FaceRef]],
+) -> list[GroupElement]:
+    """Each pair's crossing holonomy L(minus vertex) * L(plus vertex)^-1,
+    read at the first face vertex."""
+    return [
+        _face_labels(P, labeling, minus)[0] * ~_face_labels(P, labeling, plus)[0]
+        for plus, minus in pairs
+    ]
+
+
+def _coset_closure(
+    identity: GroupElement, generators: Sequence[GroupElement]
+) -> list[GroupElement]:
+    """The subgroup H the generators span, grown by whole cosets.
+
+    For each generator g not yet in H, H is followed by its cosets
+    H*g, H*g^2, ... up to the first power of g that lies in H.  Every
+    element of H but the identity costs one product, and nothing else
+    does: |H| - 1 products in all.
+
+    >>> from rhoforge.groups import cyclic
+    >>> G = cyclic(6)
+    >>> H = _coset_closure(G.identity, [G.element([2]), G.element([3])])
+    >>> [t.residues[0] for t in H]
+    [0, 2, 4, 3, 5, 1]
+    """
+    elements = [identity]
+    members = {identity}
+    for g in generators:
+        rest = elements[1:]  # H before g, but its identity
+        power = g
+        while power not in members:
+            coset = [power, *(t * power for t in rest)]
+            elements.extend(coset)
+            members.update(coset)
+            power = power * g
+    return elements
+
+
+def _subgroup_order(
+    group: FiniteAbelianGroup, generators: Sequence[GroupElement]
+) -> int:
+    """|H| for H spanned by ``generators``, without listing H.
+
+    G is Z^k over the columns of diag(moduli), so G/H is Z^k over the
+    columns of [diag(moduli) | generator residues], and its order is the
+    product of that matrix's Smith invariants (Cohen, *A Course in
+    Computational Algebraic Number Theory*, 1993, section 2.4).  The
+    Smith form is pure Python and imported here, on the one path that
+    needs it.
+    """
+    from .smith import smith_normal_form
+
+    k = len(group.moduli)
+    entries = {(i, i): m for i, m in enumerate(group.moduli)}
+    for j, g in enumerate(generators):
+        for i, r in enumerate(g.residues):
+            entries[i, k + j] = r
+    quotient = math.prod(smith_normal_form(entries).invariant_factors)
+    return group.order // quotient
+
+
 def tower_labeled_cells(
     P: ColoredPolytope,
 ) -> tuple[
@@ -212,9 +277,14 @@ def tower_labeled_cells(
     (j_1..j_s) is P labeled by t * L with t = hol_1^j_1 ... hol_s^j_s.
     Those t run over the holonomy subgroup H = <hol_1, ..., hol_s>, each
     hit by |G|^s / |H| copies, so the cells are P's labeled cells once per
-    element of H, each sign times |G|^s / |H|.  H's elements count against
-    the cell cap as the tower's cells.  ``bounding_chain`` verifies the
-    chain it builds from these cells exactly.
+    element of H, each sign times |G|^s / |H|, in the order
+    ``_coset_closure`` lists H.  That costs O(|H|·|C|) for |C| cells.
+
+    H's elements count against the cell cap as the tower's cells, before
+    H is built: when |G|·|C| is within the cap, H is too; otherwise |H|
+    is counted from a Smith normal form (``_subgroup_order``).
+    ``bounding_chain`` verifies the chain it builds from these cells
+    exactly.
 
     >>> from rhoforge.groups import cyclic
     >>> from rhoforge.polytopes import octagon_polytope
@@ -230,19 +300,15 @@ def tower_labeled_cells(
             f"tower_labeled_cells needs a connected polytope, got "
             f"{len(P.components)} components"
         )
-    e, order = P.group.identity, P.group.order
+    group, ncells = P.group, len(P.cells)
     pairs = tuple(P.boundary_pairs())
-    labeling = P.endow(e)
-    subgroup = {e: None}  # a dict, not a set: its order is the cells' order
-    for plus, minus in pairs:
-        hol = (
-            _face_labels(P, labeling, minus)[0]
-            * ~_face_labels(P, labeling, plus)[0]
-        )
-        powers = [hol**j for j in range(order)]
-        subgroup = dict.fromkeys(t * h for t in subgroup for h in powers)
-    require_cells(len(subgroup) * len(P.cells), "tower")
-    copies = order ** len(pairs)
+    labeling = P.endow(group.identity)
+    holonomies = _holonomies(P, labeling, pairs)
+    if group.order * ncells > cell_cap():
+        # H may be as large as G: count it before building it
+        require_cells(_subgroup_order(group, holonomies) * ncells, "tower")
+    subgroup = _coset_closure(group.identity, holonomies)
+    copies = group.order ** len(pairs)
     count = copies // len(subgroup)
     base = polytope_labeled_cells(P, labeling)
     cells = [
@@ -361,6 +427,9 @@ class BoundingResult:
     ``shadow`` is the sum of signs times the all-identity generator; it
     vanishes whenever the decomposition's signs cancel.  ``bound`` is the
     a-priori complexity bound (n+1) * |G|^((n+1)|C|/2) * |C|.
+    ``identity_holds`` is the boundary identity as ``bounding_chain``
+    decided it, from the one boundary of u it computes; ``verified``
+    reads it and computes nothing.
     """
 
     u: BarChain
@@ -370,11 +439,12 @@ class BoundingResult:
     cells: int
     bound: int
     complexity: int
+    identity_holds: bool
     polytopes: tuple[PolytopeReport, ...] = field(default=())
 
     @property
     def verified(self) -> bool:
-        return self.u.boundary() == self.multiplicity * (self.cycle - self.shadow)
+        return self.identity_holds
 
 
 def lemma_bound(n: int, group: Union[FiniteAbelianGroup, int], c_size: int) -> int:
@@ -397,8 +467,9 @@ def bounding_chain(C: CellsInput) -> BoundingResult:
     copy counts; take one cylinder of the concatenated chain, equal
     labeled cells summed first.  A chain C expands to its complexity in
     cells, counted against the cell cap before the expansion.  The
-    boundary identity is verified by exact chain arithmetic before
-    returning (the ``verified`` property re-runs it).
+    boundary identity is decided once, by exact chain arithmetic on the
+    one boundary of u computed, and stored in the result, whose
+    ``verified`` property reads it; a failure raises here.
     """
     if isinstance(C, BarChain):
         require_cells(C.complexity(), "cell decomposition")
@@ -410,26 +481,16 @@ def bounding_chain(C: CellsInput) -> BoundingResult:
     )
     sign_total = sum(cell.sign for cell in cells)
     shadow = BarChain(group, degree, {(group.identity,) * degree: sign_total})
-    if not cells:
-        return BoundingResult(
-            u=BarChain.zero(group, degree + 1),
-            multiplicity=1,
-            cycle=cycle_chain,
-            shadow=shadow,
-            cells=0,
-            bound=0,
-            complexity=0,
-        )
-
     polys = assemble_polytopes(cells, chain=cycle_chain)
     chains = [tower_labeled_cells(P) for P in polys]
+    # lcm() of nothing is 1: the empty cycle is bounded by u = 0
     multiplicity = math.lcm(*(copies for copies, _, _ in chains))
     scaled = [
         (labels, sign * (multiplicity // copies))
         for copies, _, labeled in chains
         for labels, sign in labeled
     ]
-    u = cylinder(scaled).chain
+    u = cylinder(scaled).chain if scaled else BarChain.zero(group, degree + 1)
     reports = [
         PolytopeReport(
             cells=len(P.cells),
@@ -447,6 +508,9 @@ def bounding_chain(C: CellsInput) -> BoundingResult:
         cells=len(cells),
         bound=lemma_bound(degree, group, len(cells)),
         complexity=u.complexity(),
+        identity_holds=(
+            u.boundary() == multiplicity * (cycle_chain - shadow)
+        ),
         polytopes=tuple(reports),
     )
     if not result.verified:

@@ -20,7 +20,10 @@ from rhoforge.cli import main
 from rhoforge.delta import DeltaComplex
 from rhoforge.groups import FiniteAbelianGroup
 from rhoforge.lens import LensSpec
+from rhoforge.bar import BarChain
 from rhoforge.polytopes import (
+    ColoredCell,
+    ColoredPolytope,
     as_cells,
     octagon_cells,
     octagon_chain,
@@ -193,6 +196,40 @@ class TestBoundChain:
         assert rc == 3
         assert "resource cap" in capsys.readouterr().err
 
+    def test_huge_group_refused_before_its_subgroup_is_built(
+        self, monkeypatch, capsys
+    ):
+        # |H| * |C| is counted from a Smith normal form, not by listing H
+        monkeypatch.delenv("RHOFORGE_CELL_CAP", raising=False)
+        assert run("bound-chain", "--octagon", "--group", "99999999999") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "rhoforge: resource cap exceeded: "
+            "tower needs 599999999994 cells, cap is 10000000\n"
+        )
+
+    def test_boundary_of_u_computed_once(self, monkeypatch, capsys):
+        # the identity is decided inside bounding_chain and stored; the
+        # handler's read of verified computes nothing, and assembly
+        # checks the cycle from its face index, with no boundary pass
+        degrees = []
+        boundary = BarChain.boundary
+
+        def counted(chain):
+            degrees.append(chain.degree)
+            return boundary(chain)
+
+        monkeypatch.setattr(BarChain, "boundary", counted)
+        assert run("bound-chain", "--octagon", "--group", "3") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["checks"][1] == {
+            "name": "boundary-identity",
+            "status": "pass",
+            "values": {"multiplicity": 81},
+        }
+        assert degrees == [3]
+
     def test_terms_expansion_counts_against_cap(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -239,6 +276,25 @@ class TestVerifyPolytope:
         src = tmp_path / "p.json"
         src.write_text(json.dumps(P.to_json()))
         assert run("verify-polytope", "--polytope", str(src)) == 0
+
+    def test_non_colorable_polytope(self, tmp_path, capsys):
+        # two triangles glued along both matching faces force g*g = e; the
+        # one endow call gives the verdict, and no endowment is checked
+        G = FiniteAbelianGroup([3])
+        g = G.element([1])
+        P = ColoredPolytope(
+            G, 2, [ColoredCell((g, g), 1), ColoredCell((g, g), -1)],
+            [((0, 0), (1, 2)), ((0, 2), (1, 0))],
+        )
+        src = tmp_path / "p.json"
+        src.write_text(json.dumps(P.to_json()))
+        assert run("verify-polytope", "--polytope", str(src)) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["failed_checks"] == ["coloring"]
+        assert report["checks"] == [
+            {"name": "coloring", "status": "fail", "values": {}},
+            {"name": "boundary-pairs", "status": "info", "values": {"count": 1}},
+        ]
 
     def test_group_disagreeing_with_the_file(self, tmp_path, capsys):
         g = FiniteAbelianGroup([2]).element([1])

@@ -89,7 +89,8 @@ codes = [
     run("bound-chain", "--cycle", sys.argv[1])[0],
     run("rho-sweep", "--d", "6", "--from", "4", "--to", "50")[0],
 ]
-loaded = sorted(m for m in ("numpy", "rhoforge.delta", "rhoforge.hyperbolize")
+loaded = sorted(m for m in ("numpy", "rhoforge.delta", "rhoforge.hyperbolize",
+                            "rhoforge.smith")
                 if m in sys.modules)
 code, report = run("homology", "--builtin", "lens:4,4")
 print(json.dumps({"codes": codes, "loaded": loaded, "homology": [code, report],
@@ -132,6 +133,27 @@ def test_bounding_commands_start_without_numpy(tmp_path, capsys):
     assert report == expected
     assert report["homology"]["torsion"][1] == [4]
     assert out["numpy_after"]
+
+
+# A tower whose |G| * |C| is over the cap counts its holonomy subgroup
+# with the Smith normal form, which is pure Python.
+HUGE_GROUP = """
+import sys
+from rhoforge.cli import main
+
+code = main(["bound-chain", "--octagon", "--group", "99999999999"])
+print(code, sorted(m for m in ("numpy", "rhoforge.smith") if m in sys.modules))
+"""
+
+
+def test_huge_group_refusal_loads_no_numpy():
+    # the default cap, set as it is
+    proc = fresh(HUGE_GROUP, RHOFORGE_CELL_CAP="10000000")
+    assert proc.stdout == "3 ['rhoforge.smith']\n"
+    assert proc.stderr == (
+        "rhoforge: resource cap exceeded: tower needs 599999999994 cells, "
+        "cap is 10000000\n"
+    )
 
 
 BOUNDING_LAYERS = (

@@ -1,5 +1,6 @@
+import random
 import time
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -298,3 +299,55 @@ def test_polytope_json_round_trip():
     assert Q.vertex_count == P.vertex_count
     # Q lives over a fresh group instance; compare through serialization
     assert Q.chain().to_json() == P.chain().to_json()
+
+
+def test_face_index_cycle_check_matches_the_chain_boundary():
+    # assembly decides "is a cycle" from its face index; the oracle is the
+    # boundary of the summed chain.  Seeded signed decompositions: sums of
+    # generator boundaries (cycles), with repeated generators, cancelling
+    # pairs of one cell, and some with a cell dropped or its sign flipped
+    rng = random.Random(27)
+    verdicts = Counter()
+    for G in (cyclic(2), cyclic(3), FiniteAbelianGroup([2, 2])):
+        elems = list(G)
+        for _ in range(80):
+            degree = rng.choice([2, 3])
+            gens = [
+                tuple(rng.choice(elems) for _ in range(degree + 1))
+                for _ in range(rng.randint(1, 3))
+            ]
+            gens += rng.sample(gens, rng.randint(0, len(gens)))
+            cells = [
+                (face, s * sign)
+                for gen in gens
+                for sign in [rng.choice([-1, 1])]
+                for face, s in gen_boundary(gen)
+            ]
+            for _ in range(rng.randint(0, 2)):
+                face = tuple(rng.choice(elems) for _ in range(degree))
+                cells += [(face, 1), (face, -1)]
+            if cells and rng.random() < 0.5:
+                k = rng.randrange(len(cells))
+                if rng.random() < 0.5:
+                    del cells[k]
+                else:
+                    cells[k] = (cells[k][0], -cells[k][1])
+            if not cells:
+                continue
+            rng.shuffle(cells)
+            chain = BarChain.from_terms(G, degree, cells)
+            cycle = chain.boundary().is_zero()
+            try:
+                assemble_polytopes(cells)
+                assembled = True
+            except NotACycleError:
+                assembled = False
+            _, _, sorted_cells = as_cells(cells)
+            try:
+                assemble_polytopes(sorted_cells, chain=chain)
+                given = True
+            except NotACycleError:
+                given = False
+            assert assembled == given == cycle
+            verdicts[degree, cycle] += 1
+    assert min(verdicts[d, c] for d in (2, 3) for c in (True, False)) >= 20

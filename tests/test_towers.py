@@ -1,11 +1,12 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from rhoforge.bar import BarChain, gen_boundary, hom_to_bar
 from rhoforge.cap import ResourceCapError, cell_cap
-from rhoforge.groups import FiniteAbelianGroup, cyclic
+from rhoforge.groups import FiniteAbelianGroup, GroupElement, cyclic
 from rhoforge.polytopes import (
     ColoredCell,
     ColoredPolytope,
@@ -19,9 +20,12 @@ from rhoforge.polytopes import (
     octagon_polytope,
 )
 from rhoforge.towers import (
+    _coset_closure,
     _covering_step,
     _cylinder_terms,
     _face_labels,
+    _holonomies,
+    _subgroup_order,
     bounding_chain,
     catalan_number,
     cylinder,
@@ -347,7 +351,9 @@ class TestBoundingChain:
         res = bounding_chain(cells)
         assert res.multiplicity == 4**11
         for P in assemble_polytopes(cells):
-            assert tower_labeled_cells(P) == convolved_tower_labeled_cells(P)[:3]
+            assert as_multiset(tower_labeled_cells(P)) == as_multiset(
+                convolved_tower_labeled_cells(P)
+            )
         assert [(p.cells, p.pair_count) for p in res.polytopes] == [(10, 11)]
         assert res.u.boundary() == res.multiplicity * (res.cycle - res.shadow)
 
@@ -596,6 +602,14 @@ def convolved_tower_labeled_cells(P):
     return order ** len(pairs), pairs, cells, shifts
 
 
+def as_multiset(chain):
+    """(copies, pairs, cells) of a tower labeled chain, its cells as a
+    multiset: ``tower_labeled_cells`` lists H in coset order, which is
+    not the order of the oracles, and no report shows the order."""
+    copies, pairs, cells = chain[:3]
+    return copies, pairs, Counter(cells)
+
+
 def generated_subgroup(G, gens):
     """Closure of ``gens`` under multiplication, as a set."""
     H = {G.identity}
@@ -649,8 +663,117 @@ def test_holonomy_subgroup_replaces_the_copy_convolution():
                     assert set(counts) == H
                     proper += 1 < len(H) < G.order
                     assert set(counts.values()) == {copies // len(H)}
-                    assert tower_labeled_cells(P) == (copies, pairs, labeled)
+                    assert as_multiset(tower_labeled_cells(P)) == as_multiset(
+                        (copies, pairs, labeled)
+                    )
     assert polytopes >= 192 and proper > 0
+
+
+# -- the holonomy subgroup: coset closure and Smith count -----------------
+
+
+def powers_subgroup(G, hols):
+    """H as ``tower_labeled_cells`` built it before the coset closure:
+    the |G| powers of every holonomy multiplied into H, one after another."""
+    subgroup = {G.identity: None}
+    for hol in hols:
+        powers = [hol**j for j in range(G.order)]
+        subgroup = dict.fromkeys(t * h for t in subgroup for h in powers)
+    return list(subgroup)
+
+
+def tower_translations(P):
+    """The translations of ``tower_labeled_cells``' cells, in their order:
+    P's cell 0 starts at its base vertex, which is labeled e."""
+    _, _, cells = tower_labeled_cells(P)
+    return [cells[k][0][0] for k in range(0, len(cells), len(P.cells))]
+
+
+HOLONOMY_GROUPS = [[2], [3], [4], [5], [6], [7], [2, 2], [3, 3], [4, 2]]
+
+
+@pytest.mark.parametrize("moduli", HOLONOMY_GROUPS, ids=str)
+def test_coset_closure_matches_the_powers_construction(moduli):
+    # octagons with seeded random letters, pairwise distinct where the
+    # group has four elements: the coset closure lists the H of the
+    # powers construction once each, in the order of the tower's cells,
+    # and the Smith count gives its order
+    G = FiniteAbelianGroup(moduli)
+    elems = list(G)
+    rng = random.Random(27)
+    for _ in range(25):
+        if G.order >= 4:
+            letters = rng.sample(elems, 4)
+        else:
+            letters = rng.choices(elems, k=4)
+        P = octagon_polytope(*letters)
+        hols = _holonomies(P, P.endow(G.identity), P.boundary_pairs())
+        H = _coset_closure(G.identity, hols)
+        assert len(set(H)) == len(H)
+        assert set(H) == set(powers_subgroup(G, hols))
+        assert _subgroup_order(G, hols) == len(H)
+        assert tower_translations(P) == H
+    # and on any generators, proper subgroups among them
+    proper = 0
+    for _ in range(40):
+        gens = rng.choices(elems, k=rng.randint(0, 3))
+        H = _coset_closure(G.identity, gens)
+        assert set(H) == generated_subgroup(G, gens) == set(powers_subgroup(G, gens))
+        assert _subgroup_order(G, gens) == len(H) == len(set(H))
+        proper += 1 < len(H) < G.order
+    assert proper > 0 or G.order in (2, 3, 5, 7)
+
+
+def test_coset_closure_order_is_pinned():
+    # H grows by whole cosets for each holonomy not yet in it: the pairs
+    # cross by (0,1), e, (3,0) and (0,1), so H is {e, (0,1)} followed by
+    # its cosets by (3,0), (3,0)^2 and (3,0)^3
+    G = FiniteAbelianGroup([4, 2])
+    e, x, y = G.identity, G.element([0, 1]), G.element([1, 0])
+    P = octagon_polytope(e, x, e, y)
+    hols = _holonomies(P, P.endow(e), P.boundary_pairs())
+    assert [h.residues for h in hols] == [(0, 1), (0, 0), (3, 0), (0, 1)]
+    assert [t.residues for t in tower_translations(P)] == [
+        (0, 0), (0, 1), (3, 0), (3, 1), (2, 0), (2, 1), (1, 0), (1, 1),
+    ]
+
+
+def test_coset_closure_costs_one_product_per_element(monkeypatch):
+    # |H| - 1 products, however many generators repeat, where the powers
+    # construction made |G| * |H| per holonomy
+    G = cyclic(1000)
+    g = G.element([1])
+    gens = [g**2, g, g**500, g]
+    calls = []
+    mul = GroupElement.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(GroupElement, "__mul__", counted)
+    H = _coset_closure(G.identity, gens)
+    assert len(H) == 1000
+    assert len(calls) == len(H) - 1
+
+
+def test_subgroup_order_counts_beyond_the_cap(monkeypatch):
+    # over the cap, |H| * |C| is counted from the Smith form before H is
+    # listed, and the refusal names it; within the cap H is listed as is
+    monkeypatch.delenv("RHOFORGE_CELL_CAP", raising=False)
+    G = cyclic(99_999_999_999)
+    g = G.element([1])
+    P = octagon_polytope(g, g, g, g)
+    with pytest.raises(ResourceCapError, match="tower needs 599999999994 cells"):
+        tower_labeled_cells(P)
+    H = cyclic(6)
+    h = H.element([2])
+    Q = octagon_polytope(h, h, h, h)
+    monkeypatch.setenv("RHOFORGE_CELL_CAP", "18")
+    assert len(tower_labeled_cells(Q)[2]) == 18
+    monkeypatch.setenv("RHOFORGE_CELL_CAP", "17")
+    with pytest.raises(ResourceCapError, match="tower needs 18 cells, cap is 17"):
+        tower_labeled_cells(Q)
 
 
 def _tower_chain_cases():
@@ -684,7 +807,9 @@ def test_tower_labeled_cells_match_built_tower(cells):
             polytope_labeled_cells(t.result, t.labeling)
         )
         assert len(labeled) <= P.group.order * len(P.cells)
-        assert (copies, pairs, labeled) == convolved_tower_labeled_cells(P)[:3]
+        assert as_multiset((copies, pairs, labeled)) == as_multiset(
+            convolved_tower_labeled_cells(P)
+        )
 
 
 @pytest.mark.parametrize(
@@ -709,7 +834,9 @@ def test_bounding_chain_scales_each_polytope_to_the_common_multiplicity():
     res = bounding_chain(cells)
     polys = assemble_polytopes(cells)
     chains = [tower_labeled_cells(P) for P in polys]
-    assert chains == [convolved_tower_labeled_cells(P)[:3] for P in polys]
+    assert [as_multiset(chain) for chain in chains] == [
+        as_multiset(convolved_tower_labeled_cells(P)) for P in polys
+    ]
     copies = sorted(c for c, _, _ in chains)
     assert len(polys) >= 2 and copies[0] != copies[-1]
     assert [(p.cells, p.pair_count, p.copies) for p in res.polytopes] == [
