@@ -29,8 +29,15 @@ def cell_cap() -> int:
         ) from None
 
 
+def within_cap(count: int) -> bool:
+    """Whether ``count`` cells are within cell_cap(): the one comparison
+    with the cap."""
+    return count <= cell_cap()
+
+
 def require_cells(count: int, what: str) -> None:
     """Raise ResourceCapError if ``what`` needs more than cell_cap() cells."""
-    cap = cell_cap()
-    if count > cap:
-        raise ResourceCapError(f"{what} needs {count} cells, cap is {cap}")
+    if not within_cap(count):
+        raise ResourceCapError(
+            f"{what} needs {count} cells, cap is {cell_cap()}"
+        )

@@ -36,7 +36,7 @@ from typing import Iterator, Sequence, Union
 
 from .bar import BarChain, Gen, hom_to_bar
 # its builders raise ResourceCapError, through require_cells, over the cap
-from .cap import ResourceCapError, cell_cap, require_cells
+from .cap import ResourceCapError, require_cells, within_cap
 from .groups import FiniteAbelianGroup, GroupElement
 from .polytopes import (
     CellsInput,
@@ -304,7 +304,7 @@ def tower_labeled_cells(
     pairs = tuple(P.boundary_pairs())
     labeling = P.endow(group.identity)
     holonomies = _holonomies(P, labeling, pairs)
-    if group.order * ncells > cell_cap():
+    if not within_cap(group.order * ncells):
         # H may be as large as G: count it before building it
         require_cells(_subgroup_order(group, holonomies) * ncells, "tower")
     subgroup = _coset_closure(group.identity, holonomies)

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -850,6 +851,75 @@ class TestConstantsAndUsage:
         with pytest.raises(SystemExit) as err:
             run()
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound-chain", "--octagon", "--group", "2,2"],
+            ["bound-chain", "--cycle", "c.json", "--report", "r.json"],
+            ["verify-polytope", "--octagon", "--group", "5"],
+            ["homology", "--builtin", "lens:4,4"],
+            ["hyperbolize", "--dim", "3", "--out", "r.json"],
+            ["lens", "--N", "5", "--d", "3"],
+            ["rho-sweep", "--d", "6", "--from=4", "--to", "50"],
+            ["rho-sweep", "--d", "6", "--csv", "rho.csv"],
+            ["constants"],
+            ["hyperbolize", "--out", "a.json", "--dim", "2", "--report", "b.json"],
+            ["bound-chain", "--group", "", "--octagon", "--octagon"],
+            ["lens", "--d", " 3", "--N", "5", "--N", "7"],
+            # left to argparse, which takes them
+            ["rho-sweep", "--d", "-6"],
+            ["bound-chain", "--oct", "--group=2"],
+            ["lens", "--N", "5", "--d", "3", "--"],
+            # refused: by the subcommand, or left over for the top level
+            ["constants", "--frobnicate"],
+            ["constants", "extra", "--frobnicate"],
+            ["bound-chain", "--octagon", "--group"],
+            ["hyperbolize"],
+            ["lens", "--N", "five", "--d", "3"],
+            ["rho-sweep", "--d", "6", "--fro", "4"],
+            ["verify-polytope", "--help"],
+            # not a subcommand: the full parser either way
+            [],
+            ["--help"],
+            ["bound"],
+            ["--report", "r.json", "constants"],
+        ],
+    )
+    def test_parsed_as_the_full_parser_parses(self, argv, capsys):
+        parser, _ = cli._build_parser()
+
+        def outcome(parse):
+            try:
+                got = vars(parse(list(argv)))
+            except SystemExit as exc:
+                got = exc.code
+            return got, capsys.readouterr()
+
+        assert outcome(cli._parse_args) == outcome(parser.parse_args)
+
+    def test_random_lines_parsed_as_the_full_parser_parses(self, capsys):
+        parser, commands = cli._build_parser()
+        words = ["5", "-5", "", "x", "2,2", "--", "-h", "--help", "--dim=3",
+                 "--gr", "--frobnicate"]
+        rng = random.Random(7)
+        plain = 0
+        for _ in range(600):
+            name = rng.choice(sorted(commands))
+            vocabulary = words + sorted(commands[name][0])
+            argv = [name] + rng.choices(vocabulary, k=rng.randrange(7))
+
+            def outcome(parse):
+                try:
+                    got = vars(parse(list(argv)))
+                except SystemExit as exc:
+                    got = exc.code
+                return got, capsys.readouterr()
+
+            assert outcome(cli._parse_args) == outcome(parser.parse_args), argv
+            plain += cli._parse_plain(*commands[name], argv[1:]) is not None
+        # both routes are exercised
+        assert 50 < plain < 550
 
 
 class TestClosedPipe:

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from rhoforge.bar import BarChain, gen_boundary, hom_to_bar
-from rhoforge.cap import ResourceCapError, cell_cap
+from rhoforge.cap import ResourceCapError, cell_cap, require_cells, within_cap
 from rhoforge.groups import FiniteAbelianGroup, GroupElement, cyclic
 from rhoforge.polytopes import (
     ColoredCell,
@@ -774,6 +774,15 @@ def test_subgroup_order_counts_beyond_the_cap(monkeypatch):
     monkeypatch.setenv("RHOFORGE_CELL_CAP", "17")
     with pytest.raises(ResourceCapError, match="tower needs 18 cells, cap is 17"):
         tower_labeled_cells(Q)
+
+
+def test_within_cap_is_the_comparison_require_cells_makes(monkeypatch):
+    # the tower's pre-check and every builder's refusal share one boundary
+    monkeypatch.setenv("RHOFORGE_CELL_CAP", "10")
+    assert within_cap(10) and not within_cap(11)
+    require_cells(10, "x")
+    with pytest.raises(ResourceCapError, match="x needs 11 cells, cap is 10"):
+        require_cells(11, "x")
 
 
 def _tower_chain_cases():
