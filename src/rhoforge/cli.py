@@ -6,7 +6,9 @@ wall clock.  Reports are written atomically and are byte-identical
 across runs with the same inputs, apart from the timing field.
 
 ``inputs`` records the arguments; an input file appears as the sha256
-and size of its bytes, not as a copy.
+and size of its bytes, not as a copy.  Both digests come from the
+interpreter's built-in SHA-256 (``_sha2``, ``_sha256`` before 3.12), as
+``random`` takes its ``_sha512``, and match ``sha256sum``.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error
 (bad arguments, a malformed or unreadable input file, an unwritable
@@ -25,7 +27,9 @@ command that loads numpy compiles or runs the bounding stack,
 ``constants`` aside (it needs ``catalan_number``).  Those imports name
 the package absolutely: inside a function a relative import looks up
 ``__spec__.parent``, a Python property, on every call, which doubles its
-cost of about a microsecond.
+cost of about a microsecond.  No command loads ``hashlib``, which maps
+OpenSSL's libcrypto (about 3.5 MB of peak memory); it is the digests'
+fallback only, for an interpreter built without its own SHA-256.
 
 Reports are emitted as ``json.dumps(report, indent=2)`` would write
 them, by ``_dumps``: a table of flat rows (``rho-sweep``'s 1,997 at the
@@ -54,7 +58,6 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import hashlib
 import io
 import json
 import os
@@ -64,6 +67,14 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .cap import ResourceCapError, cell_cap
+
+try:  # the interpreter's own SHA-256, not OpenSSL's (see above)
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 if TYPE_CHECKING:
     from .delta import DeltaComplex, HomologySummary
@@ -274,7 +285,7 @@ def _check(name: str, ok=None, **values) -> dict:
 
 
 def _assemble(command, inputs, checks, extra, t0) -> dict:
-    digest = hashlib.sha256(
+    digest = sha256(
         json.dumps(inputs, sort_keys=True, default=_jsonable).encode()
     ).hexdigest()
     failed = [c["name"] for c in checks if c["status"] == "fail"]
@@ -317,7 +328,7 @@ def _load_file(path: str, build, missing: str, invalid: str):
         raise UsageError(f"{missing} without key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise UsageError(f"{invalid}: {exc}") from None
-    digest = {"sha256": hashlib.sha256(raw).hexdigest(), "bytes": len(raw)}
+    digest = {"sha256": sha256(raw).hexdigest(), "bytes": len(raw)}
     return built, digest
 
 
@@ -695,12 +706,17 @@ def _cmd_lens(args):
 
 
 def _cmd_rho_sweep(args):
-    from rhoforge.lens import LensError, LensSpec, rho_lower_bound_check
+    from rhoforge.lens import (
+        LensError,
+        LensSpec,
+        _unchecked_spec,
+        rho_lower_bound_check,
+    )
 
     if args.stop < args.start:
         raise UsageError("--to must be at least --from")
     try:
-        LensSpec(args.start, args.d)
+        LensSpec(args.start, args.d)  # valid for every larger N too
     except LensError as exc:
         raise UsageError(str(exc)) from None
     rows = []
@@ -709,7 +725,9 @@ def _cmd_rho_sweep(args):
     by_power_sum = args.stop - args.start + 1 < args.d + 1
     for n in range(args.start, args.stop + 1):
         try:
-            res = rho_lower_bound_check(LensSpec(n, args.d), by_power_sum)
+            res = rho_lower_bound_check(
+                _unchecked_spec(n, args.d), by_power_sum
+            )
         except OverflowError:
             raise UsageError(
                 f"rho or (N/pi)^d at (N, d) = ({n}, {args.d}) does not "

@@ -174,13 +174,11 @@ class DeltaComplex:
             arrays.pop()
         self.faces = tuple(built)
         if tags is None:
-            self.tags = tuple(
-                tuple(None for _ in level) for level in self.faces
-            )
+            self.tags = tuple((None,) * len(level) for level in self.faces)
         else:
             norm = [tuple(level) for level in tags]
             while len(norm) < len(self.faces):
-                norm.append(tuple(None for _ in self.faces[len(norm)]))
+                norm.append((None,) * len(self.faces[len(norm)]))
             if any(
                 len(norm[q]) != len(self.faces[q])
                 for q in range(len(self.faces))

@@ -401,27 +401,38 @@ class TestComplexCommands:
 class TestInputDigest:
     """A report records each input file by the sha256 and size of its bytes."""
 
-    @pytest.mark.parametrize("command, flag", [
-        ("fvector", "--complex"),
-        ("bound-chain", "--cycle"),
-        ("verify-polytope", "--polytope"),
+    @pytest.mark.parametrize("command, flag, source", [
+        pytest.param("fvector", "--complex", "triangle",
+                     id="fvector---complex"),
+        pytest.param("bound-chain", "--cycle", "cycle", id="bound-chain---cycle"),
+        pytest.param("verify-polytope", "--polytope", "octagon",
+                     id="verify-polytope---polytope"),
+        # over 64 KiB: the digest runs over many blocks
+        pytest.param("fvector", "--complex", "lens:13,3",
+                     id="fvector---complex-over-64KiB"),
     ])
-    def test_file_inputs(self, tmp_path, capsys, command, flag):
+    def test_file_inputs(self, tmp_path, capsys, command, flag, source):
         g = FiniteAbelianGroup([3]).element([1])
         data = {
-            "--complex": {"vertices": 3, "faces": [[[1, 0], [2, 1], [0, 2]]]},
-            "--cycle": {"group": [4], "degree": 1,
-                        "terms": [{"gen": [[1]], "coef": 1}]},
-            "--polytope": octagon_polytope(g, g, g, g).to_json(),
-        }[flag]
+            "triangle": lambda: {"vertices": 3,
+                                 "faces": [[[1, 0], [2, 1], [0, 2]]]},
+            "cycle": lambda: {"group": [4], "degree": 1,
+                              "terms": [{"gen": [[1]], "coef": 1}]},
+            "octagon": lambda: octagon_polytope(g, g, g, g).to_json(),
+            "lens:13,3": lambda: lens.lens_complex(LensSpec(13, 3)).to_json(),
+        }[source]()
         src = tmp_path / "in.json"
         src.write_text(json.dumps(data, indent=1))
         assert run(command, flag, str(src)) == 0
-        inputs = json.loads(capsys.readouterr().out)["inputs"]
+        report = json.loads(capsys.readouterr().out)
         raw = src.read_bytes()  # indented: not the bytes of the parsed object
-        assert inputs[flag[2:]] == {
+        assert (len(raw) > 65536) == (source == "lens:13,3")
+        # hashlib, the digests' old source, is the oracle for both
+        assert report["inputs"][flag[2:]] == {
             "sha256": hashlib.sha256(raw).hexdigest(), "bytes": len(raw),
         }
+        canonical = json.dumps(report["inputs"], sort_keys=True).encode()
+        assert report["inputs_digest"] == hashlib.sha256(canonical).hexdigest()
 
 
 class TestHyperbolize:

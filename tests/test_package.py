@@ -72,7 +72,9 @@ class TestLazyRoot:
 
 
 # One interpreter runs the bounding and sweep commands, records which
-# modules they loaded, then runs a homology command after them.
+# modules they loaded, then runs a homology command after them.  No
+# command loads hashlib, which maps OpenSSL's libcrypto: the report
+# digests come from the interpreter's built-in SHA-256.
 STARTUP = """
 import contextlib, io, json, sys
 from rhoforge.cli import main
@@ -90,11 +92,12 @@ codes = [
     run("rho-sweep", "--d", "6", "--from", "4", "--to", "50")[0],
 ]
 loaded = sorted(m for m in ("numpy", "rhoforge.delta", "rhoforge.hyperbolize",
-                            "rhoforge.smith")
+                            "rhoforge.smith", "_hashlib", "hashlib")
                 if m in sys.modules)
 code, report = run("homology", "--builtin", "lens:4,4")
+after = sorted(m for m in ("numpy", "_hashlib", "hashlib") if m in sys.modules)
 print(json.dumps({"codes": codes, "loaded": loaded, "homology": [code, report],
-                  "numpy_after": "numpy" in sys.modules}))
+                  "after": after}))
 """
 
 
@@ -132,7 +135,7 @@ def test_bounding_commands_start_without_numpy(tmp_path, capsys):
     del report["elapsed_s"], expected["elapsed_s"]
     assert report == expected
     assert report["homology"]["torsion"][1] == [4]
-    assert out["numpy_after"]
+    assert out["after"] == ["numpy"]
 
 
 # A tower whose |G| * |C| is over the cap counts its holonomy subgroup
@@ -142,7 +145,8 @@ import sys
 from rhoforge.cli import main
 
 code = main(["bound-chain", "--octagon", "--group", "99999999999"])
-print(code, sorted(m for m in ("numpy", "rhoforge.smith") if m in sys.modules))
+print(code, sorted(m for m in ("numpy", "rhoforge.smith", "_hashlib", "hashlib")
+                   if m in sys.modules))
 """
 
 
@@ -153,6 +157,25 @@ def test_huge_group_refusal_loads_no_numpy():
     assert proc.stderr == (
         "rhoforge: resource cap exceeded: tower needs 599999999994 cells, "
         "cap is 10000000\n"
+    )
+
+
+# An interpreter without a built-in SHA-256 (neither _sha2 nor _sha256
+# imports) takes hashlib's, which gives the same digests.
+NO_BUILTIN_SHA256 = """
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from rhoforge.cli import sha256
+print(sha256(b"rhoforge").hexdigest(), "_hashlib" in sys.modules)
+"""
+
+
+def test_digests_fall_back_to_hashlib():
+    import hashlib
+
+    proc = fresh(NO_BUILTIN_SHA256)
+    assert proc.stdout == hashlib.sha256(b"rhoforge").hexdigest() + " True\n", (
+        proc.stderr
     )
 
 
@@ -169,14 +192,15 @@ NUMPY_COMMANDS = [
 ]
 
 # One interpreter imports the CLI module, records what that loaded, then
-# runs every command that needs numpy and records the layers loaded
-# after them.
+# runs every command that needs numpy and records which of the bounding
+# layers and hashlib's modules were loaded after them.
 NUMPY_STARTUP = """
 import contextlib, io, json, sys
 import rhoforge.cli
 
 package = sorted(m for m in sys.modules if m.split(".")[0] == "rhoforge")
-stdlib = sorted(m for m in ("numpy", "fractions", "csv") if m in sys.modules)
+stdlib = sorted(m for m in ("numpy", "fractions", "csv", "_hashlib", "hashlib")
+                if m in sys.modules)
 runs = []
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
@@ -191,7 +215,8 @@ print(json.dumps({"package": package, "stdlib": stdlib, "runs": runs,
 
 def test_numpy_commands_load_no_bounding_layer(capsys):
     proc = fresh(
-        NUMPY_STARTUP, json.dumps(NUMPY_COMMANDS), json.dumps(BOUNDING_LAYERS)
+        NUMPY_STARTUP, json.dumps(NUMPY_COMMANDS),
+        json.dumps(BOUNDING_LAYERS + ("_hashlib", "hashlib")),
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
