@@ -706,17 +706,12 @@ def _cmd_lens(args):
 
 
 def _cmd_rho_sweep(args):
-    from rhoforge.lens import (
-        LensError,
-        LensSpec,
-        _unchecked_spec,
-        rho_lower_bound_check,
-    )
+    from rhoforge.lens import LensError, LensSpec, rho_lower_bound_check
 
     if args.stop < args.start:
         raise UsageError("--to must be at least --from")
     try:
-        LensSpec(args.start, args.d)  # valid for every larger N too
+        LensSpec(args.start, args.d)
     except LensError as exc:
         raise UsageError(str(exc)) from None
     rows = []
@@ -725,9 +720,7 @@ def _cmd_rho_sweep(args):
     by_power_sum = args.stop - args.start + 1 < args.d + 1
     for n in range(args.start, args.stop + 1):
         try:
-            res = rho_lower_bound_check(
-                _unchecked_spec(n, args.d), by_power_sum
-            )
+            res = rho_lower_bound_check(LensSpec(n, args.d), by_power_sum)
         except OverflowError:
             raise UsageError(
                 f"rho or (N/pi)^d at (N, d) = ({n}, {args.d}) does not "

@@ -49,22 +49,6 @@ class LensSpec:
         return 2 * self.d - 1
 
 
-_object_new = object.__new__
-
-
-def _unchecked_spec(n: int, d: int) -> LensSpec:
-    """``LensSpec(n, d)`` for an (N, d) the caller has validated, built
-    without the frozen dataclass's ``__init__`` (two ``object.__setattr__``
-    calls and ``__post_init__``).  ``rho-sweep`` validates its smallest N
-    once, which covers every row, and builds one spec a row.
-    """
-    spec = _object_new(LensSpec)
-    fields = spec.__dict__
-    fields["n"] = n
-    fields["d"] = d
-    return spec
-
-
 def lens_complex(spec: LensSpec) -> DeltaComplex:
     """Quotient of the join of d N-gons by the diagonal rotation.
 

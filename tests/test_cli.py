@@ -407,7 +407,7 @@ class TestInputDigest:
         pytest.param("bound-chain", "--cycle", "cycle", id="bound-chain---cycle"),
         pytest.param("verify-polytope", "--polytope", "octagon",
                      id="verify-polytope---polytope"),
-        # over 64 KiB: the digest runs over many blocks
+        # a large (>64 KiB) file, against hashlib as the oracle
         pytest.param("fvector", "--complex", "lens:13,3",
                      id="fvector---complex-over-64KiB"),
     ])

@@ -39,18 +39,6 @@ class TestSpec:
             LensSpec(5, 0)
         assert LensSpec(5, 3).dim == 5
 
-    def test_unchecked_spec_is_the_spec(self):
-        # what rho-sweep builds per row, once (N, d) is validated
-        spec = lens._unchecked_spec(7, 6)
-        assert type(spec) is LensSpec
-        assert spec == LensSpec(7, 6) and hash(spec) == hash(LensSpec(7, 6))
-        assert repr(spec) == "LensSpec(n=7, d=6)" and spec.dim == 11
-        with pytest.raises(AttributeError):
-            spec.n = 8
-        assert rho_lower_bound_check(spec) == rho_lower_bound_check(
-            LensSpec(7, 6)
-        )
-
     def test_n2_rejected_by_builder(self):
         for builder in (lens_complex, lens_count):
             with pytest.raises(LensError):
