@@ -473,7 +473,7 @@ def _homology_payload(H: HomologySummary) -> dict:
 
 
 def _cmd_bound_chain(args):
-    from rhoforge.polytopes import ColoringError, NotACycleError
+    from rhoforge.polytopes import NotACycleError
     from rhoforge.towers import bounding_chain
 
     payload, inputs = _load_cycle(args)
@@ -483,9 +483,6 @@ def _cmd_bound_chain(args):
         result = bounding_chain(payload)
     except NotACycleError as exc:
         checks.append(_check("input-is-cycle", False, error=str(exc)))
-        return inputs, checks, extra
-    except ColoringError as exc:
-        checks.append(_check("tower-coloring", False, error=str(exc)))
         return inputs, checks, extra
     checks.append(_check("input-is-cycle", True))
     checks.append(

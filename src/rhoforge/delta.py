@@ -6,8 +6,9 @@ a level at a time as array comparisons, so every complex produced by
 the builders here (joins, cones, prisms, barycentric subdivisions, free
 quotients) is verified as it is built.  A level may be given as face
 tuples or as an integer array of shape (n, q+1), which is checked as it
-is and copied; the int64 array the check makes of each level is kept,
-read-only, beside the tuples.  The subset, join and subdivision
+is and copied.  The int64 array the check makes of each level is the one
+face table a complex stores, read-only; the face tuples of ``faces`` are
+a view of it, built on first read.  The subset, join and subdivision
 builders list their cells as keys with a face rule on keys, and
 ``keyed_complex`` numbers them; ``prism`` applies its face rule to whole
 blocks of cells by index arithmetic instead and hands its arrays over,
@@ -16,7 +17,7 @@ Integral homology runs through unit reductions of the whole chain
 complex and Smith normal form of the residue; the combinatorial
 torsion runs through the log pseudo-determinants of the boundary Gram
 matrices, which give the Laplacian ones.  The Gram matrices are summed
-from the kept face arrays, with no dense boundary built; the dense boundary
+from the face arrays, with no dense boundary built; the dense boundary
 and ``laplacian`` stay as the tests' oracle.
 """
 
@@ -63,9 +64,8 @@ def _refuse_unlisted(q: int, level: object) -> None:
 
 def _check_level(
     q: int, level: Sequence[Sequence[int]] | np.ndarray, below: int
-) -> tuple[tuple[Face, ...], np.ndarray]:
-    """The cells of a level as tuples, and as an int64 array ``(n, q+1)``
-    of its own.
+) -> np.ndarray:
+    """The cells of a level as an int64 array ``(n, q+1)`` of its own.
 
     Each q-cell has q+1 faces, ints in range(below), the (q-1)-cells.
     An integer ndarray level is checked as it is, with numpy, and copied,
@@ -81,8 +81,7 @@ def _check_level(
             and level.shape[1] == q + 1
             and (not level.size or 0 <= level.min() and level.max() < below)
         ):
-            array = level.astype(np.int64)
-            return tuple(map(tuple, array.tolist())), array
+            return level.astype(np.int64)
         level = level.tolist()
     try:
         cells = tuple(map(tuple, level))
@@ -104,7 +103,7 @@ def _check_level(
                 raise DeltaComplexError(
                     f"{q}-cell {c} faces {cell!r} are not {q - 1}-cells"
                 )
-    return cells, np.array(flat, dtype=np.int64).reshape(-1, q + 1)
+    return np.array(flat, dtype=np.int64).reshape(-1, q + 1)
 
 
 def _check_simplicial(arrays: Sequence[np.ndarray]) -> None:
@@ -133,14 +132,16 @@ class DeltaComplex:
     attached by the builders; tags never affect equality of structure,
     they only let later constructions find cells again.  A level of
     ``faces`` may also be an integer array of shape (n, q+1), as the
-    array builders make; it is checked as it is, and stored as tuples.
-    The int64 arrays the check builds are kept too, read-only, as
-    ``_face_arrays[q]`` (shape (n, q+1), and (n, 0) for the vertices),
-    for the numpy readers of the face tables.  Construction counts the
-    cells against the cell cap before it checks them.
+    array builders make; it is checked as it is.  Either way the complex
+    stores one table per level, the int64 array the check builds,
+    read-only, as ``_face_arrays[q]`` (shape (n, q+1), and (n, 0) for
+    the vertices); counts, homology, torsion, JSON and ``prism`` read
+    it.  ``faces`` is a view of those arrays as tuples of int tuples,
+    built on its first read and kept.  Construction counts the cells
+    against the cell cap before it checks them.
     """
 
-    __slots__ = ("faces", "tags", "_face_arrays", "_tag_index", "_log_pdets")
+    __slots__ = ("tags", "_face_arrays", "_faces", "_log_pdets")
 
     def __init__(
         self,
@@ -163,52 +164,53 @@ class DeltaComplex:
                 _refuse_unlisted(q, level)
             raise
         require_cells(vertices + count, "Delta-complex")
-        built: list[tuple[Face, ...]] = [tuple(() for _ in range(vertices))]
         arrays = [np.empty((vertices, 0), dtype=np.int64)]
         for q, level in enumerate(levels, 1):
-            cells, array = _check_level(q, level, len(built[q - 1]))
-            built.append(cells)
-            arrays.append(array)
-        while len(built) > 1 and not built[-1]:
-            built.pop()
+            arrays.append(_check_level(q, level, len(arrays[q - 1])))
+        while len(arrays) > 1 and not len(arrays[-1]):
             arrays.pop()
-        self.faces = tuple(built)
+        sizes = list(map(len, arrays))
         if tags is None:
-            self.tags = tuple((None,) * len(level) for level in self.faces)
+            self.tags = tuple((None,) * n for n in sizes)
         else:
             norm = [tuple(level) for level in tags]
-            while len(norm) < len(self.faces):
-                norm.append((None,) * len(self.faces[len(norm)]))
-            if any(
-                len(norm[q]) != len(self.faces[q])
-                for q in range(len(self.faces))
-            ):
+            norm.extend((None,) * n for n in sizes[len(norm) :])
+            if list(map(len, norm[: len(sizes)])) != sizes:
                 raise DeltaComplexError("tag shape does not match cells")
-            self.tags = tuple(norm[: len(self.faces)])
+            self.tags = tuple(norm[: len(sizes)])
         _check_simplicial(arrays[1:])
         for array in arrays:
             array.flags.writeable = False
         self._face_arrays = tuple(arrays)
-        self._tag_index: dict[int, dict[object, int]] = {}
+        self._faces: tuple[tuple[Face, ...], ...] | None = None
         self._log_pdets: dict[int, float] = {}
+
+    @property
+    def faces(self) -> tuple[tuple[Face, ...], ...]:
+        """The face arrays as tuples of int tuples, built once, on first read."""
+        if self._faces is None:
+            self._faces = tuple(
+                tuple(map(tuple, array.tolist())) for array in self._face_arrays
+            )
+        return self._faces
 
     # -- bookkeeping --------------------------------------------------
 
     @property
     def dim(self) -> int:
-        if len(self.faces) == 1 and not self.faces[0]:
+        if len(self._face_arrays) == 1 and not len(self._face_arrays[0]):
             return -1
-        return len(self.faces) - 1
+        return len(self._face_arrays) - 1
 
     def n_cells(self, q: int) -> int:
-        if 0 <= q < len(self.faces):
-            return len(self.faces[q])
+        if 0 <= q < len(self._face_arrays):
+            return len(self._face_arrays[q])
         return 0
 
     def f_vector(self) -> tuple[int, ...]:
         if self.dim < 0:
             return ()
-        return tuple(len(level) for level in self.faces)
+        return tuple(map(len, self._face_arrays))
 
     def euler(self) -> int:
         return sum(
@@ -217,20 +219,6 @@ class DeltaComplex:
 
     def total_cells(self) -> int:
         return sum(self.f_vector())
-
-    def index_by_tag(self, q: int) -> Mapping[object, int]:
-        """Tag -> cell index for dimension q (tags must be unique there)."""
-        if q not in self._tag_index:
-            level = self.tags[q] if 0 <= q < len(self.tags) else ()
-            table: dict[object, int] = {}
-            for c, tag in enumerate(level):
-                if tag in table:
-                    raise DeltaComplexError(
-                        f"duplicate tag in dimension {q}: {tag!r}"
-                    )
-                table[tag] = c
-            self._tag_index[q] = table
-        return self._tag_index[q]
 
     def iterated_face(self, q: int, c: int, keep: Sequence[int]) -> tuple[int, int]:
         """The face of a q-cell spanned by the vertex positions ``keep``.
@@ -241,35 +229,37 @@ class DeltaComplex:
         keep_set = set(keep)
         if not keep_set or not keep_set <= set(range(q + 1)):
             raise DeltaComplexError("keep must be a nonempty subset of vertices")
+        faces = self.faces
         cur_q, cur = q, c
         for t in sorted(set(range(q + 1)) - keep_set, reverse=True):
-            cur = self.faces[cur_q][cur][t]
+            cur = faces[cur_q][cur][t]
             cur_q -= 1
         return cur_q, cur
 
     def relabeled(self, perms: Sequence[Sequence[int]]) -> "DeltaComplex":
         """Same complex with cells renumbered: perms[q][old] = new."""
+        faces = self.faces
         perms = [list(p) for p in perms]
-        while len(perms) < len(self.faces):
-            perms.append(list(range(len(self.faces[len(perms)]))))
-        for q, p in enumerate(perms[: len(self.faces)]):
-            if sorted(p) != list(range(len(self.faces[q]))):
+        while len(perms) < len(faces):
+            perms.append(list(range(len(faces[len(perms)]))))
+        for q, p in enumerate(perms[: len(faces)]):
+            if sorted(p) != list(range(len(faces[q]))):
                 raise DeltaComplexError(f"not a permutation in dimension {q}")
         new_faces: list[list[Face]] = []
         new_tags: list[list[object]] = []
-        for q in range(1, len(self.faces)):
-            level: list[Face] = [()] * len(self.faces[q])
-            tag_level: list[object] = [None] * len(self.faces[q])
-            for c, cell in enumerate(self.faces[q]):
+        for q in range(1, len(faces)):
+            level: list[Face] = [()] * len(faces[q])
+            tag_level: list[object] = [None] * len(faces[q])
+            for c, cell in enumerate(faces[q]):
                 level[perms[q][c]] = tuple(perms[q - 1][f] for f in cell)
                 tag_level[perms[q][c]] = self.tags[q][c]
             new_faces.append(level)
             new_tags.append(tag_level)
-        vtags: list[object] = [None] * len(self.faces[0])
+        vtags: list[object] = [None] * len(faces[0])
         for c, tag in enumerate(self.tags[0]):
             vtags[perms[0][c]] = tag
         return DeltaComplex(
-            len(self.faces[0]), new_faces, [vtags] + new_tags
+            len(faces[0]), new_faces, [vtags] + new_tags
         )
 
     # -- homology -----------------------------------------------------
@@ -278,7 +268,7 @@ class DeltaComplex:
         """Sparse integer matrix of the q-th boundary map, rows indexed
         by (q-1)-cells, columns by q-cells."""
         entries: dict[tuple[int, int], int] = {}
-        if not 1 <= q < len(self.faces):
+        if not 1 <= q < len(self._face_arrays):
             return entries
         for c, cell in enumerate(self.faces[q]):
             sign = 1
@@ -299,21 +289,25 @@ class DeltaComplex:
         vertex, is cut down by unit reductions over all degrees at
         once, so each cell is eliminated once rather than as a column
         of d_q and again as a row of d_{q+1}.  The reduction reads each
-        cell's faces with alternating signs straight from ``faces``; no
-        boundary matrix is built.  Smith normal form then runs once per
-        degree on the residue; the augmentation makes the residue's b_0
-        the reduced one, so 1 is added back.
+        cell's faces with alternating signs straight from the face
+        arrays, one level's ``tolist()`` at a time; no boundary matrix
+        and no ``faces`` view is built.  Smith normal form then runs once
+        per degree on the residue; the augmentation makes the residue's
+        b_0 the reduced one, so 1 is added back.
         """
         if self.dim < 0:
             return HomologySummary((), ())
         sizes = [1, *self.f_vector(), 0]
         # alternating signs, enough for the widest cell
         signs = (1, -1) * (self.dim // 2 + 1)
-        boundaries = [
-            (),
-            [((0, 1),)] * self.n_cells(0),
-            *(map(zip, level, repeat(signs)) for level in self.faces[1:]),
-        ]
+        # read once, in order: one level's lists are alive at a time
+        boundaries = chain(
+            ((), [((0, 1),)] * self.n_cells(0)),
+            (
+                map(zip, level.tolist(), repeat(signs))
+                for level in self._face_arrays[1:]
+            ),
+        )
         sizes, boundaries = reduce_chain_complex(sizes, boundaries)
         snf = [smith_normal_form(m) for m in boundaries[1:]]
         degrees = range(self.dim + 1)
@@ -327,7 +321,7 @@ class DeltaComplex:
 
     def _dense_boundary(self, q: int) -> np.ndarray:
         mat = np.zeros((self.n_cells(q - 1), self.n_cells(q)))
-        if 1 <= q < len(self.faces):
+        if 1 <= q < len(self._face_arrays):
             rows = self._face_arrays[q]
             cols = np.arange(len(rows))[:, None]
             np.add.at(mat, (rows, cols), (-1.0) ** np.arange(q + 1))
@@ -440,9 +434,7 @@ class DeltaComplex:
     def to_json(self) -> dict:
         return {
             "vertices": self.n_cells(0),
-            "faces": [
-                [list(cell) for cell in level] for level in self.faces[1:]
-            ],
+            "faces": [level.tolist() for level in self._face_arrays[1:]],
         }
 
     @classmethod
@@ -584,14 +576,15 @@ def join(K: DeltaComplex, L: DeltaComplex) -> DeltaComplex:
     """
     top = K.dim + L.dim + 1
     levels = [_join_halves(K, L, q) for q in range(top + 1)]
+    k_faces, l_faces = K.faces, L.faces
 
     def face(q: int, cell, i: int):
         a, b = cell
         p = a[0] if a else -1
         if i <= p:
-            return (None if p == 0 else (p - 1, K.faces[p][a[1]][i]), b)
+            return (None if p == 0 else (p - 1, k_faces[p][a[1]][i]), b)
         r, j = b
-        return (a, None if r == 0 else (r - 1, L.faces[r][j][i - p - 1]))
+        return (a, None if r == 0 else (r - 1, l_faces[r][j][i - p - 1]))
 
     tags = [[("join", a, b) for a, b in level] for level in levels]
     return keyed_complex(levels, face, tags, "join")
@@ -794,7 +787,8 @@ class FreeAction:
         moduli, not O(|G|^2 * cells) as over all pairs.
         """
         e = self.group.identity
-        dims = len(K.faces)
+        faces = K.faces
+        dims = len(faces)
         for g in self.group:
             if g not in self.perms:
                 raise DeltaComplexError(f"action missing element {g!r}")
@@ -819,8 +813,8 @@ class FreeAction:
             s = self.group.element([int(i == j) for j in range(k)])
             ps = self.perms[s]
             for q in range(1, dims):
-                for c, cell in enumerate(K.faces[q]):
-                    image = K.faces[q][ps[q][c]]
+                for c, cell in enumerate(faces[q]):
+                    image = faces[q][ps[q][c]]
                     if tuple(ps[q - 1][f] for f in cell) != image:
                         raise DeltaComplexError(
                             f"action of {s!r} does not commute with faces "
@@ -838,9 +832,10 @@ class FreeAction:
 def quotient(K: DeltaComplex, action: FreeAction) -> DeltaComplex:
     """Quotient by a free cell action; orbits keep their smallest member."""
     action.validate(K)
+    k_faces = K.faces
     reps: list[list[int]] = []
     orbit_of: list[dict[int, int]] = []
-    for q in range(len(K.faces)):
+    for q in range(len(k_faces)):
         seen: dict[int, int] = {}
         rep_list: list[int] = []
         for c in range(K.n_cells(q)):
@@ -857,14 +852,14 @@ def quotient(K: DeltaComplex, action: FreeAction) -> DeltaComplex:
         reps.append(rep_list)
         orbit_of.append(seen)
     faces: list[list[Face]] = []
-    for q in range(1, len(K.faces)):
+    for q in range(1, len(k_faces)):
         faces.append(
             [
-                tuple(orbit_of[q - 1][f] for f in K.faces[q][rep])
+                tuple(orbit_of[q - 1][f] for f in k_faces[q][rep])
                 for rep in reps[q]
             ]
         )
     tags = [
-        [K.tags[q][rep] for rep in reps[q]] for q in range(len(K.faces))
+        [K.tags[q][rep] for rep in reps[q]] for q in range(len(k_faces))
     ]
     return DeltaComplex(len(reps[0]), faces, tags)

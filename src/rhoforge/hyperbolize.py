@@ -60,14 +60,15 @@ class ComplexOverSimplex:
 
     def __post_init__(self):
         K = self.complex
+        faces = K.faces
         n = self.target_dim
-        if len(self.carriers) != len(K.faces) or any(
+        if len(self.carriers) != len(faces) or any(
             len(self.carriers[q]) != K.n_cells(q)
-            for q in range(len(K.faces))
+            for q in range(len(faces))
         ):
             raise OverSimplexError("carrier shape does not match cells")
         allowed = frozenset(range(n + 1))
-        for q in range(len(K.faces)):
+        for q in range(len(faces)):
             for c, S in enumerate(self.carriers[q]):
                 if not S or not S <= allowed:
                     raise OverSimplexError(
@@ -77,18 +78,18 @@ class ComplexOverSimplex:
                     raise OverSimplexError(
                         f"{q}-cell {c} is crushed below its dimension"
                     )
-                for f in K.faces[q][c]:
+                for f in faces[q][c]:
                     if not self.carriers[q - 1][f] <= S:
                         raise OverSimplexError(
                             f"carrier not monotone at {q}-cell {c}"
                         )
         if self.colors is not None:
-            if len(self.colors) != len(K.faces) or any(
+            if len(self.colors) != len(faces) or any(
                 len(self.colors[q]) != K.n_cells(q)
-                for q in range(len(K.faces))
+                for q in range(len(faces))
             ):
                 raise OverSimplexError("color shape does not match cells")
-            for q in range(len(K.faces)):
+            for q in range(len(faces)):
                 for c, cols in enumerate(self.colors[q]):
                     if len(cols) != q + 1 or len(set(cols)) != q + 1:
                         raise OverSimplexError(
@@ -98,7 +99,7 @@ class ComplexOverSimplex:
                         raise OverSimplexError(
                             f"colors of {q}-cell {c} do not span its carrier"
                         )
-                    for i, f in enumerate(K.faces[q][c]):
+                    for i, f in enumerate(faces[q][c]):
                         if (
                             self.colors[q - 1][f]
                             != cols[:i] + cols[i + 1 :]
@@ -167,10 +168,11 @@ def colored_face(
 ) -> CellRef:
     """The face of a colored cell spanned by the colors in ``keep``."""
     cols = list(L.colors[q][c])
+    faces = L.complex.faces
     cur_q, cur = q, c
     for j in reversed(range(len(cols))):
         if cols[j] not in keep:
-            cur = L.complex.faces[cur_q][cur][j]
+            cur = faces[cur_q][cur][j]
             cur_q -= 1
             cols.pop(j)
     return cur_q, cur
@@ -209,7 +211,8 @@ def fiber_product(
             span.append(c)
         position.append(level)
 
-    dims = len(X.complex.faces)
+    x_faces = X.complex.faces
+    dims = len(x_faces)
     cells: list[list[tuple[int, CellRef]]] = [[] for _ in range(dims)]
     starts: list[list[int]] = []
     for q in range(dims):
@@ -224,7 +227,7 @@ def fiber_product(
     faces = []
     for q in range(1, dims):
         out = np.empty((len(cells[q]), q + 1), dtype=np.int64)
-        for sigma, cell in enumerate(X.complex.faces[q]):
+        for sigma, cell in enumerate(x_faces[q]):
             S = X.carriers[q][sigma]
             if S not in by_span:
                 continue

@@ -348,13 +348,6 @@ def _prism_terms(
         yield (e,) * i + (labels[i],) + q[i:], sign if i % 2 == 0 else -sign
 
 
-def _cylinder_terms(cells: LabeledCells) -> Iterator[tuple[Gen, int]]:
-    """Signed prism generators of every (vertex labels, sign) cell; a
-    cell costs the n multiplications of its ``hom_to_bar``."""
-    for labels, sign in cells:
-        yield from _prism_terms(labels, hom_to_bar(labels), sign)
-
-
 def cylinder_cell(labels: Sequence[GroupElement], sign: int = 1) -> BarChain:
     """Prism chain of one signed cell with ordered vertex labels.
 
@@ -363,9 +356,9 @@ def cylinder_cell(labels: Sequence[GroupElement], sign: int = 1) -> BarChain:
     identity repeated i+1 times; via consecutive quotients that is the
     generator [e, ..., e, h_i, g_{i+1}, ..., g_n] of degree n+1.
     """
-    labels = tuple(labels)
-    terms = list(_cylinder_terms([(labels, sign)]))
-    return BarChain.from_terms(labels[0].group, len(labels), terms)
+    if not labels:
+        raise ValueError("labels must cover at least one vertex")
+    return cylinder([(labels, sign)]).chain
 
 
 def cylinder(cells: LabeledCells) -> CylinderResult:

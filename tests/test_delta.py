@@ -4,12 +4,14 @@ import math
 import random
 from collections import deque
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rhoforge import delta
 from rhoforge.cap import ResourceCapError
+from rhoforge.cli import main
 from rhoforge.delta import (
     DeltaComplex,
     DeltaComplexError,
@@ -28,7 +30,14 @@ from rhoforge.delta import (
     simplex,
 )
 from rhoforge.groups import FiniteAbelianGroup, cyclic
-from rhoforge.hyperbolize import hyperbolized_simplex, hyperbolized_sphere
+from rhoforge.hyperbolize import (
+    ComplexOverSimplex,
+    degree_structure,
+    fiber_product,
+    hyperbolized_simplex,
+    hyperbolized_sphere,
+    simplex_over_itself,
+)
 from rhoforge.lens import LensSpec, lens_complex
 from rhoforge.smith import (
     bareiss_determinant,
@@ -84,6 +93,16 @@ def quadratic_validate(action, K):
                     raise DeltaComplexError("does not compose as the group")
 
 
+def index_by_tag(K, q):
+    """Tag -> cell index for dimension q of K (tags must be unique there)."""
+    table = {}
+    for c, tag in enumerate(K.tags[q] if 0 <= q < len(K.tags) else ()):
+        if tag in table:
+            raise DeltaComplexError(f"duplicate tag in dimension {q}: {tag!r}")
+        table[tag] = c
+    return table
+
+
 def join_rotation(J, kp, lp):
     """Diagonal action on a join, read off through the join tags."""
 
@@ -95,7 +114,7 @@ def join_rotation(J, kp, lp):
 
     out = []
     for q in range(len(J.faces)):
-        table = J.index_by_tag(q)
+        table = index_by_tag(J, q)
         out.append(
             tuple(
                 table[("join", half(a, kp), half(b, lp))]
@@ -129,7 +148,7 @@ def prism_end(P, K, level):
     out = []
     for q in range(K.dim + 1):
         chain = tuple((i, level) for i in range(q + 1))
-        table = P.index_by_tag(q)
+        table = index_by_tag(P, q)
         out.append(
             [table[("prism", q, c, chain)] for c in range(K.n_cells(q))]
         )
@@ -240,7 +259,7 @@ class TestConstruction:
 
     def test_iterated_face_matches_subsets(self):
         K = simplex(3)
-        top = K.index_by_tag(3)[(0, 1, 2, 3)]
+        top = index_by_tag(K, 3)[(0, 1, 2, 3)]
         fq, fc = K.iterated_face(3, top, [1, 3])
         assert fq == 1
         assert K.tags[1][fc] == (1, 3)
@@ -702,6 +721,104 @@ class TestFaceArrays:
     def test_trailing_empty_levels_are_dropped(self):
         K = DeltaComplex(2, [[(1, 0)], [], []])
         assert [a.shape for a in K._face_arrays] == [(2, 0), (1, 2)]
+
+
+def stored_tuples(vertices, levels):
+    """The face tuples the constructor stored before ``faces`` became a
+    view: each level's cells as tuples, an ndarray level's from its
+    ``tolist()``, with trailing empty levels dropped."""
+    built = [((),) * vertices]
+    for level in levels:
+        if isinstance(level, np.ndarray):
+            level = level.tolist()
+        built.append(tuple(map(tuple, level)))
+    while len(built) > 1 and not built[-1]:
+        built.pop()
+    return tuple(built)
+
+
+LEVEL_FORMS = {
+    "list": lambda lists: lists,
+    "tuple": lambda lists: tuple(tuple(map(tuple, level)) for level in lists),
+    "generator": lambda lists: (level for level in lists),
+    "int32": lambda lists: [np.array(level, dtype=np.int32) for level in lists],
+    "uint8": lambda lists: [np.array(level, dtype=np.uint8) for level in lists],
+}
+# every zoo complex in every form, but Y2 (432 edges) in no uint8
+VIEW_CASES = [
+    (name, form)
+    for name in TORSION_ZOO
+    for form in LEVEL_FORMS
+    if (name, form) != ("Y2", "uint8")
+]
+
+
+class TestFacesView:
+    """One face table a level: ``faces`` is a tuple view of the arrays,
+    built on its first read and kept."""
+
+    @pytest.mark.parametrize("name, form", VIEW_CASES)
+    def test_same_tuples_as_the_constructor_stored(self, name, form):
+        K = TORSION_ZOO[name]()
+        n = K.n_cells(0)
+        # with a trailing empty level, which the constructor drops
+        lists = [a.tolist() for a in K._face_arrays[1:]] + [[]]
+        want = stored_tuples(n, LEVEL_FORMS[form](lists))
+        L = DeltaComplex(n, LEVEL_FORMS[form](lists))
+        assert L._faces is None
+        assert L.faces == want == K.faces
+        assert {type(f) for level in L.faces for cell in level for f in cell} <= {int}
+
+    @pytest.mark.parametrize("build", [
+        lambda: lens_complex(LensSpec(5, 3)),
+        lambda: prism(hyperbolized_sphere(1).complex),
+        lambda: DeltaComplex.from_json(lens_complex(LensSpec(4, 2)).to_json()),
+        lambda: DeltaComplex(3, [np.array([[1, 0], [2, 1], [2, 0]])]),
+    ], ids=["lens", "prism", "json", "array"])
+    def test_counts_homology_torsion_and_json_build_no_view(self, build):
+        K = build()
+        assert K._faces is None
+        K.dim, K.f_vector(), K.euler(), K.n_cells(1), K.total_cells()
+        K.homology(), K.laplacian_torsion(), K.to_json()
+        assert K._faces is None
+        view = K.faces
+        assert view == stored_tuples(K.n_cells(0), K.to_json()["faces"])
+        # a second read returns the same object
+        assert K.faces is view
+
+    def test_fiber_product_hands_over_a_complex_with_no_view(self, monkeypatch):
+        # the check of the structure over the simplex is its first reader
+        unread = []
+        check = ComplexOverSimplex.__post_init__
+
+        def recorded(self):
+            unread.append(self.complex._faces is None)
+            check(self)
+
+        X, L = simplex_over_itself(2), degree_structure(boundary_simplex(3))
+        monkeypatch.setattr(ComplexOverSimplex, "__post_init__", recorded)
+        F = fiber_product(X, L)
+        assert unread == [True]
+        assert F.complex._faces is not None
+
+    @pytest.mark.parametrize("argv", [
+        ["lens", "--N", "5", "--d", "3"],
+        ["fvector", "--builtin", "lens:8,3"],
+        ["torsion", "--builtin", "lens:8,3"],
+        ["homology", "--builtin", "lens:4,4"],
+        ["homology", "--complex", "bench/data/x3.json"],
+    ], ids=" ".join)
+    def test_commands_never_read_faces(self, monkeypatch, capsys, argv):
+        repo = Path(__file__).resolve().parents[1]
+        argv = [str(repo / a) if a.startswith("bench/") else a for a in argv]
+        reads = []
+        view = DeltaComplex.faces
+        monkeypatch.setattr(
+            DeltaComplex, "faces",
+            property(lambda K: reads.append(K.f_vector()) or view.fget(K)),
+        )
+        assert main(argv) == 0
+        assert reads == []
 
 
 def snf_homology(K):
