@@ -8,14 +8,16 @@ represents a cycle.  Vertices exist only as equivalence classes of
 (cell, vertex index) pairs under the gluing closure.
 
 The group-labeling condition (every edge loop evaluates to the identity)
-is not enforced at construction; :meth:`ColoredPolytope.check_coloring`
-tests it, and :meth:`ColoredPolytope.endow` produces an explicit vertex
-labeling when it holds.
+is not enforced at construction, but it is decided there: the BFS over
+the gluings that finds the components also labels each component from
+the identity at its first cell and checks that every vertex class reads
+one label.  :meth:`ColoredPolytope.check_coloring` reports that verdict,
+and :meth:`ColoredPolytope.endow` translates the stored labels by each
+component's base when it holds.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
@@ -160,7 +162,7 @@ class ColoredPolytope:
                 )
         self._glued: set[FaceRef] = seen
         self._build_vertices()
-        self._build_components()
+        self._label_components()
 
     # -- face data ---------------------------------------------------
 
@@ -225,30 +227,63 @@ class ColoredPolytope:
     def vertex_class(self, cell: int, v: int) -> int:
         return self._vertex_of[cell * (self.degree + 1) + v]
 
-    def _build_components(self) -> None:
-        adj: list[list[int]] = [[] for _ in self.cells]
-        for (c1, _), (c2, _) in self.gluings:
-            adj[c1].append(c2)
-            adj[c2].append(c1)
+    def _label_components(self) -> None:
+        """Find the components and their identity labeling in one BFS.
+
+        A cell [g1..gn] whose vertex 0 carries b has vertex k labeled
+        b*g1*...*gk, so the BFS carries one label per cell.  It starts each
+        component at its first cell with the identity, and a gluing fixes
+        the neighbour's label through the first vertex of the shared face:
+        cell vertex 0, or vertex 1 when face 0 is glued.  Every member of a
+        vertex class must then read one label; the first (cell, vertex)
+        that does not is kept as the conflict, else None.
+        """
+        n1 = self.degree + 1
+        e = self.group.identity
+        # per cell: (first face vertex here, neighbour, its first face vertex)
+        adj: list[list[tuple[int, int, int]]] = [[] for _ in self.cells]
+        for (c1, i1), (c2, i2) in self.gluings:
+            adj[c1].append((int(i1 == 0), c2, int(i2 == 0)))
+            adj[c2].append((int(i2 == 0), c1, int(i1 == 0)))
         comp = [-1] * len(self.cells)
         comps: list[list[int]] = []
+        # labels by (cell, vertex) id, as in _build_vertices
+        at: list[GroupElement] = [e] * (len(self.cells) * n1)
         for start in range(len(self.cells)):
             if comp[start] >= 0:
                 continue
-            label = len(comps)
+            comp[start] = len(comps)
             members = []
-            stack = [start]
-            comp[start] = label
-            while stack:
-                c = stack.pop()
+            queue = deque([(start, e)])
+            while queue:
+                c, label = queue.popleft()
                 members.append(c)
-                for d in adj[c]:
+                row = [label]
+                for g in self.cells[c].gen:
+                    label = label * g
+                    row.append(label)
+                at[c * n1 : c * n1 + n1] = row
+                for v, d, w in adj[c]:
                     if comp[d] < 0:
-                        comp[d] = label
-                        stack.append(d)
+                        comp[d] = comp[start]
+                        queue.append(
+                            (d, row[v] * ~self.cells[d].gen[0] if w else row[v])
+                        )
             comps.append(sorted(members))
         self.cell_component = tuple(comp)
         self.components = tuple(tuple(m) for m in comps)
+        labels = self._labels = tuple(
+            at[c * n1 + v] for (c, v), *_ in self.vertex_members
+        )
+        vertex_of = self._vertex_of
+        self._conflict: tuple[int, int] | None = next(
+            (
+                divmod(x, n1)
+                for x, label in enumerate(at)
+                if label != labels[vertex_of[x]]
+            ),
+            None,
+        )
 
     # -- chain view --------------------------------------------------
 
@@ -259,73 +294,10 @@ class ColoredPolytope:
 
     # -- labeling ----------------------------------------------------
 
-    def _propagate(
-        self, base: Mapping[int, GroupElement]
-    ) -> tuple[list[GroupElement | None], FaceRef | None]:
-        """BFS vertex labels from per-component base values.
-
-        Constraint: in cell [g1..gn], label(v_k) * g_{k+1} == label(v_{k+1}).
-        Returns (labels by vertex class, first contradicting (cell, k)) with
-        the second entry None when the labeling is consistent.
-
-        Edge (c, k) sits at position c*n + k of a sweep over all cells.  A
-        label set at time t reaches an incident edge at the next time that
-        edge's position comes round, and the BFS queue is a heap on that
-        time.  So every edge is taken once, yet the labels and the first
-        contradiction are those of sweeping all edges until nothing changes.
-        """
-        n, n1 = self.degree, self.degree + 1
-        vertex_of = self._vertex_of
-        sweep = len(self.cells) * n
-        incident: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for c in range(len(self.cells)):
-            for k in range(n):
-                incident[vertex_of[c * n1 + k]].append(c * n + k)
-                incident[vertex_of[c * n1 + k + 1]].append(c * n + k)
-        labels: list[GroupElement | None] = [None] * self.vertex_count
-        queue: list[int] = []
-        done = bytearray(sweep)
-
-        def settle(x: int, label: GroupElement, t: int) -> None:
-            labels[x] = label
-            start = t - t % sweep
-            for edge in incident[x]:
-                if not done[edge]:
-                    heapq.heappush(
-                        queue,
-                        start + edge if edge > t - start else start + sweep + edge,
-                    )
-
-        for comp_idx, members in enumerate(self.components):
-            base_vertex = vertex_of[members[0] * n1]
-            if labels[base_vertex] is None:
-                settle(base_vertex, base[comp_idx], -1)
-        while queue:
-            t = heapq.heappop(queue)
-            edge = t % sweep
-            if done[edge]:
-                continue
-            done[edge] = 1
-            c, k = divmod(edge, n)
-            g = self.cells[c].gen[k]
-            u, v = vertex_of[c * n1 + k], vertex_of[c * n1 + k + 1]
-            lu, lv = labels[u], labels[v]
-            if lu is None:
-                settle(u, lv * ~g, t)
-                continue
-            step = lu * g
-            if lv is None:
-                settle(v, step, t)
-            elif step != lv:
-                return labels, (c, k)
-        return labels, None
-
     def check_coloring(self) -> bool:
-        """True iff a consistent vertex labeling exists (loop condition)."""
-        e = self.group.identity
-        base = {i: e for i in range(len(self.components))}
-        _, conflict = self._propagate(base)
-        return conflict is None
+        """True iff a consistent vertex labeling exists (loop condition);
+        the verdict was reached at construction."""
+        return self._conflict is None
 
     def endow(
         self, base: Union[GroupElement, Mapping[int, GroupElement]]
@@ -334,18 +306,26 @@ class ColoredPolytope:
 
         The base vertex of a component is the class of (first cell, 0).
         ``base`` is either one element (used for every component) or a
-        mapping component index -> element.
+        mapping component index -> element.  The labeling is unique once
+        the bases are fixed and the group is abelian, so it is the
+        identity labeling found at construction times each component's
+        base.
         """
-        if isinstance(base, GroupElement):
-            base = {i: base for i in range(len(self.components))}
-        labels, conflict = self._propagate(base)
-        if conflict is not None:
+        if self._conflict is not None:
             raise ColoringError(
-                f"no consistent labeling: contradiction at cell {conflict[0]}, "
-                f"edge {conflict[1]}"
+                f"no consistent labeling: contradiction at cell "
+                f"{self._conflict[0]}, vertex {self._conflict[1]}"
             )
-        assert all(l is not None for l in labels)
-        return VertexLabeling(self, tuple(labels))  # type: ignore[arg-type]
+        if isinstance(base, GroupElement):
+            base = [base] * len(self.components)
+        comp = self.cell_component
+        return VertexLabeling(
+            self,
+            tuple(
+                base[comp[members[0][0]]] * l
+                for members, l in zip(self.vertex_members, self._labels)
+            ),
+        )
 
     # -- boundary pairing --------------------------------------------
 

@@ -128,20 +128,18 @@ class Tower:
 
 
 def _face_labels(
-    Q: ColoredPolytope, labeling: VertexLabeling, ref: FaceRef
-) -> list[GroupElement]:
+    labeling: VertexLabeling, ref: FaceRef
+) -> tuple[GroupElement, ...]:
     """Labels of a face's n vertices: the cell's, skipping vertex ref[1]."""
     cell, i = ref
-    return [
-        labeling.labels[Q.vertex_class(cell, j if j < i else j + 1)]
-        for j in range(Q.degree)
-    ]
+    labels = labeling.cell_labels(cell)
+    return labels[:i] + labels[i + 1 :]
 
 
 def _pair_labels_agree(
-    Q: ColoredPolytope, labeling: VertexLabeling, plus: FaceRef, minus: FaceRef
+    labeling: VertexLabeling, plus: FaceRef, minus: FaceRef
 ) -> bool:
-    return _face_labels(Q, labeling, plus) == _face_labels(Q, labeling, minus)
+    return _face_labels(labeling, plus) == _face_labels(labeling, minus)
 
 
 def tower(
@@ -176,7 +174,7 @@ def tower(
     labeling = Q.endow(e)
     for r, cls in enumerate(classes):
         if not all(
-            _pair_labels_agree(Q, labeling, plus, minus) for plus, minus in cls
+            _pair_labels_agree(labeling, plus, minus) for plus, minus in cls
         ):
             raise ColoringError(
                 f"dangling labels of pair {r} disagree; coloring bug"
@@ -193,14 +191,13 @@ def tower(
 
 
 def _holonomies(
-    P: ColoredPolytope,
     labeling: VertexLabeling,
     pairs: Sequence[tuple[FaceRef, FaceRef]],
 ) -> list[GroupElement]:
     """Each pair's crossing holonomy L(minus vertex) * L(plus vertex)^-1,
     read at the first face vertex."""
     return [
-        _face_labels(P, labeling, minus)[0] * ~_face_labels(P, labeling, plus)[0]
+        _face_labels(labeling, minus)[0] * ~_face_labels(labeling, plus)[0]
         for plus, minus in pairs
     ]
 
@@ -303,7 +300,7 @@ def tower_labeled_cells(
     group, ncells = P.group, len(P.cells)
     pairs = tuple(P.boundary_pairs())
     labeling = P.endow(group.identity)
-    holonomies = _holonomies(P, labeling, pairs)
+    holonomies = _holonomies(labeling, pairs)
     if not within_cap(group.order * ncells):
         # H may be as large as G: count it before building it
         require_cells(_subgroup_order(group, holonomies) * ncells, "tower")
@@ -341,8 +338,6 @@ def _prism_terms(
 
     Term i of labels (h_0, ..., h_n) is (e,)*i + (h_i,) + q[i:].
     """
-    if not labels:
-        raise ValueError("labels must cover at least one vertex")
     e = labels[0].group.identity
     for i in range(len(labels)):
         yield (e,) * i + (labels[i],) + q[i:], sign if i % 2 == 0 else -sign
@@ -356,8 +351,6 @@ def cylinder_cell(labels: Sequence[GroupElement], sign: int = 1) -> BarChain:
     identity repeated i+1 times; via consecutive quotients that is the
     generator [e, ..., e, h_i, g_{i+1}, ..., g_n] of degree n+1.
     """
-    if not labels:
-        raise ValueError("labels must cover at least one vertex")
     return cylinder([(labels, sign)]).chain
 
 
@@ -372,6 +365,8 @@ def cylinder(cells: LabeledCells) -> CylinderResult:
     summed: dict[tuple[GroupElement, ...], int] = {}
     for labels, sign in cells:
         labels = tuple(labels)
+        if not labels:
+            raise ValueError("labels must cover at least one vertex")
         summed[labels] = summed.get(labels, 0) + sign
     if not summed:
         raise ValueError("empty labeled chain")

@@ -310,6 +310,29 @@ class TestVerifyPolytope:
             "rhoforge: --group disagrees with the polytope file\n"
         )
 
+    @pytest.mark.parametrize("command", ["bound-chain", "verify-polytope"])
+    def test_labeling_bfs_runs_once_per_polytope(
+        self, command, monkeypatch, capsys
+    ):
+        # components and identity labels come from one BFS at
+        # construction; endow and check_coloring read what it stored
+        built, labeled = [], []
+        init = ColoredPolytope.__init__
+        label = ColoredPolytope._label_components
+
+        def counted_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        def counted_label(self):
+            labeled.append(self)
+            label(self)
+
+        monkeypatch.setattr(ColoredPolytope, "__init__", counted_init)
+        monkeypatch.setattr(ColoredPolytope, "_label_components", counted_label)
+        assert run(command, "--octagon", "--group", "5") == 0
+        assert built and labeled == built
+
 
 class TestComplexCommands:
     def test_homology_builtin(self, tmp_path):

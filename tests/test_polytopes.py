@@ -102,7 +102,8 @@ def test_coloring_failure_fixture():
     cells = [ColoredCell((g, g), 1), ColoredCell((g, g), -1)]
     P = ColoredPolytope(G, 2, cells, [((0, 0), (1, 2)), ((0, 2), (1, 0))])
     assert not P.check_coloring()
-    with pytest.raises(ColoringError):
+    # vertex class {(0,0), (0,2), (1,1)} reads e at (0,0) but g*g at (0,2)
+    with pytest.raises(ColoringError, match="at cell 0, vertex 2$"):
         P.endow(G.identity)
 
 

@@ -51,12 +51,13 @@ API = {
     # the chain, group and polytope protocols (dunders, JSON round-trips,
     # small constructors), the lens and theorem constants, and
     # json.dumps's rules for keys that are not strings, which ``_dumps``
-    # keeps though no report has one.  Three went off the command paths
+    # keeps though no report has one.  Four went off the command paths
     # when those stopped repeating work: ``BarChain.is_zero`` (assembly
     # checks the cycle from its face index), ``GroupElement.__pow__``
-    # (the holonomy subgroup grows by cosets, not by |G| powers) and
+    # (the holonomy subgroup grows by cosets, not by |G| powers),
     # ``ColoredPolytope.check_coloring`` (verify-polytope takes the
-    # verdict from its one ``endow``)
+    # verdict from its one ``endow``) and ``ColoredPolytope.vertex_class``
+    # (face labels are read from ``VertexLabeling.cell_labels``)
     "__init__": {"__getattr__", "__dir__"},
     "bar": {
         "BarChain.__hash__", "BarChain.__repr__", "BarChain.is_cycle",
@@ -87,7 +88,7 @@ API = {
     "polytopes": {
         "ColoredPolytope.__repr__", "ColoredPolytope.chain",
         "ColoredPolytope.check_coloring",
-        "ColoredPolytope.to_json", "VertexLabeling.translate",
+        "ColoredPolytope.to_json", "ColoredPolytope.vertex_class", "VertexLabeling.translate",
         "octagon_chain",
     },
     "towers": {

@@ -222,6 +222,10 @@ class TestCylinder:
         assert chain == expected
         with pytest.raises(ValueError, match="at least one vertex"):
             cylinder_cell(())
+        # an empty cell is refused first or later in the chain
+        for cells in ([((), 1), ((h, top), 1)], [((h, top), 1), ((), -1)]):
+            with pytest.raises(ValueError, match="at least one vertex"):
+                cylinder(cells)
 
     def test_boundary_identity_hand_value(self):
         G = cyclic(6)
@@ -458,6 +462,30 @@ def old_propagate(P, base):
     return labels, None
 
 
+def old_components(P):
+    """(components, cell_component) by a depth-first walk of the gluings."""
+    adj = [[] for _ in P.cells]
+    for (c1, _), (c2, _) in P.gluings:
+        adj[c1].append(c2)
+        adj[c2].append(c1)
+    comp = [-1] * len(P.cells)
+    comps = []
+    for start in range(len(P.cells)):
+        if comp[start] >= 0:
+            continue
+        comp[start] = len(comps)
+        members, stack = [], [start]
+        while stack:
+            c = stack.pop()
+            members.append(c)
+            for d in adj[c]:
+                if comp[d] < 0:
+                    comp[d] = comp[start]
+                    stack.append(d)
+        comps.append(tuple(sorted(members)))
+    return tuple(comps), tuple(comp)
+
+
 def old_endow_labels(P):
     e = P.group.identity
     labels, conflict = old_propagate(P, {i: e for i in range(len(P.components))})
@@ -573,7 +601,7 @@ def crossings(P, labeling, plus, minus):
     return {
         lm * ~lp
         for lp, lm in zip(
-            _face_labels(P, labeling, plus), _face_labels(P, labeling, minus)
+            _face_labels(labeling, plus), _face_labels(labeling, minus)
         )
     }
 
@@ -726,7 +754,7 @@ def test_coset_closure_matches_the_powers_construction(moduli):
         else:
             letters = rng.choices(elems, k=4)
         P = octagon_polytope(*letters)
-        hols = _holonomies(P, P.endow(G.identity), P.boundary_pairs())
+        hols = _holonomies(P.endow(G.identity), P.boundary_pairs())
         H = _coset_closure(G.identity, hols)
         assert len(set(H)) == len(H)
         assert set(H) == set(powers_subgroup(G, hols))
@@ -750,7 +778,7 @@ def test_coset_closure_order_is_pinned():
     G = FiniteAbelianGroup([4, 2])
     e, x, y = G.identity, G.element([0, 1]), G.element([1, 0])
     P = octagon_polytope(e, x, e, y)
-    hols = _holonomies(P, P.endow(e), P.boundary_pairs())
+    hols = _holonomies(P.endow(e), P.boundary_pairs())
     assert [h.residues for h in hols] == [(0, 1), (0, 0), (3, 0), (0, 1)]
     assert [t.residues for t in tower_translations(P)] == [
         (0, 0), (0, 1), (3, 0), (3, 1), (2, 0), (2, 1), (1, 0), (1, 1),
@@ -960,8 +988,9 @@ def _random_glued_polytope(rng, G, degree, size):
 
 
 def test_propagate_matches_repeated_sweeps():
-    # same labels, and on a contradiction the same first (cell, k) and the
-    # same partial labels, as sweeping all edges until nothing changes
+    # with random bases per component, endow gives the labels of sweeping
+    # all edges until nothing changes wherever the sweeps find no
+    # contradiction, and the coloring fails exactly where they find one
     rng = random.Random(11)
     conflicts = 0
     for G in (cyclic(2), cyclic(3), FiniteAbelianGroup([2, 2])):
@@ -969,8 +998,14 @@ def test_propagate_matches_repeated_sweeps():
         for _ in range(60):
             degree, size = rng.choice([1, 2, 3]), rng.randint(1, 12)
             P = _random_glued_polytope(rng, G, degree, size)
+            assert (P.components, P.cell_component) == old_components(P)
             base = {i: rng.choice(elems) for i in range(len(P.components))}
-            labels, conflict = P._propagate(base)
-            assert (labels, conflict) == old_propagate(P, base)
-            conflicts += conflict is not None
+            labels, conflict = old_propagate(P, base)
+            assert P.check_coloring() is (conflict is None)
+            if conflict is None:
+                assert P.endow(base).labels == tuple(labels)
+            else:
+                conflicts += 1
+                with pytest.raises(ColoringError, match="contradiction"):
+                    P.endow(base)
     assert conflicts > 20
