@@ -47,10 +47,6 @@ acyclic and freed by reference counting, which the collector would
 otherwise scan to no end.  The one cycle a command leaves is a group and
 the elements it interns, freed at the next collection.  Library calls do
 not touch the collector.
-
-A line that names a subcommand and writes each option out in full is
-read from that subcommand's option table (``_parse_plain``); any other
-line goes to argparse, which gives the help and every usage error.
 """
 
 from __future__ import annotations
@@ -808,9 +804,8 @@ def _cmd_constants(args):
 
 
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The argument parser and, per subcommand name, its
-    ``_plain_options`` tables; built once and reused by every ``main``."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once and reused by every ``main``."""
     parser = argparse.ArgumentParser(
         prog="rhoforge",
         description="verification pipelines for colored-polytope bounding "
@@ -885,74 +880,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("constants", parents=[common])
     p.set_defaults(handler=_cmd_constants)
-    commands = {name: _plain_options(p) for name, p in sub.choices.items()}
-    return parser, commands
-
-
-def _plain_options(p: argparse.ArgumentParser) -> tuple[dict, dict, set]:
-    """``p``'s options by flag, the namespace it gives when none is
-    passed, and its required options; ``--help`` left out."""
-    options, defaults, required = {}, {"handler": p.get_default("handler")}, set()
-    # argparse lists a parser's actions only in the private _actions; the
-    # tests hold every route to what the full parser gives
-    for action in p._actions:
-        if action.default is argparse.SUPPRESS:
-            continue
-        defaults[action.dest] = action.default
-        options.update(dict.fromkeys(action.option_strings, action))
-        if action.required:
-            required.add(action)
-    return options, defaults, required
-
-
-def _parse_plain(options, defaults, required, tokens):
-    """The namespace of ``tokens`` if each is an option written out in
-    full and followed by its value (a flag by none), and every required
-    option is given; None otherwise.
-
-    Any other line (``--x=v``, an abbreviation, a value that starts with
-    "-" or that its type rejects, a missing value, ``--help``) is left to
-    argparse, which parses or refuses it.  Scripts and in-process callers
-    pass plain lines: warm, on a 2-core Xeon, this reads one in 2 us and
-    the full parser in 33 us, and cold caches multiply both.
-    """
-    values = dict(defaults)
-    given = set()
-    tokens = iter(tokens)
-    for token in tokens:
-        action = options.get(token)
-        if action is None:
-            return None
-        if action.nargs == 0:
-            value = action.const
-        else:
-            value = next(tokens, "-")
-            if value.startswith("-"):
-                return None
-            if action.type is not None:
-                try:
-                    value = action.type(value)
-                except (TypeError, ValueError):
-                    return None
-        values[action.dest] = value
-        given.add(action)
-    if not required <= given:
-        return None
-    return argparse.Namespace(**values)
-
-
-def _parse_args(argv) -> argparse.Namespace:
-    """``argv`` parsed as the full parser parses it: by ``_parse_plain``
-    when it is a subcommand's name and a plain line of its options, else
-    by the full parser."""
-    parser, commands = _build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in commands:
-        args = _parse_plain(*commands[argv[0]], argv[1:])
-        if args is not None:
-            args.subcommand = argv[0]
-            return args
-    return parser.parse_args(argv)
+    return parser
 
 
 def main(argv=None) -> int:
@@ -963,7 +891,7 @@ def main(argv=None) -> int:
     module docstring), and it is re-enabled afterwards only if it was
     enabled on entry.
     """
-    args = _parse_args(argv)
+    args = _build_parser().parse_args(argv)
     t0 = time.monotonic()
     try:
         cell_cap()  # every construction reads it through require_cells

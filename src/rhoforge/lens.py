@@ -310,9 +310,8 @@ class RhoBoundResult(NamedTuple):
     False), else it records whether the pair (N, d) sits inside the
     hypothesis of the stated bound (d even, N >= 4): "ok" or
     "out_of_hypothesis".  ``rho`` is the correctly rounded float and
-    ``bound`` the float (N/pi)^d, for reports.  It is a named tuple,
-    cheap to build once per sweep row, so it compares equal to the plain
-    tuple of its fields.
+    ``bound`` the float (N/pi)^d, for reports.  It is a named tuple, so
+    it compares equal to the plain tuple of its fields.
     """
 
     spec: LensSpec
@@ -347,9 +346,6 @@ def _pi_powers(d: int) -> tuple[int, int, int, int]:
     return cached[1]
 
 
-_tuple_new = tuple.__new__
-
-
 def rho_lower_bound_check(
     spec: LensSpec, by_power_sum: bool = False
 ) -> RhoBoundResult:
@@ -365,9 +361,7 @@ def rho_lower_bound_check(
     and N^(d/2) instead, the same rational unreduced, without deriving
     ``rho_polynomial(d)``: the route for fewer rows than the d + 1
     interpolation nodes.  ``a / den`` is correctly rounded, as
-    float(Fraction) is, so both routes give the same result.  Called
-    once per sweep row, Horner's rule is inlined and the result built
-    by ``tuple.__new__``, not the named tuple's Python ``__new__``.
+    float(Fraction) is, so both routes give the same result.
 
     >>> r = rho_lower_bound_check(LensSpec(5, 6))
     >>> r.holds, r.status, r.rho
@@ -381,9 +375,7 @@ def rho_lower_bound_check(
         a, den = _power_sum(n, half), n**half
     else:
         coeffs, den = rho_polynomial(d)
-        a = 0
-        for c in reversed(coeffs):
-            a = a * n + c
+        a = _horner(coeffs, n)
     lo_num, lo_den, hi_num, hi_den = _pi_powers(d)
     target = n**d * den
     holds = target * lo_den < a * lo_num
@@ -394,9 +386,7 @@ def rho_lower_bound_check(
         status = "ok"
     else:
         status = "out_of_hypothesis"
-    return _tuple_new(
-        RhoBoundResult, (spec, a / den, (n / math.pi) ** d, holds, status)
-    )
+    return RhoBoundResult(spec, a / den, (n / math.pi) ** d, holds, status)
 
 
 def thm13_lower(spec: LensSpec, constant):

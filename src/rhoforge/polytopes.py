@@ -309,13 +309,15 @@ class ColoredPolytope:
         mapping component index -> element.  The labeling is unique once
         the bases are fixed and the group is abelian, so it is the
         identity labeling found at construction times each component's
-        base.
+        base; the identity base takes the stored labels as they are.
         """
         if self._conflict is not None:
             raise ColoringError(
                 f"no consistent labeling: contradiction at cell "
                 f"{self._conflict[0]}, vertex {self._conflict[1]}"
             )
+        if base is self.group.identity:
+            return VertexLabeling(self, self._labels)
         if isinstance(base, GroupElement):
             base = [base] * len(self.components)
         comp = self.cell_component

@@ -6,7 +6,6 @@ import hashlib
 import json
 import math
 import os
-import random
 import subprocess
 import sys
 from collections import Counter
@@ -901,11 +900,13 @@ class TestConstantsAndUsage:
             ["hyperbolize", "--out", "a.json", "--dim", "2", "--report", "b.json"],
             ["bound-chain", "--group", "", "--octagon", "--octagon"],
             ["lens", "--d", " 3", "--N", "5", "--N", "7"],
-            # left to argparse, which takes them
+            # a negative value, an abbreviation with --opt=value, a
+            # trailing "--" (refused)
             ["rho-sweep", "--d", "-6"],
             ["bound-chain", "--oct", "--group=2"],
             ["lens", "--N", "5", "--d", "3", "--"],
-            # refused: by the subcommand, or left over for the top level
+            # refused by the subcommand or left over for the top level;
+            # "--fro" is an abbreviation of "--from", and "--help" exits 0
             ["constants", "--frobnicate"],
             ["constants", "extra", "--frobnicate"],
             ["bound-chain", "--octagon", "--group"],
@@ -913,47 +914,100 @@ class TestConstantsAndUsage:
             ["lens", "--N", "five", "--d", "3"],
             ["rho-sweep", "--d", "6", "--fro", "4"],
             ["verify-polytope", "--help"],
-            # not a subcommand: the full parser either way
+            # not a subcommand
             [],
             ["--help"],
             ["bound"],
             ["--report", "r.json", "constants"],
         ],
     )
-    def test_parsed_as_the_full_parser_parses(self, argv, capsys):
-        parser, _ = cli._build_parser()
+    def test_parsed_as_the_full_parser_parses(
+        self, argv, capsys, monkeypatch, tmp_path
+    ):
+        """``main`` reads a line only through the parser: the handler gets
+        the namespace the parser gives, and a line the parser refuses
+        exits as the parser exits, with nothing run."""
+        try:
+            expected = vars(cli._build_parser().parse_args(list(argv)))
+        except SystemExit as exc:
+            expected = exc.code, capsys.readouterr()
+        seen = []
 
-        def outcome(parse):
-            try:
-                got = vars(parse(list(argv)))
-            except SystemExit as exc:
-                got = exc.code
-            return got, capsys.readouterr()
+        def record(args):
+            seen.append(vars(args))
+            return {}, [], {}
 
-        assert outcome(cli._parse_args) == outcome(parser.parse_args)
+        # the parser binds the handlers it is built with
+        cli._build_parser.cache_clear()
+        for name in vars(cli).copy():
+            if name.startswith("_cmd_"):
+                monkeypatch.setattr(cli, name, record)
+        monkeypatch.chdir(tmp_path)  # where a --report line writes
+        try:
+            assert main(list(argv)) == 0
+        except SystemExit as exc:
+            assert (exc.code, capsys.readouterr()) == expected and seen == []
+        else:
+            assert len(seen) == 1 and seen[0]["handler"] is record
+            assert {**seen[0], "handler": expected["handler"]} == expected
+        finally:
+            cli._build_parser.cache_clear()
 
-    def test_random_lines_parsed_as_the_full_parser_parses(self, capsys):
-        parser, commands = cli._build_parser()
-        words = ["5", "-5", "", "x", "2,2", "--", "-h", "--help", "--dim=3",
-                 "--gr", "--frobnicate"]
-        rng = random.Random(7)
-        plain = 0
-        for _ in range(600):
-            name = rng.choice(sorted(commands))
-            vocabulary = words + sorted(commands[name][0])
-            argv = [name] + rng.choices(vocabulary, k=rng.randrange(7))
+    SPELLINGS = {
+        "bound-chain": [
+            ["--octagon", "--group", "5", "--report", "{}"],
+            ["--octagon", "--group=5", "--report={}"],
+            ["--oct", "--gr", "5", "--rep", "{}"],
+            ["--report", "{}", "--group", "5", "--octagon"],
+        ],
+        "verify-polytope": [
+            ["--octagon", "--group", "5", "--report", "{}"],
+            ["--octagon", "--group=5", "--report={}"],
+            ["--oct", "--gr", "5", "--rep", "{}"],
+            ["--report", "{}", "--group", "5", "--octagon"],
+        ],
+        "rho-sweep": [
+            ["--d", "6", "--from", "4", "--to", "50", "--report", "{}"],
+            ["--d=6", "--from=4", "--to=50", "--report={}"],
+            ["--d", "6", "--fr", "4", "--t", "50", "--rep", "{}"],
+            ["--report", "{}", "--to", "50", "--from", "4", "--d", "6"],
+        ],
+        "hyperbolize": [
+            ["--dim", "2", "--out", "{}"],
+            ["--dim=2", "--report={}"],
+            ["--di", "2", "--ou", "{}"],
+            ["--out", "{}", "--dim", "2"],
+        ],
+    }
 
-            def outcome(parse):
-                try:
-                    got = vars(parse(list(argv)))
-                except SystemExit as exc:
-                    got = exc.code
-                return got, capsys.readouterr()
-
-            assert outcome(cli._parse_args) == outcome(parser.parse_args), argv
-            plain += cli._parse_plain(*commands[name], argv[1:]) is not None
-        # both routes are exercised
-        assert 50 < plain < 550
+    def test_spellings_give_one_report(self, tmp_path, capsys):
+        """Each way of writing a line (in full, as --opt=value, abbreviated,
+        reordered) gives the same report bytes, elapsed_s aside; a line
+        the parser refuses exits 2."""
+        for command, spellings in self.SPELLINGS.items():
+            texts = set()
+            for k, options in enumerate(spellings):
+                out = tmp_path / f"{command}-{k}.json"
+                code = run(command, *(o.replace("{}", str(out)) for o in options))
+                # rho-sweep's bound fails at N = 4 and 5 by design
+                assert code == (1 if command == "rho-sweep" else 0)
+                assert capsys.readouterr().out == (
+                    f"{load(out)['status']}: report written to {out}\n"
+                )
+                texts.add("".join(
+                    line for line in out.read_text().splitlines(keepends=True)
+                    if '"elapsed_s"' not in line
+                ))
+            assert len(texts) == 1, command
+        for argv in (
+            ["lens", "--N", "five", "--d", "3"],
+            ["hyperbolize"],
+            ["constants", "--frobnicate"],
+        ):
+            with pytest.raises(SystemExit) as err:
+                run(*argv)
+            assert err.value.code == 2
+            assert capsys.readouterr().err.startswith("usage: rhoforge")
 
 
 class TestClosedPipe:

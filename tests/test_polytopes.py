@@ -5,7 +5,7 @@ from collections import Counter, deque
 import pytest
 
 from rhoforge.bar import BarChain, gen_boundary, hom_to_bar
-from rhoforge.groups import FiniteAbelianGroup, cyclic
+from rhoforge.groups import FiniteAbelianGroup, GroupElement, cyclic
 from rhoforge.polytopes import (
     ColoredCell,
     ColoredPolytope,
@@ -66,6 +66,26 @@ def test_octagon_labels_translate():
     base = P.endow(G.identity)
     assert shifted.labels == base.translate(k).labels
     assert shifted.check()
+
+
+@pytest.mark.parametrize("moduli", [[2], [3], [4], [5], [2, 2]])
+def test_identity_endowment_takes_no_products(moduli, monkeypatch):
+    G = FiniteAbelianGroup(moduli)
+    g = G.element([1] + [0] * (len(moduli) - 1))
+    P = octagon_polytope(g, g, g, g)
+    # a mapping base translates each label: the product route
+    translated = P.endow({0: G.identity}).labels
+    calls = []
+    mul = GroupElement.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(GroupElement, "__mul__", counted)
+    lab = P.endow(P.group.identity)
+    assert calls == []
+    assert lab.labels == translated
 
 
 def test_octagon_boundary_pairs():
