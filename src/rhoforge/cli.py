@@ -32,11 +32,12 @@ OpenSSL's libcrypto (about 3.5 MB of peak memory); it is the digests'
 fallback only, for an interpreter built without its own SHA-256.
 
 Reports are emitted as ``json.dumps(report, indent=2)`` would write
-them, by ``_dumps``: a table of flat rows (``rho-sweep``'s 1,997 at the
-benchmark's size) in one call of json's C encoder, anything else value
-by value.  A sweep with fewer rows than ``rho_polynomial``'s d + 1 nodes
-takes each row from its own power sum, so a short sweep at large d
-does not pay for the interpolation.
+them, by ``_dumps``, which takes only the types reports hold: a table of
+flat rows (``rho-sweep``'s 1,997 at the benchmark's size) in one call of
+json's C encoder, anything else value by value.  A sweep with fewer
+rows than ``rho_polynomial``'s d + 1 nodes takes each row from its own
+power sum, so a short sweep at large d does not pay for the
+interpolation.
 
 ``main`` runs each command, from its handler to the report write, with
 the cyclic garbage collector paused, then restores the collector's state
@@ -88,13 +89,9 @@ def _jsonable(obj):
     from fractions import Fraction
 
     if isinstance(obj, Fraction):
-        return (
-            int(obj)
-            if obj.denominator == 1
-            else {"num": obj.numerator, "den": obj.denominator}
-        )
-    if isinstance(obj, frozenset):
-        return sorted(obj)
+        if obj.denominator == 1:
+            return obj.numerator
+        return {"num": obj.numerator, "den": obj.denominator}
     raise TypeError(f"not serializable: {type(obj).__name__}")
 
 
@@ -108,7 +105,7 @@ def _float_text(x: float) -> str:
 
 _encode_str = json.encoder.encode_basestring_ascii
 
-# The text of a scalar, by its exact type; subclasses take the slow path.
+# The text of a scalar, by its exact type.
 _SCALAR_TEXT = {
     str: _encode_str,
     int: int.__repr__,
@@ -116,43 +113,24 @@ _SCALAR_TEXT = {
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "null",
 }
-
-
-def _key_text(key) -> str:
-    if isinstance(key, str):
-        return _encode_str(key)
-    if isinstance(key, float):
-        return _encode_str(_float_text(key))
-    if key is True:
-        return '"true"'
-    if key is False:
-        return '"false"'
-    if key is None:
-        return '"null"'
-    if isinstance(key, int):
-        return _encode_str(int.__repr__(key))
-    raise TypeError(
-        "keys must be str, int, float, bool or None, "
-        f"not {key.__class__.__name__}"
-    )
-
-
 _FLAT = frozenset(_SCALAR_TEXT)
-_ROW_TYPES = frozenset((dict, list, tuple))
 
 
 def _table_brackets(rows) -> str | None:
     """The brackets of the rows if ``rows`` is a table, else None.
 
-    A table's rows are all non-empty dicts, or all non-empty lists or
-    tuples, of exact type, and hold only scalars of exact ``_FLAT``
-    types: such a row has no bracket outside its strings, and json
-    never writes a raw newline inside a string.
+    A table's rows are all non-empty dicts with str keys, or all
+    non-empty lists, and hold only scalars of ``_FLAT`` types: such a
+    row has no bracket outside its strings, and json never writes a raw
+    newline inside a string.
     """
     kinds = set(map(type, rows))
     if kinds == {dict}:
+        # one set of every row's keys, filled from the dicts' stored hashes
+        if not {str}.issuperset(map(type, set().union(*rows))):
+            return None
         brackets, cells = "{}", map(dict.values, rows)
-    elif kinds <= {list, tuple}:
+    elif kinds == {list}:
         brackets, cells = "[]", rows
     else:
         return None
@@ -167,7 +145,7 @@ def _emit(obj, indent: str, out: list) -> None:
     text = _SCALAR_TEXT.get(type(obj))
     if text is not None:
         out.append(text(obj))
-    elif isinstance(obj, dict):
+    elif type(obj) is dict:
         if not obj:
             out.append("{}")
             return
@@ -175,7 +153,9 @@ def _emit(obj, indent: str, out: list) -> None:
         sep = ",\n" + inner
         lead = "{\n" + inner
         for key, value in obj.items():
-            key = _encode_str(key) if type(key) is str else _key_text(key)
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            key = _encode_str(key)
             text = _SCALAR_TEXT.get(type(value))
             if text is not None:
                 out.append(lead + key + ": " + text(value))
@@ -184,16 +164,13 @@ def _emit(obj, indent: str, out: list) -> None:
                 _emit(value, inner, out)
             lead = sep
         out.append("\n" + indent + "}")
-    elif isinstance(obj, (list, tuple)):
+    elif type(obj) is list:
         if not obj:
             out.append("[]")
             return
         inner = indent + "  "
-        if type(obj) in (list, tuple) and type(obj[0]) in _ROW_TYPES:
-            brackets = _table_brackets(obj)
-        else:
-            brackets = None
-        if brackets is not None:
+        brackets = type(obj[0]) in (dict, list) and _table_brackets(obj)
+        if brackets:
             # one C-encoder call; its only raw newlines are the separators
             cell = inner + "  "
             opening, closing = brackets
@@ -217,25 +194,19 @@ def _emit(obj, indent: str, out: list) -> None:
                 _emit(value, inner, out)
             lead = sep
         out.append("\n" + indent + "]")
-    elif isinstance(obj, str):
-        out.append(_encode_str(obj))
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        out.append(_float_text(obj))
     else:
         _emit(_jsonable(obj), indent, out)
 
 
-def _dumps(payload) -> str:
-    """``json.dumps(payload, indent=2, default=_jsonable)``, byte for byte.
+def _dumps(report) -> str:
+    """``json.dumps(report, indent=2, default=_jsonable)``, byte for byte.
 
     Any ``indent`` sends json to its pure-Python encoder; this writes the
-    same text directly.  Scalars of exact types are looked up by type;
-    anything else is tested as json tests it, and no class can be two of
-    dict, list or tuple, str, int and float, so the order of the tests
-    does not matter.  What none of them takes goes through ``_jsonable``.
-    Reports are trees, so there is no circular-reference check.
+    same text directly, for what reports hold: dicts with str keys,
+    lists, str, int, float, bool and None of exact type, and Fractions,
+    written as ``_jsonable`` gives them.  Any other key or value is a
+    TypeError.  Reports are trees, so there is no circular-reference
+    check.
 
     A table (see ``_table_brackets``), the rho-sweep's rows or a level of
     face lists, is one call of json's C encoder with the cell indentation
@@ -243,7 +214,7 @@ def _dumps(payload) -> str:
     of the row boundary, and appended as one piece.
     """
     out: list[str] = []
-    _emit(payload, "", out)
+    _emit(report, "", out)
     return "".join(out)
 
 

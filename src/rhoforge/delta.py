@@ -226,14 +226,15 @@ class DeltaComplex:
         Positions not kept are dropped highest first, so earlier drops
         never shift the remaining indices.  Returns (dimension, cell).
         """
-        keep_set = set(keep)
-        if not keep_set or not keep_set <= set(range(q + 1)):
+        keep = set(keep)
+        if not keep or not keep.issubset(range(q + 1)):
             raise DeltaComplexError("keep must be a nonempty subset of vertices")
         faces = self.faces
         cur_q, cur = q, c
-        for t in sorted(set(range(q + 1)) - keep_set, reverse=True):
-            cur = faces[cur_q][cur][t]
-            cur_q -= 1
+        for t in range(q, -1, -1):
+            if t not in keep:
+                cur = faces[cur_q][cur][t]
+                cur_q -= 1
         return cur_q, cur
 
     def relabeled(self, perms: Sequence[Sequence[int]]) -> "DeltaComplex":

@@ -112,9 +112,6 @@ class ComplexOverSimplex:
     def is_colored(self) -> bool:
         return self.colors is not None
 
-    def carrier(self, q: int, c: int) -> frozenset:
-        return self.carriers[q][c]
-
 
 def colored_over(K: DeltaComplex, colors) -> ComplexOverSimplex:
     """Structure map from explicit vertex colors; carriers are derived."""
@@ -156,26 +153,17 @@ def degree_structure(K: DeltaComplex) -> ComplexOverSimplex:
             flag = tag[3]
             level.append(tuple(len(s) - 1 for s in flag))
         colors.append(level)
-    out = colored_over(B, colors)
-    if out.target_dim != K.dim:
-        # colors are anchored-cell dimensions, so the top color is dim K
-        raise OverSimplexError("degree structure does not reach the top")
-    return out
+    return colored_over(B, colors)
 
 
 def colored_face(
     L: ComplexOverSimplex, q: int, c: int, keep: frozenset
 ) -> CellRef:
     """The face of a colored cell spanned by the colors in ``keep``."""
-    cols = list(L.colors[q][c])
-    faces = L.complex.faces
-    cur_q, cur = q, c
-    for j in reversed(range(len(cols))):
-        if cols[j] not in keep:
-            cur = faces[cur_q][cur][j]
-            cur_q -= 1
-            cols.pop(j)
-    return cur_q, cur
+    colors = L.colors[q][c]
+    return L.complex.iterated_face(
+        q, c, [j for j, v in enumerate(colors) if v in keep]
+    )
 
 
 def fiber_product(

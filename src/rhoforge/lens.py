@@ -324,26 +324,15 @@ class RhoBoundResult(NamedTuple):
         return self.holds
 
 
-# d -> (the PI_BRACKET object, the d-th powers taken from it)
-_PI_POWERS: dict[int, tuple] = {}
-
-
+@functools.cache
 def _pi_powers(d: int) -> tuple[int, int, int, int]:
     """The d-th powers of the numerators and denominators of ``PI_BRACKET``.
 
-    Cached per d for the bracket they were taken from, so a rebound
-    bracket is raised to the power again.  Keyed on d alone: hashing
-    the bracket's Fractions would cost more than the powers.
+    Cached per d, so a sweep raises them once; a caller that rebinds
+    ``PI_BRACKET`` calls ``_pi_powers.cache_clear()`` with it.
     """
-    cached = _PI_POWERS.get(d)
-    if cached is None or cached[0] is not PI_BRACKET:
-        lo, hi = PI_BRACKET
-        cached = (
-            PI_BRACKET,
-            (lo.numerator**d, lo.denominator**d, hi.numerator**d, hi.denominator**d),
-        )
-        _PI_POWERS[d] = cached
-    return cached[1]
+    lo, hi = PI_BRACKET
+    return lo.numerator**d, lo.denominator**d, hi.numerator**d, hi.denominator**d
 
 
 def rho_lower_bound_check(

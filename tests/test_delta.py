@@ -264,6 +264,22 @@ class TestConstruction:
         assert fq == 1
         assert K.tags[1][fc] == (1, 3)
 
+    def test_iterated_face_of_every_subset(self):
+        # a face of the simplex is tagged by its vertices
+        K = simplex(4)
+        for q in range(5):
+            for c, tag in enumerate(K.tags[q]):
+                for r in range(1, q + 2):
+                    for keep in combinations(range(q + 1), r):
+                        fq, fc = K.iterated_face(q, c, keep[::-1])
+                        assert fq == r - 1
+                        assert K.tags[fq][fc] == tuple(tag[j] for j in keep)
+
+    @pytest.mark.parametrize("keep", [[], [4], [0, -1], [0, 0.5]])
+    def test_iterated_face_refuses_positions_not_of_the_cell(self, keep):
+        with pytest.raises(DeltaComplexError, match="nonempty subset"):
+            simplex(3).iterated_face(3, 0, keep)
+
     def test_json_round_trip(self):
         K = prism(ngon(4))
         K2 = DeltaComplex.from_json(K.to_json())

@@ -358,8 +358,7 @@ class TestLowerBound:
             assert {r.status for r in rows} == {"ok"}
             assert [r.spec.n for r in rows if not r.holds] == failures
 
-    def test_undecided_when_the_bracket_is_too_wide(self, monkeypatch):
-        monkeypatch.setattr(lens, "PI_BRACKET", (Fraction(1), Fraction(4)))
+    def test_undecided_when_the_bracket_is_too_wide(self, wide_pi_bracket):
         r = rho_lower_bound_check(LensSpec(4, 2))
         assert r.status == "undecided"
         assert not r.holds and not r
@@ -380,10 +379,15 @@ class TestLowerBound:
                 assert r.rho == float(rho)
 
     def test_rebound_bracket_takes_effect_and_is_undone(self, monkeypatch):
+        # the powers are cached per d: a rebinding clears them, both ways
         assert rho_lower_bound_check(LensSpec(4, 2)).status == "ok"
         monkeypatch.setattr(lens, "PI_BRACKET", (Fraction(1), Fraction(4)))
-        assert rho_lower_bound_check(LensSpec(4, 2)).status == "undecided"
-        monkeypatch.undo()
+        lens._pi_powers.cache_clear()
+        try:
+            assert rho_lower_bound_check(LensSpec(4, 2)).status == "undecided"
+        finally:
+            monkeypatch.undo()
+            lens._pi_powers.cache_clear()
         assert rho_lower_bound_check(LensSpec(4, 2)).status == "ok"
 
     def test_overflow_is_an_overflow_error(self):

@@ -41,23 +41,21 @@ BENCH_LOOKUPS = {
 }
 REFERENCES = {
     # reference implementations the tests check the library against:
-    # exact determinants, relabelings and carrier lookups
+    # exact determinants and relabelings
     "smith": {"bareiss_determinant"},
     "delta": {"DeltaComplex.relabeled"},
-    "hyperbolize": {"ComplexOverSimplex.carrier"},
 }
 API = {
     # documented API that no command calls: the package's lazy lookups,
     # the chain, group and polytope protocols (dunders, JSON round-trips,
-    # small constructors), the lens and theorem constants, and
-    # json.dumps's rules for keys that are not strings, which ``_dumps``
-    # keeps though no report has one.  Four went off the command paths
-    # when those stopped repeating work: ``BarChain.is_zero`` (assembly
-    # checks the cycle from its face index), ``GroupElement.__pow__``
-    # (the holonomy subgroup grows by cosets, not by |G| powers),
-    # ``ColoredPolytope.check_coloring`` (verify-polytope takes the
-    # verdict from its one ``endow``) and ``ColoredPolytope.vertex_class``
-    # (face labels are read from ``VertexLabeling.cell_labels``)
+    # small constructors), and the lens and theorem constants.  Four
+    # went off the command paths when those stopped repeating work:
+    # ``BarChain.is_zero`` (assembly checks the cycle from its face
+    # index), ``GroupElement.__pow__`` (the holonomy subgroup grows by
+    # cosets, not by |G| powers), ``ColoredPolytope.check_coloring``
+    # (verify-polytope takes the verdict from its one ``endow``) and
+    # ``ColoredPolytope.vertex_class`` (face labels are read from
+    # ``VertexLabeling.cell_labels``)
     "__init__": {"__getattr__", "__dir__"},
     "bar": {
         "BarChain.__hash__", "BarChain.__repr__", "BarChain.is_cycle",
@@ -65,7 +63,6 @@ API = {
         "BarChain.support_size", "BarChain.to_json", "BarChain.zero",
         "bar_to_hom",
     },
-    "cli": {"_key_text"},
     "delta": {
         "DeltaComplex.__repr__", "HomologySummary.__str__", "cone",
         "empty_complex", "point",
@@ -192,7 +189,7 @@ def entered_functions(runs):
     # entered only on a cold cache, so start every one cold
     cli._build_parser.cache_clear()
     lens.rho_polynomial.cache_clear()
-    lens._PI_POWERS.clear()
+    lens._pi_powers.cache_clear()
     src = os.path.join(SRC, "")
     entered = set()
 
