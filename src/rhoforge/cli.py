@@ -674,17 +674,16 @@ def _cmd_rho_sweep(args):
 
     if args.stop < args.start:
         raise UsageError("--to must be at least --from")
-    try:
-        LensSpec(args.start, args.d)
-    except LensError as exc:
-        raise UsageError(str(exc)) from None
     rows = []
     gated_failures = []
     # fewer rows than rho_polynomial's d + 1 nodes: each by its power sum
     by_power_sum = args.stop - args.start + 1 < args.d + 1
     for n in range(args.start, args.stop + 1):
         try:
+            # the first row's LensSpec checks (N, d); later rows only raise N
             res = rho_lower_bound_check(LensSpec(n, args.d), by_power_sum)
+        except LensError as exc:
+            raise UsageError(str(exc)) from None
         except OverflowError:
             raise UsageError(
                 f"rho or (N/pi)^d at (N, d) = ({n}, {args.d}) does not "

@@ -237,32 +237,6 @@ class DeltaComplex:
                 cur_q -= 1
         return cur_q, cur
 
-    def relabeled(self, perms: Sequence[Sequence[int]]) -> "DeltaComplex":
-        """Same complex with cells renumbered: perms[q][old] = new."""
-        faces = self.faces
-        perms = [list(p) for p in perms]
-        while len(perms) < len(faces):
-            perms.append(list(range(len(faces[len(perms)]))))
-        for q, p in enumerate(perms[: len(faces)]):
-            if sorted(p) != list(range(len(faces[q]))):
-                raise DeltaComplexError(f"not a permutation in dimension {q}")
-        new_faces: list[list[Face]] = []
-        new_tags: list[list[object]] = []
-        for q in range(1, len(faces)):
-            level: list[Face] = [()] * len(faces[q])
-            tag_level: list[object] = [None] * len(faces[q])
-            for c, cell in enumerate(faces[q]):
-                level[perms[q][c]] = tuple(perms[q - 1][f] for f in cell)
-                tag_level[perms[q][c]] = self.tags[q][c]
-            new_faces.append(level)
-            new_tags.append(tag_level)
-        vtags: list[object] = [None] * len(faces[0])
-        for c, tag in enumerate(self.tags[0]):
-            vtags[perms[0][c]] = tag
-        return DeltaComplex(
-            len(faces[0]), new_faces, [vtags] + new_tags
-        )
-
     # -- homology -----------------------------------------------------
 
     def boundary_matrix(self, q: int) -> dict[tuple[int, int], int]:
@@ -704,24 +678,17 @@ Flag = tuple[tuple[int, ...], ...]
 
 def _flags_of(q: int) -> list[Flag]:
     """Strictly increasing chains of nonempty subsets ending at {0..q}."""
-    full = tuple(range(q + 1))
-    subsets = [
-        tuple(s)
-        for size in range(1, q + 1)
-        for s in combinations(range(q + 1), size)
+    return sorted(_flags_ending_at(tuple(range(q + 1))))
+
+
+def _flags_ending_at(top: tuple[int, ...]) -> list[Flag]:
+    # a module-level recursion: a nested one would be a reference cycle
+    return [(top,)] + [
+        flag + (top,)
+        for size in range(1, len(top))
+        for s in combinations(top, size)
+        for flag in _flags_ending_at(s)
     ]
-    out: list[Flag] = [(full,)]
-    frontier: list[Flag] = [(full,)]
-    while frontier:
-        nxt: list[Flag] = []
-        for flag in frontier:
-            head = set(flag[0])
-            for s in subsets:
-                if len(s) < len(flag[0]) and set(s) < head:
-                    nxt.append((s,) + flag)
-        out.extend(nxt)
-        frontier = nxt
-    return sorted(out)
 
 
 def barycentric(K: DeltaComplex) -> DeltaComplex:

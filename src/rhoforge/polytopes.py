@@ -466,8 +466,6 @@ def as_cells(C: CellsInput) -> tuple[FiniteAbelianGroup, int, list[ColoredCell]]
         group = norm[0].gen[0].group
         cells = norm
     cells.sort(key=lambda cell: (_gen_key(cell.gen), cell.sign))
-    if not cells:
-        group = C.group if isinstance(C, BarChain) else group
     return group, degree, cells
 
 

@@ -116,7 +116,8 @@ def smith_normal_form(entries: Mapping[tuple[int, int], int]) -> SmithResult:
     )
     diag = [1] * (len(row_of) - n_rows) + _dense_diagonal(residue)
 
-    # enforce d1 | d2 | ... with gcd/lcm exchanges
+    # enforce d1 | d2 | ... with gcd/lcm exchanges; the factors are
+    # positive, so that also sorts them
     changed = True
     while changed:
         changed = False
@@ -126,7 +127,6 @@ def smith_normal_form(entries: Mapping[tuple[int, int], int]) -> SmithResult:
                 g = math.gcd(a, b)
                 diag[i], diag[i + 1] = g, a * b // g
                 changed = True
-    diag.sort()
     return SmithResult(rank=len(diag), invariant_factors=tuple(diag))
 
 

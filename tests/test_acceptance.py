@@ -45,6 +45,7 @@ from rhoforge.towers import (
     lemma_bound,
     tower,
 )
+from test_delta import relabeled
 from test_towers import (
     boundary_cylinder_sum,
     covering,
@@ -337,8 +338,7 @@ def test_criterion_10_torsion():
             p = list(range(K.n_cells(q)))
             rng.shuffle(p)
             perms.append(tuple(p))
-        relabeled = K.relabeled(perms)
-        value = relabeled.laplacian_torsion()
+        value = relabeled(K, perms).laplacian_torsion()
         assert abs(value - base) <= 1e-8 * abs(base)
     print(
         f"CRITERION 10: PASS - circle pseudodeterminants N^2 for N in "

@@ -847,6 +847,11 @@ class TestMalformedInput:
         err = self.usage_error(capsys, "rho-sweep", "--d", "0")
         assert "d must be at least 1" in err
 
+    def test_rho_sweep_n1(self, capsys):
+        # the first row's (N, d) is refused before any row is written
+        assert run("rho-sweep", "--d", "2", "--from", "1") == 2
+        assert capsys.readouterr() == ("", "rhoforge: N must be at least 2\n")
+
 
 class TestConstantsAndUsage:
     def test_constants(self, tmp_path):

@@ -103,6 +103,32 @@ def index_by_tag(K, q):
     return table
 
 
+def relabeled(K, perms):
+    """K with cells renumbered, perms[q][old] = new; the dimensions past
+    perms keep their numbering."""
+    faces = K.faces
+    perms = [list(p) for p in perms]
+    while len(perms) < len(faces):
+        perms.append(list(range(len(faces[len(perms)]))))
+    for q, p in enumerate(perms[: len(faces)]):
+        if sorted(p) != list(range(len(faces[q]))):
+            raise DeltaComplexError(f"not a permutation in dimension {q}")
+    new_faces = []
+    new_tags = []
+    for q in range(1, len(faces)):
+        level = [()] * len(faces[q])
+        tag_level = [None] * len(faces[q])
+        for c, cell in enumerate(faces[q]):
+            level[perms[q][c]] = tuple(perms[q - 1][f] for f in cell)
+            tag_level[perms[q][c]] = K.tags[q][c]
+        new_faces.append(level)
+        new_tags.append(tag_level)
+    vtags = [None] * len(faces[0])
+    for c, tag in enumerate(K.tags[0]):
+        vtags[perms[0][c]] = tag
+    return DeltaComplex(len(faces[0]), new_faces, [vtags] + new_tags)
+
+
 def join_rotation(J, kp, lp):
     """Diagonal action on a join, read off through the join tags."""
 
@@ -204,7 +230,7 @@ def shuffled(K, rng):
         p = list(range(K.n_cells(q)))
         rng.shuffle(p)
         perms.append(p)
-    return K.relabeled(perms)
+    return relabeled(K, perms)
 
 
 def edge_complex():
@@ -294,7 +320,7 @@ class TestConstruction:
             p = list(range(K.n_cells(q)))
             rng.shuffle(p)
             perms.append(p)
-        K2 = K.relabeled(perms)
+        K2 = relabeled(K, perms)
         assert K2.f_vector() == K.f_vector()
         assert K2.homology() == K.homology()
 
@@ -423,7 +449,37 @@ class TestPrism:
                 assert got == want
 
 
+def frontier_flags(q):
+    """Flags of {0..q} by a breadth-first search over proper subsets."""
+    full = tuple(range(q + 1))
+    subsets = [
+        tuple(s)
+        for size in range(1, q + 1)
+        for s in combinations(range(q + 1), size)
+    ]
+    out = [(full,)]
+    frontier = [(full,)]
+    while frontier:
+        nxt = []
+        for flag in frontier:
+            head = set(flag[0])
+            for s in subsets:
+                if len(s) < len(flag[0]) and set(s) < head:
+                    nxt.append((s,) + flag)
+        out.extend(nxt)
+        frontier = nxt
+    return sorted(out)
+
+
 class TestBarycentric:
+    @pytest.mark.parametrize(
+        "q, count", [(0, 1), (1, 3), (2, 13), (3, 75), (4, 541), (5, 4683)]
+    )
+    def test_flags_match_frontier_search(self, q, count):
+        flags = delta._flags_of(q)
+        assert len(flags) == count
+        assert flags == frontier_flags(q)
+
     def test_triangle(self):
         K = barycentric(simplex(2))
         assert K.f_vector() == (7, 12, 6)
@@ -1089,7 +1145,7 @@ class TestHomologyByReduction:
                 data.draw(st.permutations(range(K.n_cells(q))))
                 for q in range(K.dim + 1)
             ]
-            assert K.relabeled(perms).homology() == expected[name]
+            assert relabeled(K, perms).homology() == expected[name]
 
         check()
 

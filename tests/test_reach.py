@@ -41,9 +41,8 @@ BENCH_LOOKUPS = {
 }
 REFERENCES = {
     # reference implementations the tests check the library against:
-    # exact determinants and relabelings
+    # exact determinants
     "smith": {"bareiss_determinant"},
-    "delta": {"DeltaComplex.relabeled"},
 }
 API = {
     # documented API that no command calls: the package's lazy lookups,
