@@ -155,13 +155,8 @@ def _emit(obj, indent: str, out: list) -> None:
         for key, value in obj.items():
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            key = _encode_str(key)
-            text = _SCALAR_TEXT.get(type(value))
-            if text is not None:
-                out.append(lead + key + ": " + text(value))
-            else:
-                out.append(lead + key + ": ")
-                _emit(value, inner, out)
+            out.append(lead + _encode_str(key) + ": ")
+            _emit(value, inner, out)
             lead = sep
         out.append("\n" + indent + "}")
     elif type(obj) is list:
@@ -186,12 +181,8 @@ def _emit(obj, indent: str, out: list) -> None:
         sep = ",\n" + inner
         lead = "[\n" + inner
         for value in obj:
-            text = _SCALAR_TEXT.get(type(value))
-            if text is not None:
-                out.append(lead + text(value))
-            else:
-                out.append(lead)
-                _emit(value, inner, out)
+            out.append(lead)
+            _emit(value, inner, out)
             lead = sep
         out.append("\n" + indent + "]")
     else:
@@ -253,7 +244,7 @@ def _check(name: str, ok=None, **values) -> dict:
 
 def _assemble(command, inputs, checks, extra, t0) -> dict:
     digest = sha256(
-        json.dumps(inputs, sort_keys=True, default=_jsonable).encode()
+        json.dumps(inputs, sort_keys=True).encode()
     ).hexdigest()
     failed = [c["name"] for c in checks if c["status"] == "fail"]
     report = {

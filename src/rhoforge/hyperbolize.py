@@ -49,6 +49,9 @@ class ComplexOverSimplex:
     simplicial and nondegenerate.  Fiber products store projections to
     their two factors (``proj_left`` by same-dimension index, then
     ``proj_right`` by (dimension, index) into the colored factor).
+
+    Construction checks both shapes, then walks the cells once, reading
+    each cell's faces once for its carrier and then its colors.
     """
 
     complex: DeltaComplex
@@ -59,17 +62,15 @@ class ComplexOverSimplex:
     proj_right: tuple[tuple[CellRef, ...], ...] | None = None
 
     def __post_init__(self):
-        K = self.complex
-        faces = K.faces
-        n = self.target_dim
-        if len(self.carriers) != len(faces) or any(
-            len(self.carriers[q]) != K.n_cells(q)
-            for q in range(len(faces))
-        ):
-            raise OverSimplexError("carrier shape does not match cells")
-        allowed = frozenset(range(n + 1))
-        for q in range(len(faces)):
-            for c, S in enumerate(self.carriers[q]):
+        faces = self.complex.faces
+        carriers, colors = self.carriers, self.colors
+        shape = list(map(len, faces))
+        for name, levels in (("carrier", carriers), ("color", colors)):
+            if levels is not None and list(map(len, levels)) != shape:
+                raise OverSimplexError(f"{name} shape does not match cells")
+        allowed = frozenset(range(self.target_dim + 1))
+        for q, level in enumerate(faces):
+            for c, S in enumerate(carriers[q]):
                 if not S or not S <= allowed:
                     raise OverSimplexError(
                         f"carrier of {q}-cell {c} is not a target face"
@@ -78,35 +79,28 @@ class ComplexOverSimplex:
                     raise OverSimplexError(
                         f"{q}-cell {c} is crushed below its dimension"
                     )
-                for f in faces[q][c]:
-                    if not self.carriers[q - 1][f] <= S:
+                cell_faces = level[c]
+                for f in cell_faces:
+                    if not carriers[q - 1][f] <= S:
                         raise OverSimplexError(
                             f"carrier not monotone at {q}-cell {c}"
                         )
-        if self.colors is not None:
-            if len(self.colors) != len(faces) or any(
-                len(self.colors[q]) != K.n_cells(q)
-                for q in range(len(faces))
-            ):
-                raise OverSimplexError("color shape does not match cells")
-            for q in range(len(faces)):
-                for c, cols in enumerate(self.colors[q]):
-                    if len(cols) != q + 1 or len(set(cols)) != q + 1:
+                if colors is None:
+                    continue
+                cols = colors[q][c]
+                if len(cols) != q + 1 or len(set(cols)) != q + 1:
+                    raise OverSimplexError(
+                        f"coloring of {q}-cell {c} is not injective"
+                    )
+                if frozenset(cols) != S:
+                    raise OverSimplexError(
+                        f"colors of {q}-cell {c} do not span its carrier"
+                    )
+                for i, f in enumerate(cell_faces):
+                    if colors[q - 1][f] != cols[:i] + cols[i + 1 :]:
                         raise OverSimplexError(
-                            f"coloring of {q}-cell {c} is not injective"
+                            f"colors not face-compatible at {q}-cell {c}"
                         )
-                    if frozenset(cols) != self.carriers[q][c]:
-                        raise OverSimplexError(
-                            f"colors of {q}-cell {c} do not span its carrier"
-                        )
-                    for i, f in enumerate(faces[q][c]):
-                        if (
-                            self.colors[q - 1][f]
-                            != cols[:i] + cols[i + 1 :]
-                        ):
-                            raise OverSimplexError(
-                                f"colors not face-compatible at {q}-cell {c}"
-                            )
 
     @property
     def is_colored(self) -> bool:

@@ -324,17 +324,6 @@ class RhoBoundResult(NamedTuple):
         return self.holds
 
 
-@functools.cache
-def _pi_powers(d: int) -> tuple[int, int, int, int]:
-    """The d-th powers of the numerators and denominators of ``PI_BRACKET``.
-
-    Cached per d, so a sweep raises them once; a caller that rebinds
-    ``PI_BRACKET`` calls ``_pi_powers.cache_clear()`` with it.
-    """
-    lo, hi = PI_BRACKET
-    return lo.numerator**d, lo.denominator**d, hi.numerator**d, hi.denominator**d
-
-
 def rho_lower_bound_check(
     spec: LensSpec, by_power_sum: bool = False
 ) -> RhoBoundResult:
@@ -343,8 +332,10 @@ def rho_lower_bound_check(
     With rho = A(N) / D from ``rho_polynomial``, pi_lo = a / b and
     pi_hi = a' / b', the bound holds if N^d D b^d < A(N) a^d and fails
     if N^d D b'^d >= A(N) a'^d; scaling both sides by the same positive
-    integer changes neither comparison, so nothing is reduced.  Raises
-    OverflowError when rho or (N/pi)^d does not fit in a float.
+    integer changes neither comparison, so nothing is reduced.  The
+    powers are raised from ``PI_BRACKET`` on each call, so a rebound
+    bracket takes effect at once.  Raises OverflowError when rho or
+    (N/pi)^d does not fit in a float.
 
     ``by_power_sum`` takes (A, D) for even d as ``_power_sum(N, d/2)``
     and N^(d/2) instead, the same rational unreduced, without deriving
@@ -365,10 +356,10 @@ def rho_lower_bound_check(
     else:
         coeffs, den = rho_polynomial(d)
         a = _horner(coeffs, n)
-    lo_num, lo_den, hi_num, hi_den = _pi_powers(d)
+    lo, hi = PI_BRACKET
     target = n**d * den
-    holds = target * lo_den < a * lo_num
-    fails = target * hi_den >= a * hi_num
+    holds = target * lo.denominator**d < a * lo.numerator**d
+    fails = target * hi.denominator**d >= a * hi.numerator**d
     if not (holds or fails):
         status = "undecided"
     elif d % 2 == 0 and n >= 4:

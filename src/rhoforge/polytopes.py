@@ -25,7 +25,6 @@ from typing import Iterable, Mapping, Sequence, Union
 from .bar import (
     BarChain,
     Gen,
-    bar_to_hom,
     gen_boundary,
     hom_to_bar,
     refuse_malformed_gens,

@@ -27,13 +27,5 @@ def reports_are_json_dumps(monkeypatch):
 
 @pytest.fixture
 def wide_pi_bracket(monkeypatch):
-    """``lens.PI_BRACKET`` rebound to [1, 4], too wide to decide a row.
-
-    ``lens._pi_powers`` caches the bracket's powers per d, so the cache
-    is cleared when the bracket is rebound and again once it is restored.
-    """
+    """``lens.PI_BRACKET`` rebound to [1, 4], too wide to decide a row."""
     monkeypatch.setattr(lens, "PI_BRACKET", (Fraction(1), Fraction(4)))
-    lens._pi_powers.cache_clear()
-    yield
-    monkeypatch.undo()
-    lens._pi_powers.cache_clear()

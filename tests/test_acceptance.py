@@ -6,15 +6,14 @@ has three genuine counterexamples, pinned separately below, so that
 test is a strict expected failure rather than a weakened assertion.
 """
 
-import math
 import random
 import time
 
 import pytest
 
-from rhoforge.bar import BarChain, hom_to_bar
-from rhoforge.delta import circle, ngon, prism
-from rhoforge.groups import FiniteAbelianGroup, cyclic
+from rhoforge.bar import BarChain
+from rhoforge.delta import circle
+from rhoforge.groups import FiniteAbelianGroup
 from rhoforge.hyperbolize import (
     hyperbolized_simplex,
     hyperbolized_sphere,
@@ -38,7 +37,6 @@ from rhoforge.polytopes import (
     octagon_chain,
     octagon_polytope,
 )
-from rhoforge.smith import bareiss_determinant
 from rhoforge.towers import (
     bounding_chain,
     catalan_number,

@@ -173,6 +173,21 @@ class TestBoundChain:
         src.write_text(json.dumps(payload))
         assert run("bound-chain", "--group", "2", "--cycle", str(src)) == 2
 
+    def test_cycle_file_without_group(self, tmp_path, capsys):
+        # the octagon's cells with no "group": --group supplies it
+        g = FiniteAbelianGroup([2]).element([1])
+        src = tmp_path / "cycle.json"
+        src.write_text(json.dumps({"cells": [
+            {"gen": [list(e.residues) for e in cell.gen], "sign": cell.sign}
+            for cell in octagon_cells(g, g, g, g)
+        ]}))
+        assert run("bound-chain", "--cycle", str(src), "--group", "2") == 0
+        capsys.readouterr()
+        assert run("bound-chain", "--cycle", str(src)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "rhoforge: cycle file has no group; pass --group\n"
+
     def test_cell_cap_exit_code(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RHOFORGE_CELL_CAP", "5")
         rc = run("bound-chain", "--group", "3", "--octagon")
@@ -291,6 +306,20 @@ class TestVerifyPolytope:
         assert captured.err == (
             "rhoforge: --group disagrees with the polytope file\n"
         )
+
+    def test_non_cycle_polytope(self, tmp_path, capsys):
+        # one triangle, no gluings: its boundary does not cancel
+        G = FiniteAbelianGroup([2])
+        g = G.element([1])
+        P = ColoredPolytope(G, 2, [ColoredCell((g, g), 1)], [])
+        src = tmp_path / "p.json"
+        src.write_text(json.dumps(P.to_json()))
+        assert run("verify-polytope", "--polytope", str(src)) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["checks"][-1] == {
+            "name": "boundary-pairs", "status": "info",
+            "values": {"count": None, "note": "chain is not a cycle"},
+        }
 
     @pytest.mark.parametrize("command", ["bound-chain", "verify-polytope"])
     def test_labeling_bfs_runs_once_per_polytope(
@@ -485,6 +514,11 @@ class TestLens:
     def test_n2_usage_error(self, capsys):
         assert run("lens", "--N", "2", "--d", "2") == 2
 
+    def test_circle(self, capsys):
+        assert run("lens", "--N", "5", "--d", "1") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert {"name": "circle", "status": "pass", "values": {}} in report["checks"]
+
 
 class TestRhoSweep:
     def test_d2_all_pass(self, tmp_path):
@@ -675,6 +709,12 @@ class TestMalformedInput:
         src.write_text(json.dumps({"group": [2], "cells": [{"gen": [[1], [1]]}]}))
         err = self.usage_error(capsys, "bound-chain", "--cycle", str(src))
         assert "'sign'" in err
+
+    def test_cycle_file_without_cells_or_terms(self, tmp_path, capsys):
+        src = tmp_path / "cycle.json"
+        src.write_text(json.dumps({"group": [2]}))
+        err = self.usage_error(capsys, "bound-chain", "--cycle", str(src))
+        assert err == "rhoforge: cycle file needs 'cells' or 'terms'\n"
 
     @pytest.mark.parametrize("data, message", [
         ({"group": [2], "cells": [{"gen": [[1, 0], [1]], "sign": 1}]},

@@ -126,6 +126,25 @@ class TestStructures:
         with pytest.raises(OverSimplexError, match="face-compatible"):
             colored_over(K, [[(0,), (1,)], [(1, 0)]])
 
+    def test_refusals_name_the_cell(self):
+        # the one walk over the cells keeps each refusal's message
+        K = simplex(1)
+        vertices = (frozenset({0}), frozenset({1}))
+        edge = (frozenset({0, 1}),)
+        with pytest.raises(
+            OverSimplexError, match="^carrier of 0-cell 1 is not a target face$"
+        ):
+            ComplexOverSimplex(K, 1, ((frozenset({0}), frozenset({3})), edge))
+        with pytest.raises(
+            OverSimplexError, match="^color shape does not match cells$"
+        ):
+            ComplexOverSimplex(K, 1, (vertices, edge), (((0,), (1,)),))
+        with pytest.raises(
+            OverSimplexError,
+            match="^colors of 1-cell 0 do not span its carrier$",
+        ):
+            ComplexOverSimplex(K, 2, (vertices, edge), (((0,), (1,)), ((0, 2),)))
+
 
 class TestDegreeStructure:
     def test_interval(self):

@@ -188,7 +188,6 @@ def entered_functions(runs):
     # entered only on a cold cache, so start every one cold
     cli._build_parser.cache_clear()
     lens.rho_polynomial.cache_clear()
-    lens._pi_powers.cache_clear()
     src = os.path.join(SRC, "")
     entered = set()
 

@@ -243,6 +243,10 @@ class TestCylinder:
             with pytest.raises(ValueError, match="at least one vertex"):
                 cylinder(cells)
 
+    def test_empty_chain_refused(self):
+        with pytest.raises(ValueError, match="^empty labeled chain$"):
+            cylinder([])
+
     def test_boundary_identity_hand_value(self):
         G = cyclic(6)
         g = G.element([1])
@@ -339,6 +343,10 @@ class TestBoundingChain:
         g = G.element([1])
         with pytest.raises(NotACycleError):
             bounding_chain([((g, g), 1)])
+
+    def test_degree_zero_refused(self):
+        with pytest.raises(ValueError, match="^degree must be >= 1$"):
+            bounding_chain(BarChain.zero(cyclic(4), 0))
 
     def test_each_tower_endowed_once(self, monkeypatch):
         # the tower's labeled chain comes from the assembled polytope: one
