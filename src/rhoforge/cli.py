@@ -864,7 +864,13 @@ def main(argv=None) -> int:
     try:
         inputs, checks, extra = args.handler(args)
         report = _assemble(args.subcommand, inputs, checks, extra, t0)
-        text = _dumps(report)
+        try:
+            text = _dumps(report)
+        except ValueError:  # str() of an int past the interpreter's limit
+            raise UsageError(
+                "the report holds an integer too long to write (more than "
+                f"{sys.get_int_max_str_digits()} digits)"
+            ) from None
         if args.report:
             _atomic_write(args.report, text + "\n")
     except (UsageError, OSError) as exc:  # OSError: an input we cannot read

@@ -14,7 +14,8 @@ builders list their cells as keys with a face rule on keys, and
 blocks of cells by index arithmetic instead and hands its arrays over,
 as ``lens_complex`` and the fiber product of ``hyperbolize`` do.
 Integral homology runs through unit reductions of the whole chain
-complex and Smith normal form of the residue; the combinatorial
+complex, which reads a level's face array when its top-down sweep
+reaches it, and Smith normal form of the residue; the combinatorial
 torsion runs through the log pseudo-determinants of the boundary Gram
 matrices, which give the Laplacian ones.  The Gram matrices are summed
 from the face arrays, with no dense boundary built; the dense boundary
@@ -122,6 +123,13 @@ def _check_simplicial(arrays: Sequence[np.ndarray]) -> None:
                 f"simplicial identity fails at {q}-cell {c}, "
                 f"faces ({i[pair]}, {j[pair]})"
             )
+
+
+def _signed_faces(level: np.ndarray, signs: tuple[int, ...]):
+    """Each cell of a face array as its faces with alternating signs; the
+    array's ``tolist()`` runs at the first read, and its lists go with
+    the last."""
+    yield from map(zip, level.tolist(), repeat(signs))
 
 
 class DeltaComplex:
@@ -265,24 +273,23 @@ class DeltaComplex:
         once, so each cell is eliminated once rather than as a column
         of d_q and again as a row of d_{q+1}.  The reduction reads each
         cell's faces with alternating signs straight from the face
-        arrays, one level's ``tolist()`` at a time; no boundary matrix
-        and no ``faces`` view is built.  Smith normal form then runs once
-        per degree on the residue; the augmentation makes the residue's
-        b_0 the reduced one, so 1 is added back.
+        arrays; a level's ``tolist()`` runs when the top-down sweep
+        reaches it, so one level's lists are alive at a time, and the
+        faces of a cell paired from above are never read.  No boundary
+        matrix and no ``faces`` view is built.  Smith normal form then
+        runs once per degree on the residue; the augmentation makes the
+        residue's b_0 the reduced one, so 1 is added back.
         """
         if self.dim < 0:
             return HomologySummary((), ())
         sizes = [1, *self.f_vector(), 0]
         # alternating signs, enough for the widest cell
         signs = (1, -1) * (self.dim // 2 + 1)
-        # read once, in order: one level's lists are alive at a time
-        boundaries = chain(
-            ((), [((0, 1),)] * self.n_cells(0)),
-            (
-                map(zip, level.tolist(), repeat(signs))
-                for level in self._face_arrays[1:]
-            ),
-        )
+        boundaries = [
+            (),
+            [((0, 1),)] * self.n_cells(0),
+            *(_signed_faces(level, signs) for level in self._face_arrays[1:]),
+        ]
         sizes, boundaries = reduce_chain_complex(sizes, boundaries)
         snf = [smith_normal_form(m) for m in boundaries[1:]]
         degrees = range(self.dim + 1)

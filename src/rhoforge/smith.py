@@ -12,7 +12,9 @@ back as mappings.
 Unit pivots come from one place.  ``reduce_chain_complex`` removes
 pairs of cells joined by a ±1 coefficient over all degrees at once, in
 one sweep from the top level down, so homology eliminates each cell
-once rather than as a column of d_q and again as a row of d_{q+1}.
+once rather than as a column of d_q and again as a row of d_{q+1}.  It
+makes a level's maps only when the sweep reaches it, and only for the
+cells the level above left, so a cell paired as a face costs no map.
 Smith normal form groups its entries by column and runs the same
 reduction on them as a two-level complex, counts each pair as an
 invariant factor 1, and eliminates the residue densely: homology hands
@@ -132,7 +134,7 @@ def smith_normal_form(entries: Mapping[tuple[int, int], int]) -> SmithResult:
 
 def reduce_chain_complex(
     sizes: Sequence[int],
-    boundaries: Iterable[Iterable[Iterable[tuple[int, int]]]],
+    boundaries: Sequence[Iterable[Iterable[tuple[int, int]]]],
 ) -> tuple[list[int], list[dict[tuple[int, int], int]]]:
     """A smaller chain complex with the same integral homology.
 
@@ -142,10 +144,12 @@ def reduce_chain_complex(
     are summed and rows that sum to zero dropped, so a Delta-complex
     cell can be given as its faces with alternating signs.  The 0-th
     level is ignored, and levels past the last given have no boundary.
-    Everything is read once, in order, so levels and listings may be
-    iterators.  Returns the residue with each d_q as a sparse matrix
-    ``(row, col) -> value``, cells renumbered in their old order within
-    each level.
+    The levels are indexed from the top down, each when the sweep
+    reaches it, and each is read once, so a level may be an iterator
+    that makes its listings only then.  The listing of a cell paired as
+    the face of a cell above is never read.  Returns the residue with
+    each d_q as a sparse matrix ``(row, col) -> value``, cells
+    renumbered in their old order within each level.
 
     A cell a with a face b of coefficient ±1 is a reduction pair: a and
     b go, and every other coface c of b becomes
@@ -172,28 +176,15 @@ def reduce_chain_complex(
         start.append(start[-1] + n)
     # one int object per cell, shared by every map that names it
     ids = list(range(start[-1]))
-    bd: list[dict[int, int]] = [{} for _ in ids]
-    # coboundaries are dicts used as ordered sets, which are smaller
-    cobd: list[dict[int, None]] = [{} for _ in ids]
-    for q, level in enumerate(boundaries):
-        if not q:
-            continue
-        below = ids[start[q - 1] : start[q]]
-        for a, listing in zip(ids[start[q] : start[q + 1]], level):
-            da = bd[a]
-            for r, v in listing:
-                b = below[r]
-                if b in da:
-                    v += da[b]
-                    if v:
-                        da[b] = v
-                    else:
-                        del da[b]
-                        del cobd[b][a]
-                elif v:
-                    da[b] = v
-                    cobd[b][a] = None
     alive = [True] * len(ids)
+    # a level's boundaries, and the coboundaries of the level below, are
+    # made when the sweep reaches it, from its cells still alive.  Until
+    # then a cell's maps are one shared empty dict, which nothing adds
+    # to: at level q the sweep adds only to the boundaries of q-cells
+    # still alive and the coboundaries of (q-1)-cells, both made by then.
+    # Coboundaries are dicts used as ordered sets, which are smaller.
+    bd: list[dict[int, int]] = [{}] * len(ids)
+    cobd: list[dict[int, None]] = [{}] * len(ids)
 
     def pair(a: int, b: int) -> None:
         da = bd[a]
@@ -214,9 +205,6 @@ def reduce_chain_complex(
                     del cobd[f][c]
                 else:
                     dc[f] = old - k * v
-        db = bd[b]
-        for g in db:
-            del cobd[g][b]
         for f in da:
             del cobd[f][a]
         ca = cobd[a]
@@ -224,13 +212,33 @@ def reduce_chain_complex(
             del bd[c][a]
         # free the dead cells' maps
         da.clear()
-        db.clear()
         ca.clear()
         cb.clear()
 
     # each cell here lives to its turn: its cofaces' level was swept first
     for q in reversed(range(1, len(sizes))):
         span = slice(start[q], start[q + 1])
+        below = ids[start[q - 1] : start[q]]
+        cobd[start[q - 1] : start[q]] = [{} for _ in below]
+        # a cell paired from above never has its listing read; the level
+        # is read to its end, which lets a generator free what it holds
+        level = boundaries[q] if q < len(boundaries) else ()
+        for listing, a in zip(level, ids[span]):
+            if not alive[a]:
+                continue
+            da = bd[a] = {}
+            for r, v in listing:
+                b = below[r]
+                if b in da:
+                    v += da[b]
+                    if v:
+                        da[b] = v
+                    else:
+                        del da[b]
+                        del cobd[b][a]
+                elif v:
+                    da[b] = v
+                    cobd[b][a] = None
         cells = sorted(
             compress(ids[span], alive[span]), key=lambda a: len(bd[a])
         )

@@ -188,6 +188,34 @@ class TestBoundChain:
         assert captured.out == ""
         assert captured.err == "rhoforge: cycle file has no group; pass --group\n"
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"),
+        reason="this Python writes an int of any length",
+    )
+    def test_integer_too_long_to_write(self, tmp_path, capsys):
+        # 690 octagons over Z/5: a report integer has more than 4,300
+        # digits, the default limit of str() on an int
+        g = FiniteAbelianGroup([5]).element([1])
+        octagon = [
+            {"gen": [list(e.residues) for e in cell.gen], "sign": cell.sign}
+            for cell in octagon_cells(g, g, g, g)
+        ]
+        src = tmp_path / "cycle.json"
+        src.write_text(json.dumps({"group": [5], "cells": octagon * 690}))
+        out = tmp_path / "report.json"
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            rc = run("bound-chain", "--cycle", str(src), "--report", str(out))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "" and not out.exists()
+        assert captured.err == (
+            "rhoforge: the report holds an integer too long to write "
+            "(more than 4300 digits)\n"
+        )
+
     def test_cell_cap_exit_code(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RHOFORGE_CELL_CAP", "5")
         rc = run("bound-chain", "--group", "3", "--octagon")

@@ -1202,6 +1202,25 @@ def recorded_residue(K, monkeypatch):
     return H, (seen[0] if seen else None)
 
 
+class LoggedLevels(list):
+    """Levels of a chain complex that log their reads: ``("level", q)``
+    when level q is indexed, ``("cell", q, i)`` when the listing of its
+    i-th cell is iterated."""
+
+    def __init__(self, levels):
+        super().__init__(levels)
+        self.log = []
+
+    def __getitem__(self, q):
+        self.log.append(("level", q))
+        level = super().__getitem__(q)
+        return [self._listing(q, i, pairs) for i, pairs in enumerate(level)]
+
+    def _listing(self, q, i, pairs):
+        self.log.append(("cell", q, i))
+        yield from pairs
+
+
 class TestResidueFromFaces:
     """homology() feeds the reduction each cell's faces with alternating
     signs; the residue must be the one the (row, col) dicts gave."""
@@ -1228,6 +1247,40 @@ class TestResidueFromFaces:
         sizes, _ = residue
         torsion = sum(map(len, H.torsion))
         assert sum(sizes) == sum(H.betti) - 1 + 2 * torsion
+
+    @pytest.mark.parametrize(
+        "name, unread",
+        [("X3", 2214), ("X3-relabeled:1", 2214), ("lens:4,4", 816)],
+    )
+    def test_listings_are_read_top_down_and_only_while_alive(
+        self, name, unread
+    ):
+        K = residue_complex(name)
+        sizes = [1, *K.f_vector(), 0]
+        levels = LoggedLevels(
+            [[], [[(0, 1)]] * K.n_cells(0), *face_listings(K)[1:]]
+        )
+        residue = reduce_chain_complex(sizes, levels)
+        assert ordered(residue) == ordered(dict_residue(K))
+        indexed = [event[1] for event in levels.log if event[0] == "level"]
+        assert indexed == list(range(len(levels) - 1, 0, -1))
+        # each listing is read once, while its level is the one indexed
+        read = [set() for _ in sizes]
+        for event in levels.log:
+            if event[0] == "level":
+                q = event[1]
+            else:
+                assert event[1] == q and event[2] not in read[q]
+                read[q].add(event[2])
+        # the q-cells paired from above are the pairs of level q + 1,
+        # counted down from the top: a level's dead cells less those.
+        # The residue needs every other cell's listing, so reading no more
+        # than those leaves none read of a cell paired from above.
+        from_above = 0
+        for q in reversed(range(1, len(sizes))):
+            assert len(read[q]) == sizes[q] - from_above
+            from_above = sizes[q] - residue[0][q] - from_above
+        assert sum(sizes[1:]) - sum(map(len, read)) == unread
 
     @pytest.mark.parametrize(
         "name, betti, torsion",

@@ -9,7 +9,6 @@ import pytest
 from rhoforge import hyperbolize
 from rhoforge.cap import ResourceCapError
 from rhoforge.delta import (
-    DeltaComplex,
     boundary_simplex,
     keyed_complex,
     prism,

@@ -12,7 +12,6 @@ from rhoforge import lens
 from rhoforge.cap import ResourceCapError
 from rhoforge.delta import DeltaComplex
 from rhoforge.lens import (
-    LensCount,
     LensError,
     LensSpec,
     divisor_count,
