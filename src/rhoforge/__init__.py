@@ -25,13 +25,13 @@ _EXPORTS = {
             "polytopes",
             "ColoredCell ColoredPolytope ColoringError NotACycleError "
             "PolytopeError VertexLabeling assemble_polytopes octagon_cells "
-            "octagon_chain octagon_polytope",
+            "octagon_polytope",
         ),
         ("cap", "ResourceCapError"),
         (
             "towers",
             "BoundingResult Tower bounding_chain catalan_number cylinder "
-            "cylinder_cell lemma_bound thm11_constant tower",
+            "lemma_bound thm11_constant tower",
         ),
         (
             "delta",

@@ -152,10 +152,6 @@ class BarChain:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, group: FiniteAbelianGroup, degree: int) -> "BarChain":
-        return cls(group, degree)
-
-    @classmethod
     def single(
         cls, group: FiniteAbelianGroup, gen: Sequence[GroupElement], coef: int = 1
     ) -> "BarChain":
@@ -215,7 +211,7 @@ class BarChain:
     def __rmul__(self, k: int) -> "BarChain":
         k = operator.index(k)
         if not k:
-            return BarChain.zero(self.group, self.degree)
+            return BarChain(self.group, self.degree)
         return BarChain._wrap(
             self.group, self.degree, {g: k * c for g, c in self.terms.items()}
         )
@@ -243,7 +239,7 @@ class BarChain:
         Degree-0 chains have zero boundary by convention.
         """
         if self.degree == 0:
-            return BarChain.zero(self.group, 0)
+            return BarChain(self.group, 0)
         out: dict[Gen, int] = {}
         for gen, coef in self.terms.items():
             for face, sign in gen_boundary(gen):

@@ -489,10 +489,6 @@ def keyed_complex(
     return DeltaComplex(len(levels[0]) if levels else 0, faces, tags)
 
 
-def empty_complex() -> DeltaComplex:
-    return DeltaComplex(0)
-
-
 def point() -> DeltaComplex:
     return DeltaComplex(1)
 

@@ -185,10 +185,10 @@ def fiber_product(
         raise OverSimplexError("right factor must be colored")
     by_span: dict[frozenset, list[int]] = {}
     position: list[list[int]] = []  # an L-cell's place among its span's
-    for q in range(len(L.complex.faces)):
+    for spans in L.carriers:
         level = []
-        for c in range(L.complex.n_cells(q)):
-            span = by_span.setdefault(frozenset(L.colors[q][c]), [])
+        for c, S in enumerate(spans):
+            span = by_span.setdefault(S, [])
             level.append(len(span))
             span.append(c)
         position.append(level)

@@ -25,6 +25,7 @@ from typing import Iterable, Mapping, Sequence, Union
 from .bar import (
     BarChain,
     Gen,
+    bar_to_hom,
     gen_boundary,
     hom_to_bar,
     refuse_malformed_gens,
@@ -257,10 +258,7 @@ class ColoredPolytope:
             while queue:
                 c, label = queue.popleft()
                 members.append(c)
-                row = [label]
-                for g in self.cells[c].gen:
-                    label = label * g
-                    row.append(label)
+                row = bar_to_hom(self.cells[c].gen, label)
                 at[c * n1 : c * n1 + n1] = row
                 for v, d, w in adj[c]:
                     if comp[d] < 0:
@@ -460,7 +458,7 @@ def as_cells(C: CellsInput) -> tuple[FiniteAbelianGroup, int, list[ColoredCell]]
                 norm.append(item)
             else:
                 gen, sign = item
-                norm.append(ColoredCell(tuple(gen), int(sign)))
+                norm.append(ColoredCell(tuple(gen), sign))
         degree = decomposition_degree(norm)
         group = norm[0].gen[0].group
         cells = norm
@@ -575,16 +573,6 @@ def octagon_cells(
         ColoredCell((bd, d), -1),
         ColoredCell((d, bd), 1),
     ]
-
-
-def octagon_chain(
-    a: GroupElement, b: GroupElement, c: GroupElement, d: GroupElement
-) -> BarChain:
-    return BarChain.from_terms(
-        a.group,
-        2,
-        ((cell.gen, cell.sign) for cell in octagon_cells(a, b, c, d)),
-    )
 
 
 def octagon_polytope(

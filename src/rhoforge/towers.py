@@ -334,24 +334,14 @@ def _prism_terms(
 ) -> Iterator[tuple[Gen, int]]:
     """Signed prism generators of one cell.
 
-    Term i of labels (h_0, ..., h_n) is (e,)*i + (h_i,) + q[i:], where
-    q = hom_to_bar(labels).
+    The prism of labels (h_0, ..., h_n) is the alternating sum over i of
+    the simplex labeled (e, ..., e, h_i, ..., h_n), e repeated i+1 times.
+    Its term i is (e,)*i + (h_i,) + q[i:], where q = hom_to_bar(labels).
     """
     q = hom_to_bar(labels)
     e = labels[0].group.identity
     for i in range(len(labels)):
         yield (e,) * i + (labels[i],) + q[i:], sign if i % 2 == 0 else -sign
-
-
-def cylinder_cell(labels: Sequence[GroupElement], sign: int = 1) -> BarChain:
-    """Prism chain of one signed cell with ordered vertex labels.
-
-    For labels (h_0, ..., h_n) the cylinder is the alternating sum over
-    i of the simplex with vertex labels (e, ..., e, h_i, ..., h_n), the
-    identity repeated i+1 times; via consecutive quotients that is the
-    generator [e, ..., e, h_i, g_{i+1}, ..., g_n] of degree n+1.
-    """
-    return cylinder([(labels, sign)]).chain
 
 
 def cylinder(cells: LabeledCells) -> CylinderResult:
@@ -474,7 +464,7 @@ def bounding_chain(C: CellsInput) -> BoundingResult:
         for copies, _, labeled in chains
         for labels, sign in labeled
     ]
-    u = cylinder(scaled).chain if scaled else BarChain.zero(group, degree + 1)
+    u = cylinder(scaled).chain if scaled else BarChain(group, degree + 1)
     reports = [
         PolytopeReport(
             cells=len(P.cells),

@@ -34,7 +34,6 @@ from rhoforge.lens import (
 from rhoforge.polytopes import (
     assemble_polytopes,
     octagon_cells,
-    octagon_chain,
     octagon_polytope,
 )
 from rhoforge.towers import (
@@ -97,9 +96,8 @@ def test_criterion_02_worked_octagon_cycle():
         G.element([0, 0, 1, 0]),
         G.element([0, 0, 0, 1]),
     )
-    C = octagon_chain(a, b, c, d)
-    assert C.boundary().is_zero()
     P = octagon_polytope(a, b, c, d)
+    assert P.chain().boundary().is_zero()
     assert P.check_coloring()
     e = G.identity
     labeling = P.endow(e)

@@ -126,7 +126,7 @@ def test_complexity_and_support():
     c = BarChain(G, 1, {(g,): -4, (g * g,): 2})
     assert c.complexity() == 6
     assert c.support_size() == 2
-    assert BarChain.zero(G, 2).complexity() == 0
+    assert BarChain(G, 2).complexity() == 0
 
 
 def test_validation():
@@ -177,7 +177,7 @@ def test_from_terms_matches_repeated_addition_seeded():
                     (rng.choice(pool), rng.randint(-2, 2))
                     for _ in range(rng.randint(0, 12))
                 ]
-                total = BarChain.zero(G, degree)
+                total = BarChain(G, degree)
                 for gen, coef in pairs:
                     total = total + coef * BarChain.single(G, gen)
                 assert BarChain.from_terms(G, degree, pairs) == total

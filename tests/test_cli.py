@@ -26,7 +26,6 @@ from rhoforge.polytopes import (
     ColoredPolytope,
     as_cells,
     octagon_cells,
-    octagon_chain,
     octagon_polytope,
 )
 
@@ -261,7 +260,7 @@ class TestBoundChain:
     ):
         # the Z/3 octagon chain times 400 is 800 cells before any tower
         g = FiniteAbelianGroup([3]).element([1])
-        chain = 400 * octagon_chain(g, g, g, g)
+        chain = 400 * octagon_polytope(g, g, g, g).chain()
         assert chain.complexity() == 800
         src = tmp_path / "cycle.json"
         src.write_text(json.dumps({"group": [3], **chain.to_json()}))
@@ -765,7 +764,15 @@ class TestMalformedInput:
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d.pop("degree"), "without key 'degree'"),
         (lambda d: d["gluings"].append(d["gluings"][0]), "invalid polytope"),
-    ], ids=["missing-key", "face-glued-twice"])
+        (lambda d: d.update(degree=0), "polytope degree must be >= 1"),
+        (lambda d: d["cells"][0]["gen"].append([1]), "has degree 3, expected 2"),
+        (lambda d: d.update(gluings=[[[0, 5], [1, 2]]]),
+         "face reference (0, 5) out of range"),
+        # face 0 of cell 0 is [g], face 2 of cell 1 is [g^2]
+        (lambda d: d.update(gluings=[[[0, 0], [1, 2]]]),
+         "joins unequal generators"),
+    ], ids=["missing-key", "face-glued-twice", "degree-0", "cell-degree",
+            "face-out-of-range", "unequal-generators"])
     def test_bad_polytope(self, tmp_path, capsys, edit, message):
         g = FiniteAbelianGroup([3]).element([1])
         data = octagon_polytope(g, g, g, g).to_json()
@@ -774,6 +781,13 @@ class TestMalformedInput:
         src.write_text(json.dumps(data))
         err = self.usage_error(capsys, "verify-polytope", "--polytope", str(src))
         assert message in err
+
+    @pytest.mark.parametrize("command, message", [
+        ("bound-chain", "need --cycle FILE or --octagon"),
+        ("verify-polytope", "need --polytope FILE or --octagon"),
+    ])
+    def test_no_input_source(self, capsys, command, message):
+        assert self.usage_error(capsys, command) == f"rhoforge: {message}\n"
 
     def test_bad_cell_cap(self, monkeypatch, capsys):
         monkeypatch.setenv("RHOFORGE_CELL_CAP", "abc")

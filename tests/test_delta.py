@@ -20,7 +20,6 @@ from rhoforge.delta import (
     barycentric,
     boundary_simplex,
     cone,
-    empty_complex,
     join,
     keyed_complex,
     ngon,
@@ -402,9 +401,9 @@ class TestJoinAndCone:
         assert all(t == () for t in H.torsion)
 
     def test_join_with_empty(self):
-        K = join(empty_complex(), ngon(4))
+        K = join(DeltaComplex(0), ngon(4))
         assert K.f_vector() == ngon(4).f_vector()
-        assert join(empty_complex(), empty_complex()).dim == -1
+        assert join(DeltaComplex(0), DeltaComplex(0)).dim == -1
 
     def test_cone_contractible(self):
         for base in [ngon(4), boundary_simplex(2), prism(edge_complex())]:
@@ -414,7 +413,7 @@ class TestJoinAndCone:
             assert H.betti[0] == 1
             assert all(b == 0 for b in H.betti[1:])
             assert all(t == () for t in H.torsion)
-        assert cone(empty_complex()).f_vector() == (1,)
+        assert cone(DeltaComplex(0)).f_vector() == (1,)
 
 
 class TestPrism:
@@ -1560,7 +1559,7 @@ class TestBuildersAgainstPerCellRules:
     ])
     def test_prism(self, name):
         K = {
-            "empty": empty_complex,
+            "empty": lambda: DeltaComplex(0),
             "point": point,
             "ngon:1": lambda: ngon(1),
             "Y2": lambda: hyperbolized_sphere(2).complex,

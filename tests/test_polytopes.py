@@ -14,7 +14,6 @@ from rhoforge.polytopes import (
     assemble_polytopes,
     as_cells,
     octagon_cells,
-    octagon_chain,
     octagon_polytope,
 )
 
@@ -31,7 +30,7 @@ def z2_4_generators():
 
 def test_octagon_chain_is_cycle():
     a, b, c, d = z2_4_generators()
-    C = octagon_chain(a, b, c, d)
+    C = octagon_polytope(a, b, c, d).chain()
     assert C.boundary().is_zero()
 
 
@@ -42,7 +41,9 @@ def test_octagon_polytope_structure():
     assert len(P.gluings) == 5
     assert P.vertex_count == 8
     assert len(P.components) == 1
-    assert P.chain() == octagon_chain(a, b, c, d)
+    assert P.chain() == BarChain.from_terms(
+        a.group, 2, ((cell.gen, cell.sign) for cell in octagon_cells(a, b, c, d))
+    )
 
 
 def test_octagon_coloring_and_labels():
@@ -172,10 +173,10 @@ def test_assemble_reassembly_oracle():
     a, b, c, d = z2_4_generators()
     G = a.group
     for gens in [(a, b, c, d), (a, a, b, b), (a, b, a, b)]:
-        C = octagon_chain(*gens)
+        C = octagon_polytope(*gens).chain()
         cells = octagon_cells(*gens)
         polys = assemble_polytopes(cells)
-        total = BarChain.zero(G, 2)
+        total = BarChain(G, 2)
         for P in polys:
             total = total + P.chain()
         assert total == C
@@ -232,7 +233,7 @@ def assembly_cases():
     for n in (2, 3, 4, 5):
         g = cyclic(n).element([1])
         yield octagon_cells(g, g, g, g)
-        yield 3 * octagon_chain(g, g, g, g)
+        yield 3 * octagon_polytope(g, g, g, g).chain()
     g = cyclic(3).element([1])
     for k in (2, 5, 20):
         yield octagon_cells(g, g, g, g) * k
@@ -285,10 +286,20 @@ def test_assemble_from_barchain_expands_coefficients():
     _, _, cells = as_cells(C)
     assert len(cells) == 4
     polys = assemble_polytopes(C)
-    total = BarChain.zero(G, 2)
+    total = BarChain(G, 2)
     for P in polys:
         total = total + P.chain()
     assert total == C
+
+
+@pytest.mark.parametrize("sign", [1.9, 1.0, -1.0, True, "1"])
+def test_as_cells_takes_a_pair_sign_as_given(sign):
+    # a (gen, sign) pair is refused as a ColoredCell with that sign is;
+    # read as +1, the 1.9 cell would cancel the -1 one, and bounding_chain
+    # would verify a chain that is not there
+    g = cyclic(2).element([1])
+    with pytest.raises(ValueError, match="sign must be"):
+        as_cells([((g, g), sign), ((g, g), -1)])
 
 
 def test_gluing_stability_of_coloring():

@@ -16,7 +16,6 @@ from rhoforge.polytopes import (
     as_cells,
     assemble_polytopes,
     octagon_cells,
-    octagon_chain,
     octagon_polytope,
 )
 from rhoforge.towers import (
@@ -28,7 +27,6 @@ from rhoforge.towers import (
     bounding_chain,
     catalan_number,
     cylinder,
-    cylinder_cell,
     lemma_bound,
     polytope_labeled_cells,
     thm11_constant,
@@ -231,13 +229,11 @@ class TestCylinder:
         G = cyclic(6)
         g = G.element([1])
         h, top = g**2, g**5
-        chain = cylinder_cell((h, top))
+        chain = cylinder([((h, top), 1)]).chain
         expected = BarChain.single(G, (h, g**3)) - BarChain.single(
             G, (G.identity, top)
         )
         assert chain == expected
-        with pytest.raises(ValueError, match="at least one vertex"):
-            cylinder_cell(())
         # an empty cell is refused first or later in the chain
         for cells in ([((), 1), ((h, top), 1)], [((h, top), 1), ((), -1)]):
             with pytest.raises(ValueError, match="at least one vertex"):
@@ -304,7 +300,7 @@ class TestBoundingChain:
         res = bounding_chain(octagon_cells(g, g, g, g))
         assert res.multiplicity == 16
         assert res.shadow.is_zero()
-        assert res.cycle == octagon_chain(g, g, g, g)
+        assert res.cycle == octagon_polytope(g, g, g, g).chain()
         assert res.u.boundary() == 16 * res.cycle
         assert res.bound == 9216
         assert res.complexity <= res.bound
@@ -346,7 +342,7 @@ class TestBoundingChain:
 
     def test_degree_zero_refused(self):
         with pytest.raises(ValueError, match="^degree must be >= 1$"):
-            bounding_chain(BarChain.zero(cyclic(4), 0))
+            bounding_chain(BarChain(cyclic(4), 0))
 
     def test_each_tower_endowed_once(self, monkeypatch):
         # the tower's labeled chain comes from the assembled polytope: one
@@ -390,7 +386,7 @@ class TestBoundingChain:
     def test_barchain_input(self):
         G = cyclic(2)
         g = G.element([1])
-        C = octagon_chain(g, g, g, g)
+        C = octagon_polytope(g, g, g, g).chain()
         # collapsed input: only the two surviving generators assemble
         res = bounding_chain(C)
         assert res.cycle == C
@@ -923,7 +919,7 @@ def test_bounding_chain_scales_each_polytope_to_the_common_multiplicity():
     assert [(p.cells, p.pair_count, p.copies) for p in res.polytopes] == [
         (len(P.cells), len(pairs), c) for P, (c, pairs, _) in zip(polys, chains)
     ]
-    expected = BarChain.zero(G, 4)
+    expected = BarChain(G, 4)
     for c, _, labeled in chains:
         expected = expected + (res.multiplicity // c) * cylinder(labeled).chain
     assert res.u.terms == expected.terms
@@ -974,10 +970,6 @@ def test_cylinder_matches_per_cell_terms():
         assert cylinder(cells).chain == BarChain.from_terms(
             G, degree + 1, old_cylinder_terms(cells)
         )
-        for labels, sign in cells:
-            assert cylinder_cell(labels, sign) == BarChain.from_terms(
-                G, degree + 1, old_cylinder_terms([(labels, sign)])
-            )
 
 
 def _random_glued_polytope(rng, G, degree, size):
