@@ -38,6 +38,8 @@ def within_cap(count: int) -> bool:
 def require_cells(count: int, what: str) -> None:
     """Raise ResourceCapError if ``what`` needs more than cell_cap() cells."""
     if not within_cap(count):
-        raise ResourceCapError(
-            f"{what} needs {count} cells, cap is {cell_cap()}"
-        )
+        try:
+            text = str(count)
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            text = f"at least 2^{count.bit_length() - 1}"
+        raise ResourceCapError(f"{what} needs {text} cells, cap is {cell_cap()}")

@@ -571,8 +571,8 @@ def _cmd_hyperbolize(args):
     stage = hyperbolized_simplex(n)
     checks = []
     extra = {
-        "stage_counts": list(stage.counts),
-        "z_table": z_comparison_table(4),
+        "stage_counts": list(stage.complex.f_vector()),
+        "z_table": z_comparison_table(),
     }
     if n <= 2:
         K = hyperbolized_sphere(n, stage).complex
@@ -750,7 +750,7 @@ def _cmd_constants(args):
         ),
     ]
     extra = {
-        "z_table": z_comparison_table(4),
+        "z_table": z_comparison_table(),
         "thm12": {str(k): thm12_constant(k) for k in (1, 2)},
         "catalan": catalan,
     }

@@ -331,10 +331,12 @@ class DeltaComplex:
         ``np.bincount`` sums either.  The entries are small integers,
         exact in float64, so the matrix is the dense product of
         ``_dense_boundary`` bit for bit, with no m x n boundary laid out
-        and no matrix product run.
+        and no matrix product run.  Its size^2 entries count against the
+        cell cap before anything is allocated.
         """
         rows, cols = self.n_cells(q - 1), self.n_cells(q)
         size = min(rows, cols)
+        require_cells(size * size, f"{size} x {size} Gram matrix of d_{q}")
         if not size:
             return np.zeros((size, size))
         faces = self._face_arrays[q]
@@ -434,15 +436,9 @@ class HomologySummary:
     betti: tuple[int, ...]
     torsion: tuple[tuple[int, ...], ...]
 
-    def free_rank(self, q: int) -> int:
-        return self.betti[q] if 0 <= q < len(self.betti) else 0
-
-    def torsion_coefficients(self, q: int) -> tuple[int, ...]:
-        return self.torsion[q] if 0 <= q < len(self.torsion) else ()
-
     def group(self, q: int) -> str:
-        parts = ["Z"] * self.free_rank(q)
-        parts += [f"Z/{t}" for t in self.torsion_coefficients(q)]
+        parts = ["Z"] * self.betti[q]
+        parts += [f"Z/{t}" for t in self.torsion[q]]
         return " + ".join(parts) if parts else "0"
 
     def __str__(self) -> str:
@@ -521,8 +517,9 @@ def boundary_simplex(n: int) -> DeltaComplex:
 
 
 def _subset_complex(n: int, top: int) -> DeltaComplex:
-    """Nonempty subsets of {0..n} of at most ``top`` elements, capped."""
-    cells = sum(math.comb(n + 1, k) for k in range(1, top + 1))
+    """Nonempty subsets of {0..n} of at most ``top`` elements, capped;
+    ``top`` is n + 1 (2^(n+1) - 1 cells) or n (the boundary, one fewer)."""
+    cells = (1 << (n + 1)) - 1 - (top == n)
     require_cells(cells, f"{top - 1}-skeleton of the {n}-simplex")
     levels = [list(combinations(range(n + 1), q + 1)) for q in range(top)]
     return keyed_complex(levels, lambda q, s, i: s[:i] + s[i + 1 :], levels)

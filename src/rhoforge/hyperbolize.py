@@ -102,10 +102,6 @@ class ComplexOverSimplex:
                             f"colors not face-compatible at {q}-cell {c}"
                         )
 
-    @property
-    def is_colored(self) -> bool:
-        return self.colors is not None
-
 
 def colored_over(K: DeltaComplex, colors) -> ComplexOverSimplex:
     """Structure map from explicit vertex colors; carriers are derived."""
@@ -120,13 +116,10 @@ def colored_over(K: DeltaComplex, colors) -> ComplexOverSimplex:
 
 
 def simplex_over_itself(n: int) -> ComplexOverSimplex:
-    """The identity structure on the n-simplex, the fiber-product unit."""
+    """The identity structure on the n-simplex, the fiber-product unit;
+    each cell's tag, its vertex subset, is its colors."""
     K = simplex(n)
-    colors = [
-        [tuple(K.tags[q][c]) for c in range(K.n_cells(q))]
-        for q in range(n + 1)
-    ]
-    return colored_over(K, colors)
+    return colored_over(K, K.tags)
 
 
 def degree_structure(K: DeltaComplex) -> ComplexOverSimplex:
@@ -139,14 +132,9 @@ def degree_structure(K: DeltaComplex) -> ComplexOverSimplex:
     if K.dim < 0:
         raise OverSimplexError("degree structure needs a nonempty complex")
     B = barycentric(K)
-    colors = []
-    for q in range(len(B.faces)):
-        level = []
-        for c in range(B.n_cells(q)):
-            tag = B.tags[q][c]
-            flag = tag[3]
-            level.append(tuple(len(s) - 1 for s in flag))
-        colors.append(level)
+    colors = [
+        [[len(s) - 1 for s in flag] for *_, flag in level] for level in B.tags
+    ]
     return colored_over(B, colors)
 
 
@@ -181,7 +169,7 @@ def fiber_product(
     """
     if X.target_dim != L.target_dim:
         raise OverSimplexError("factors live over different simplices")
-    if not L.is_colored:
+    if L.colors is None:
         raise OverSimplexError("right factor must be colored")
     by_span: dict[frozenset, list[int]] = {}
     position: list[list[int]] = []  # an L-cell's place among its span's
@@ -227,7 +215,7 @@ def fiber_product(
         for q in range(dims)
     )
     colors = None
-    if X.is_colored:
+    if X.colors is not None:
         colors = tuple(
             tuple(X.colors[q][sigma] for sigma, _ in cells[q])
             for q in range(dims)
@@ -263,17 +251,15 @@ def williams(
 
 @dataclass(frozen=True)
 class Hyperbolization:
-    """One stage X^n with its counts.
+    """One stage X^n; n is ``complex.dim``.
 
     ``over`` is the over-simplex structure needed to build the next
     sphere; it is present for n in {1, 2} and None for n = 3, where the
     construction stops because no further structure recipe is on record.
     """
 
-    n: int
     complex: DeltaComplex
     over: ComplexOverSimplex | None
-    counts: tuple[int, ...]
 
 
 def _anchor_subset(base: DeltaComplex, sub: DeltaComplex, ref: CellRef):
@@ -332,7 +318,7 @@ def hyperbolized_simplex(n: int) -> Hyperbolization:
         else:
             over = _prism_structure(Y, base, L.complex, stage)
             K = over.complex
-    return Hyperbolization(n, K, over, K.f_vector())
+    return Hyperbolization(K, over)
 
 
 def hyperbolized_sphere(
@@ -350,8 +336,10 @@ def hyperbolized_sphere(
         )
     if stage is None:
         stage = hyperbolized_simplex(n)
-    elif stage.n != n:
-        raise OverSimplexError(f"Y^{n} needs the stage X^{n}, not X^{stage.n}")
+    elif stage.complex.dim != n:
+        raise OverSimplexError(
+            f"Y^{n} needs the stage X^{n}, not X^{stage.complex.dim}"
+        )
     return williams(
         stage.over, boundary_simplex(n + 1), f"hyperbolized Y{n} sphere"
     )
@@ -386,15 +374,15 @@ def construction_count(n: int) -> int:
     return count
 
 
-def z_comparison_table(max_n: int = 4) -> list[dict]:
-    """Side-by-side of the formula and the construction, with ratios.
+def z_comparison_table() -> list[dict]:
+    """Side-by-side of the formula and the construction, n = 2..4, with ratios.
 
     The two disagree below the formula's stable range; the table is
     reported, never asserted (counts for n ≤ 3 are also verified against
     the built complexes elsewhere).
     """
     rows = []
-    for n in range(2, max_n + 1):
+    for n in range(2, 5):
         z = z_formula(n)
         c = construction_count(n)
         rows.append(

@@ -69,17 +69,16 @@ def lens_complex(spec: LensSpec) -> DeltaComplex:
     each such group stacks its per-pattern step, first-slot, weight and
     offset tables and runs one einsum, its rows scattered to the
     patterns' blocks: at d = 4, 13 groups in place of 76 patterns with
-    faces.  The ``lens_count`` total, ((2N+1)^d - 1) / N, is checked
-    against the cell cap first.  Requires N >= 3; the construction is
-    stated for rotations acting freely on a polygon with at least three
-    sides.
+    faces.  The total, ((2N+1)^d - 1) / N, is checked against the cell
+    cap first.  Requires N >= 3; the construction is stated for
+    rotations acting freely on a polygon with at least three sides.
     """
     import numpy as np
 
     from .delta import DeltaComplex
 
     n, d = spec.n, spec.d
-    require_cells(lens_count(spec).total, f"lens complex ({n}, {d})")
+    require_cells(_lens_total(spec), f"lens complex ({n}, {d})")
     levels: list[list] = [[] for _ in range(2 * d)]
     # per level q, the patterns by their count p of present polygons
     groups: list[dict[int, list]] = [{} for _ in range(2 * d)]
@@ -144,6 +143,18 @@ class LensCount:
     top: int
 
 
+def _lens_total(spec: LensSpec) -> int:
+    """((2N+1)^d - 1) / N, the cells of ``lens_complex(spec)``: each
+    polygon absent, a vertex or an edge, less the all-absent pattern,
+    over N rotations.  Refuses N < 3."""
+    n = spec.n
+    if n < 3:
+        raise LensError(
+            "lens complexes need N >= 3 for the rotation action"
+        )
+    return ((2 * n + 1) ** spec.d - 1) // n
+
+
 def lens_count(spec: LensSpec) -> LensCount:
     """The f-vector of ``lens_complex(spec)``, without building it.
 
@@ -151,16 +162,13 @@ def lens_count(spec: LensSpec) -> LensCount:
     p + e - 1; there are C(d, p) C(p, e) such choices, each with N^(p-1)
     orbit representatives.  The total is ((2N+1)^d - 1) / N.
     """
+    total = _lens_total(spec)
     n, d = spec.n, spec.d
-    if n < 3:
-        raise LensError(
-            "lens complexes need N >= 3 for the rotation action"
-        )
     f = [0] * (2 * d)
     for p in range(1, d + 1):
         for e in range(p + 1):
             f[p + e - 1] += math.comb(d, p) * math.comb(p, e) * n ** (p - 1)
-    return LensCount(tuple(f), sum(f), f[-1])
+    return LensCount(tuple(f), total, f[-1])
 
 
 def growth_exponent(

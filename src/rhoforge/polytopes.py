@@ -207,22 +207,19 @@ class ColoredPolytope:
         # classes are numbered in the order of their smallest member; a
         # parent is always smaller than its child and in the same class
         vertex_of = [0] * len(parent)
-        classes: list[list[tuple[int, int]]] = []
+        roots: list[int] = []
         for x, up in enumerate(parent):
             if up == x:
-                vertex_of[x] = len(classes)
-                classes.append([])
+                vertex_of[x] = len(roots)
+                roots.append(x)
             else:
                 vertex_of[x] = vertex_of[up]
-            classes[vertex_of[x]].append(divmod(x, n1))
         self._vertex_of = vertex_of
-        self.vertex_members: tuple[tuple[tuple[int, int], ...], ...] = tuple(
-            tuple(members) for members in classes
-        )
+        self._roots = tuple(roots)
 
     @property
     def vertex_count(self) -> int:
-        return len(self.vertex_members)
+        return len(self._roots)
 
     def vertex_class(self, cell: int, v: int) -> int:
         return self._vertex_of[cell * (self.degree + 1) + v]
@@ -269,9 +266,7 @@ class ColoredPolytope:
             comps.append(sorted(members))
         self.cell_component = tuple(comp)
         self.components = tuple(tuple(m) for m in comps)
-        labels = self._labels = tuple(
-            at[c * n1 + v] for (c, v), *_ in self.vertex_members
-        )
+        labels = self._labels = tuple(at[root] for root in self._roots)
         vertex_of = self._vertex_of
         self._conflict: tuple[int, int] | None = next(
             (
@@ -317,12 +312,12 @@ class ColoredPolytope:
             return VertexLabeling(self, self._labels)
         if isinstance(base, GroupElement):
             base = [base] * len(self.components)
-        comp = self.cell_component
+        comp, n1 = self.cell_component, self.degree + 1
         return VertexLabeling(
             self,
             tuple(
-                base[comp[members[0][0]]] * l
-                for members, l in zip(self.vertex_members, self._labels)
+                base[comp[root // n1]] * l
+                for root, l in zip(self._roots, self._labels)
             ),
         )
 

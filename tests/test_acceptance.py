@@ -292,7 +292,7 @@ def test_criterion_08_hyperbolization_shadows():
     assert all(not t for t in HS.torsion)
 
     print("CRITERION 8: z(n) formula vs construction counts:")
-    for row in z_comparison_table(4):
+    for row in z_comparison_table():
         note = "built" if row["built"] else "projected"
         print(
             f"    n={row['n']}: z = {row['z_formula']}, construction = "

@@ -1193,6 +1193,13 @@ class TestCellCap:
             # boundary_simplex(3), 14 cells, fits; the X3 stage does not
             (("hyperbolize", "--dim", "3"), 4476),
             (("homology", "--complex", "600-gon.json"), 1200),
+            # its 614 cells fit; the 112 x 112 Gram matrix of d_3 does not
+            (("torsion", "--builtin", "lens:8,3"), 12544),
+            pytest.param(
+                ("lens", "--N", "3", "--d", "2000"),
+                (7**2000 - 1) // 3,
+                id="lens-3-2000",
+            ),
         ],
     )
     def test_over_the_cap(self, monkeypatch, capsys, tmp_path, argv, cells):
@@ -1202,6 +1209,47 @@ class TestCellCap:
             json.dumps({"vertices": 600, "faces": [edges]})
         )
         self.assert_capped(monkeypatch, capsys, argv, cells, 1000)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("lens", "--N", "3", "--d", "2000"), ("fvector", "--builtin", "simplex:20000")],
+        ids=["lens-3-2000", "simplex-20000"],
+    )
+    def test_pre_check_is_a_closed_form(self, monkeypatch, capsys, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pre-check summed per-dimension counts")
+
+        monkeypatch.setattr(lens, "lens_count", refuse)
+        monkeypatch.setattr(math, "comb", refuse)
+        self.assert_refused(monkeypatch, capsys, argv)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("fvector", "--builtin", "simplex:20000"),
+                "20000-skeleton of the 20000-simplex needs at least 2^20000 cells",
+            ),
+            (
+                ("lens", "--N", "3", "--d", "6000"),
+                "lens complex (3, 6000) needs at least 2^16842 cells",
+            ),
+        ],
+        ids=["simplex-20000", "lens-3-6000"],
+    )
+    def test_count_past_the_str_limit(self, monkeypatch, capsys, argv, message):
+        err = self.assert_refused(monkeypatch, capsys, argv)
+        assert err == (
+            f"rhoforge: resource cap exceeded: {message}, cap is 10000000\n"
+        )
+
+    def assert_refused(self, monkeypatch, capsys, argv):
+        monkeypatch.delenv("RHOFORGE_CELL_CAP", raising=False)
+        assert run(*argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        return captured.err
 
     def test_message_names_the_stage(self, monkeypatch, capsys):
         monkeypatch.setenv("RHOFORGE_CELL_CAP", "1000")
