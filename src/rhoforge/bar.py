@@ -332,16 +332,12 @@ def hom_to_bar(labels: Sequence[GroupElement]) -> Gen:
 
 
 def bar_to_hom(
-    gen: Sequence[GroupElement], base: GroupElement | None = None
+    gen: Sequence[GroupElement], base: GroupElement
 ) -> tuple[GroupElement, ...]:
     """Ordered vertex labels of a generator tuple, starting at ``base``.
 
     Inverse to :func:`hom_to_bar` once the first label is pinned.
     """
-    if base is None:
-        if not gen:
-            raise ValueError("empty generator needs an explicit base label")
-        base = gen[0].group.identity
     labels = [base]
     for g in gen:
         labels.append(labels[-1] * g)

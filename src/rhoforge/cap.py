@@ -10,6 +10,8 @@ so a command loads it without loading any construction it does not run.
 import os
 
 DEFAULT_CELL_CAP = 10_000_000
+# a count known to have more bits than this is refused unformed
+FORMED_BITS = 1 << 16
 
 
 class ResourceCapError(RuntimeError):
@@ -35,11 +37,25 @@ def within_cap(count: int) -> bool:
     return count <= cell_cap()
 
 
-def require_cells(count: int, what: str) -> None:
-    """Raise ResourceCapError if ``what`` needs more than cell_cap() cells."""
-    if not within_cap(count):
+def require_cells(count, what: str, bits: int = 0) -> None:
+    """Raise ResourceCapError if ``what`` needs more than cell_cap() cells.
+
+    ``count`` is an int, or a function of no arguments that returns it,
+    and ``bits`` a lower bound on its bit length.  Past ``FORMED_BITS``
+    and the cap's bit length, that bound alone refuses the build, as "at
+    least 2^(bits - 1)" cells, and the count is never formed: a power
+    with a huge exponent costs no more to refuse than a small count.
+    """
+    cap = cell_cap()
+    if bits > max(FORMED_BITS, cap.bit_length()):
+        text = f"at least 2^{bits - 1}"
+    else:
+        if callable(count):
+            count = count()
+        if within_cap(count):
+            return
         try:
             text = str(count)
         except ValueError:  # past the interpreter's int-to-str digit limit
             text = f"at least 2^{count.bit_length() - 1}"
-        raise ResourceCapError(f"{what} needs {text} cells, cap is {cell_cap()}")
+    raise ResourceCapError(f"{what} needs {text} cells, cap is {cap}")

@@ -494,9 +494,7 @@ def ngon(n: int) -> DeltaComplex:
     if n < 1:
         raise DeltaComplexError("ngon needs at least one edge")
     require_cells(2 * n, f"{n}-gon")
-    edges = [((k + 1) % n, k) for k in range(n)]
-    tags = [[("v", k) for k in range(n)], [("e", k) for k in range(n)]]
-    return DeltaComplex(n, [edges], tags)
+    return DeltaComplex(n, [[((k + 1) % n, k) for k in range(n)]])
 
 
 circle = ngon
@@ -518,9 +516,10 @@ def boundary_simplex(n: int) -> DeltaComplex:
 
 def _subset_complex(n: int, top: int) -> DeltaComplex:
     """Nonempty subsets of {0..n} of at most ``top`` elements, capped;
-    ``top`` is n + 1 (2^(n+1) - 1 cells) or n (the boundary, one fewer)."""
-    cells = (1 << (n + 1)) - 1 - (top == n)
-    require_cells(cells, f"{top - 1}-skeleton of the {n}-simplex")
+    ``top`` is n + 1 (2^(n+1) - 1 cells) or n (the boundary, one fewer).
+    The count has at least ``top`` bits, so a large n is refused unformed."""
+    what = f"{top - 1}-skeleton of the {n}-simplex"
+    require_cells(lambda: (1 << (n + 1)) - 1 - (top == n), what, top)
     levels = [list(combinations(range(n + 1), q + 1)) for q in range(top)]
     return keyed_complex(levels, lambda q, s, i: s[:i] + s[i + 1 :], levels)
 

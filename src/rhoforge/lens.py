@@ -24,6 +24,8 @@ from typing import TYPE_CHECKING, NamedTuple
 from .cap import require_cells
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from .delta import DeltaComplex
 
 
@@ -52,7 +54,7 @@ class LensSpec:
 def lens_complex(spec: LensSpec) -> DeltaComplex:
     """Quotient of the join of d N-gons by the diagonal rotation.
 
-    A cell is keyed, and tagged, by its orbit representative: per
+    A cell is numbered, not tagged, by its orbit representative: per
     polygon -1 (absent), 0 (vertex k) or 1 (edge k -> k+1), the
     ``dims`` pattern, then the indices k of the present polygons, the
     first one 0.  Each dimension is numbered by ``(dims[::-1],
@@ -78,8 +80,9 @@ def lens_complex(spec: LensSpec) -> DeltaComplex:
     from .delta import DeltaComplex
 
     n, d = spec.n, spec.d
-    require_cells(_lens_total(spec), f"lens complex ({n}, {d})")
-    levels: list[list] = [[] for _ in range(2 * d)]
+    total, bits = _lens_total(spec)
+    require_cells(total, f"lens complex ({n}, {d})", bits)
+    sizes = [0] * (2 * d)
     # per level q, the patterns by their count p of present polygons
     groups: list[dict[int, list]] = [{} for _ in range(2 * d)]
     offset: dict[tuple[int, ...], int] = {}
@@ -90,14 +93,11 @@ def lens_complex(spec: LensSpec) -> DeltaComplex:
             dims = rev[::-1]
             q = sum(dims) + d - 1
             groups[q].setdefault(present, []).append(dims)
-            offset[dims] = len(levels[q])
-            levels[q].extend(
-                (dims, (0,) + rest)
-                for rest in product(range(n), repeat=present - 1)
-            )
+            offset[dims] = sizes[q]
+            sizes[q] += n ** (present - 1)
     faces = []
     for q in range(1, 2 * d):
-        out = np.empty((len(levels[q]), q + 1), dtype=np.int64)
+        out = np.empty((sizes[q], q + 1), dtype=np.int64)
         for p, group in groups[q].items():
             grid = np.indices((1,) + (n,) * (p - 1)).reshape(p, -1).T
             # per pattern and face: the step on slot j, the slot that
@@ -133,7 +133,7 @@ def lens_complex(spec: LensSpec) -> DeltaComplex:
             rows = np.add.outer([offset[dims] for dims in group], range(len(grid)))
             out[rows.ravel()] = cells.reshape(-1, q + 1)
         faces.append(out)
-    return DeltaComplex(len(levels[0]), faces, levels)
+    return DeltaComplex(sizes[0], faces)
 
 
 @dataclass(frozen=True)
@@ -143,16 +143,20 @@ class LensCount:
     top: int
 
 
-def _lens_total(spec: LensSpec) -> int:
+def _lens_total(spec: LensSpec) -> tuple[Callable[[], int], int]:
     """((2N+1)^d - 1) / N, the cells of ``lens_complex(spec)``: each
     polygon absent, a vertex or an edge, less the all-absent pattern,
-    over N rotations.  Refuses N < 3."""
-    n = spec.n
+    over N rotations.  Returned unformed, as a function of no arguments,
+    with a lower bound on its bit length: for b and m the bit lengths of
+    2N + 1 and N, (2N+1)^d >= 2^((b-1)d) and N < 2^m, so the count has
+    at least (b - 1) d - m bits.  Refuses N < 3."""
+    n, d = spec.n, spec.d
     if n < 3:
         raise LensError(
             "lens complexes need N >= 3 for the rotation action"
         )
-    return ((2 * n + 1) ** spec.d - 1) // n
+    bits = ((2 * n + 1).bit_length() - 1) * d - n.bit_length()
+    return lambda: ((2 * n + 1) ** d - 1) // n, bits
 
 
 def lens_count(spec: LensSpec) -> LensCount:
@@ -162,13 +166,13 @@ def lens_count(spec: LensSpec) -> LensCount:
     p + e - 1; there are C(d, p) C(p, e) such choices, each with N^(p-1)
     orbit representatives.  The total is ((2N+1)^d - 1) / N.
     """
-    total = _lens_total(spec)
+    total, _ = _lens_total(spec)
     n, d = spec.n, spec.d
     f = [0] * (2 * d)
     for p in range(1, d + 1):
         for e in range(p + 1):
             f[p + e - 1] += math.comb(d, p) * math.comb(p, e) * n ** (p - 1)
-    return LensCount(tuple(f), total, f[-1])
+    return LensCount(tuple(f), total(), f[-1])
 
 
 def growth_exponent(
@@ -309,7 +313,7 @@ PI_BRACKET = (
 
 
 class RhoBoundResult(NamedTuple):
-    """Outcome of the (N/pi)^d < rho comparison.
+    """Outcome of the (N/pi)^d < rho comparison at the caller's (N, d).
 
     Truthiness is the comparison itself, decided exactly: rho is the
     rational ``rho_exact`` and pi lies in ``PI_BRACKET``, so the bound
@@ -322,7 +326,6 @@ class RhoBoundResult(NamedTuple):
     it compares equal to the plain tuple of its fields.
     """
 
-    spec: LensSpec
     rho: float
     bound: float
     holds: bool
@@ -374,7 +377,7 @@ def rho_lower_bound_check(
         status = "ok"
     else:
         status = "out_of_hypothesis"
-    return RhoBoundResult(spec, a / den, (n / math.pi) ** d, holds, status)
+    return RhoBoundResult(a / den, (n / math.pi) ** d, holds, status)
 
 
 def thm13_lower(spec: LensSpec, constant):

@@ -12,15 +12,15 @@ is not enforced at construction, but it is decided there: the BFS over
 the gluings that finds the components also labels each component from
 the identity at its first cell and checks that every vertex class reads
 one label.  :meth:`ColoredPolytope.check_coloring` reports that verdict,
-and :meth:`ColoredPolytope.endow` translates the stored labels by each
-component's base when it holds.
+and :meth:`ColoredPolytope.endow` translates the stored labels by its
+base element when it holds.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .bar import (
     BarChain,
@@ -264,7 +264,6 @@ class ColoredPolytope:
                             (d, row[v] * ~self.cells[d].gen[0] if w else row[v])
                         )
             comps.append(sorted(members))
-        self.cell_component = tuple(comp)
         self.components = tuple(tuple(m) for m in comps)
         labels = self._labels = tuple(at[root] for root in self._roots)
         vertex_of = self._vertex_of
@@ -291,17 +290,14 @@ class ColoredPolytope:
         the verdict was reached at construction."""
         return self._conflict is None
 
-    def endow(
-        self, base: Union[GroupElement, Mapping[int, GroupElement]]
-    ) -> "VertexLabeling":
-        """Label every vertex, fixing each component's base vertex.
+    def endow(self, base: GroupElement) -> "VertexLabeling":
+        """Label every vertex, the base vertex of each component by ``base``.
 
         The base vertex of a component is the class of (first cell, 0).
-        ``base`` is either one element (used for every component) or a
-        mapping component index -> element.  The labeling is unique once
-        the bases are fixed and the group is abelian, so it is the
-        identity labeling found at construction times each component's
-        base; the identity base takes the stored labels as they are.
+        The labeling is unique once the bases are fixed and the group is
+        abelian, so it is the identity labeling found at construction
+        times ``base``; the identity base takes the stored labels as
+        they are.
         """
         if self._conflict is not None:
             raise ColoringError(
@@ -310,16 +306,7 @@ class ColoredPolytope:
             )
         if base is self.group.identity:
             return VertexLabeling(self, self._labels)
-        if isinstance(base, GroupElement):
-            base = [base] * len(self.components)
-        comp, n1 = self.cell_component, self.degree + 1
-        return VertexLabeling(
-            self,
-            tuple(
-                base[comp[root // n1]] * l
-                for root, l in zip(self._roots, self._labels)
-            ),
-        )
+        return VertexLabeling(self, tuple(base * l for l in self._labels))
 
     # -- boundary pairing --------------------------------------------
 

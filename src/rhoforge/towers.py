@@ -118,7 +118,6 @@ class Tower:
     surviving boundary pairs of the result, per original class.
     """
 
-    base: ColoredPolytope
     pair_sequence: tuple[tuple[FaceRef, FaceRef], ...]
     result: ColoredPolytope
     copies: int
@@ -162,7 +161,7 @@ def tower(
     pairs = tuple(P.boundary_pairs() if pairs is None else pairs)
     e = P.group.identity
     if not pairs:
-        return Tower(P, (), P, 1, (), (), P.endow(e))
+        return Tower((), P, 1, (), (), P.endow(e))
     order = P.group.order
     cells, gluings = list(P.cells), list(P.gluings)
     classes: list[PairClass] = [(pair,) for pair in pairs]
@@ -180,7 +179,6 @@ def tower(
                 f"dangling labels of pair {r} disagree; coloring bug"
             )
     return Tower(
-        base=P,
         pair_sequence=pairs,
         result=Q,
         copies=order ** len(pairs),
@@ -307,7 +305,7 @@ def tower_labeled_cells(
     subgroup = _coset_closure(group.identity, holonomies)
     copies = group.order ** len(pairs)
     count = copies // len(subgroup)
-    base = polytope_labeled_cells(P, labeling)
+    base = polytope_labeled_cells(labeling)
     cells = [
         (tuple(t * label for label in labels), sign * count)
         for t in subgroup
@@ -376,10 +374,12 @@ def cylinder(cells: LabeledCells) -> CylinderResult:
 
 
 def polytope_labeled_cells(
-    P: ColoredPolytope, labeling: VertexLabeling
+    labeling: VertexLabeling,
 ) -> list[tuple[tuple[GroupElement, ...], int]]:
+    """Each cell of the labeled polytope: its vertex labels and sign."""
     return [
-        (labeling.cell_labels(c), P.cells[c].sign) for c in range(len(P.cells))
+        (labeling.cell_labels(c), cell.sign)
+        for c, cell in enumerate(labeling.polytope.cells)
     ]
 
 
@@ -502,7 +502,6 @@ class Thm11Constant:
     """Catalan factor times group order, with the dimension constant left
     symbolic (the source never assigns it a value)."""
 
-    k: int
     catalan: int
     group_order: int
     symbol: str
@@ -524,7 +523,6 @@ def thm11_constant(k: int, group: Union[FiniteAbelianGroup, int]) -> Thm11Consta
         raise ValueError("k must be >= 1")
     order = group if isinstance(group, int) else group.order
     return Thm11Constant(
-        k=k,
         catalan=catalan_number(k),
         group_order=order,
         symbol=f"C_{2 * k - 1}",

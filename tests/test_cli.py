@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -1242,6 +1243,17 @@ class TestCellCap:
         assert err == (
             f"rhoforge: resource cap exceeded: {message}, cap is 10000000\n"
         )
+
+    def test_refusal_time_does_not_grow_with_the_exponent(self, monkeypatch, capsys):
+        # (7^(10^7) - 1) / 3 cells: refused from a bound on the count's
+        # bit length, in place of the seconds that raising 7 to 10^7 takes
+        start = time.perf_counter()
+        err = self.assert_refused(
+            monkeypatch, capsys, ("lens", "--N", "3", "--d", "10000000")
+        )
+        assert time.perf_counter() - start < 1
+        k = int(err.split("needs at least 2^")[1].split()[0])
+        assert 2**20 < k <= 10**7 * math.log2(7) - math.log2(3)
 
     def assert_refused(self, monkeypatch, capsys, argv):
         monkeypatch.delenv("RHOFORGE_CELL_CAP", raising=False)

@@ -74,8 +74,8 @@ def test_identity_endowment_takes_no_products(moduli, monkeypatch):
     G = FiniteAbelianGroup(moduli)
     g = G.element([1] + [0] * (len(moduli) - 1))
     P = octagon_polytope(g, g, g, g)
-    # a mapping base translates each label: the product route
-    translated = P.endow({0: G.identity}).labels
+    # a base other than the identity translates each label: the product route
+    translated = P.endow(g).translate(~g).labels
     calls = []
     mul = GroupElement.__mul__
 

@@ -277,7 +277,7 @@ class TestCylinder:
         G = cyclic(4)
         g = G.element([1])
         P = octagon_polytope(g, g, g**2, g**3)
-        cells = polytope_labeled_cells(P, P.endow(G.identity))
+        cells = polytope_labeled_cells(P.endow(G.identity))
         assert labeled_chain(cells) == P.chain()
         assert degenerate_shadow(cells).is_zero()
 
@@ -288,7 +288,7 @@ class TestCylinder:
         g = G.element([1])
         P = octagon_polytope(g, g**2, g**3, g**4)
         lab = P.endow(G.identity)
-        res = cylinder(polytope_labeled_cells(P, lab))
+        res = cylinder(polytope_labeled_cells(lab))
         correction = boundary_cylinder_sum(P, lab)
         assert res.chain.boundary() == P.chain() - correction
 
@@ -484,7 +484,7 @@ def old_propagate(P, base):
 
 
 def old_components(P):
-    """(components, cell_component) by a depth-first walk of the gluings."""
+    """The components by a depth-first walk of the gluings."""
     adj = [[] for _ in P.cells]
     for (c1, _), (c2, _) in P.gluings:
         adj[c1].append(c2)
@@ -504,7 +504,7 @@ def old_components(P):
                     comp[d] = comp[start]
                     stack.append(d)
         comps.append(tuple(sorted(members)))
-    return tuple(comps), tuple(comp)
+    return tuple(comps)
 
 
 def old_endow_labels(P):
@@ -643,7 +643,7 @@ def convolved_tower_labeled_cells(P):
             for h in (hol**j for j in range(order)):
                 convolved[t * h] = convolved.get(t * h, 0) + count
         shifts = convolved
-    base = polytope_labeled_cells(P, labeling)
+    base = polytope_labeled_cells(labeling)
     cells = [
         (tuple(t * label for label in labels), sign * count)
         for t, count in shifts.items()
@@ -881,7 +881,7 @@ def test_tower_labeled_cells_match_built_tower(cells):
         assert copies == t.copies
         assert pairs == t.pair_sequence
         assert summed_by_labels(labeled) == summed_by_labels(
-            polytope_labeled_cells(t.result, t.labeling)
+            polytope_labeled_cells(t.labeling)
         )
         assert len(labeled) <= P.group.order * len(P.cells)
         assert as_multiset((copies, pairs, labeled)) == as_multiset(
@@ -946,7 +946,7 @@ def test_z2_4_tower_matches_per_step_pipeline(count):
     assert t.dangling == dangling
     assert t.labeling.labels == labels
     cells = old_labeled_cells(Q, labels)
-    assert polytope_labeled_cells(t.result, t.labeling) == cells
+    assert polytope_labeled_cells(t.labeling) == cells
     G = P.group
     assert cylinder(cells).chain == BarChain.from_terms(
         G, 3, old_cylinder_terms(cells)
@@ -1001,7 +1001,7 @@ def _random_glued_polytope(rng, G, degree, size):
 
 
 def test_propagate_matches_repeated_sweeps():
-    # with random bases per component, endow gives the labels of sweeping
+    # with a random base, endow gives the labels of sweeping
     # all edges until nothing changes wherever the sweeps find no
     # contradiction, and the coloring fails exactly where they find one
     rng = random.Random(11)
@@ -1011,14 +1011,14 @@ def test_propagate_matches_repeated_sweeps():
         for _ in range(60):
             degree, size = rng.choice([1, 2, 3]), rng.randint(1, 12)
             P = _random_glued_polytope(rng, G, degree, size)
-            assert (P.components, P.cell_component) == old_components(P)
-            base = {i: rng.choice(elems) for i in range(len(P.components))}
-            labels, conflict = old_propagate(P, base)
+            assert P.components == old_components(P)
+            b = rng.choice(elems)
+            labels, conflict = old_propagate(P, [b] * len(P.components))
             assert P.check_coloring() is (conflict is None)
             if conflict is None:
-                assert P.endow(base).labels == tuple(labels)
+                assert P.endow(b).labels == tuple(labels)
             else:
                 conflicts += 1
                 with pytest.raises(ColoringError, match="contradiction"):
-                    P.endow(base)
+                    P.endow(b)
     assert conflicts > 20
